@@ -16,6 +16,7 @@ import sys
 import tempfile
 
 import numpy as np
+from scipy import stats
 
 from . import coda, ingest, ism, lpa, plotting, simulate, step3
 from .cohort import (
@@ -24,6 +25,7 @@ from .cohort import (
     CohortError,
     CohortTable,
     complete_case,
+    format_number,
     load_cohort_csv,
     save_cohort_csv,
 )
@@ -73,11 +75,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list) -> str:
+    """CSV text in which every cell that is not a string is a number (or
+    None) written by ``format_number``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows(rows)
+    w.writerows([c if isinstance(c, str) else format_number(c) for c in row]
+                for row in rows)
     return buf.getvalue()
 
 
@@ -85,13 +90,15 @@ def _out_dir(args) -> str:
     return args.out or os.environ.get("DAYCYCLE_OUT", ".")
 
 
-def _load(args) -> CohortTable:
-    cohort = load_cohort_csv(args.input)
-    covs = list(args.covariates)
-    cohort, report = complete_case(cohort, covs)
+def _complete_cases(cohort: CohortTable, covariates) -> CohortTable:
+    cohort, _ = complete_case(cohort, list(covariates))
     if cohort.n == 0:
         raise CohortError("no complete cases remain")
     return cohort
+
+
+def _load(args) -> CohortTable:
+    return _complete_cases(load_cohort_csv(args.input), args.covariates)
 
 
 def _add_common(p, covariates=True):
@@ -110,65 +117,52 @@ def cmd_describe(args) -> int:
     if args.format in ("json", "both"):
         atomic_write(out + ".json", _json_text(report))
     if args.format in ("csv", "both"):
-        rows = [["n", report["n"]]]
-        for b, v in report["behaviors_hours_per_day"].items():
-            rows.append([f"{b}_mean_h", v["mean_h"]])
-            rows.append([f"{b}_sd_h", v["sd_h"]])
         med, lo, hi = report["total_min_median_iqr"]
-        rows.append(["total_min_median", med])
-        rows.append(["total_min_iqr", f"[{lo}, {hi}]"])
-        for name, v in report["continuous"].items():
-            rows.append([f"{name}_mean", v["mean"]])
-            rows.append([f"{name}_sd", v["sd"]])
-        for name, v in report["categorical"].items():
-            rows.append([f"{name}_n", v["n"]])
-            rows.append([f"{name}_pct", v["pct"]])
-        rows.append(["outcome_mean", report["outcome"]["mean"]])
-        rows.append(["outcome_sd", report["outcome"]["sd"]])
+        rows = [["n", report["n"]]]
+        for group in (report["behaviors_hours_per_day"],
+                      {"total_min": {"median": med, "q25": lo, "q75": hi}},
+                      report["continuous"], report["categorical"],
+                      {"outcome": report["outcome"]}):
+            rows += [[f"{name}_{key}", value]
+                     for name, fields in group.items()
+                     for key, value in fields.items()]
         atomic_write(out + ".csv", _csv_text(["field", "value"], rows))
     return EXIT_OK
 
 
-def _table_payload(tab: ism.SubstitutionTable) -> dict:
-    cells = {}
+def _table_cells(tab: ism.SubstitutionTable):
+    """(from, to, estimate, ci_low, ci_high) for each off-diagonal cell."""
     for i, a in enumerate(tab.labels):
         for j, b in enumerate(tab.labels):
-            if i == j:
-                continue
-            cells[f"{a}->{b}"] = {
-                "estimate": tab.estimate[i, j],
-                "ci_low": tab.ci_low[i, j],
-                "ci_high": tab.ci_high[i, j],
-            }
+            if i != j:
+                yield (a, b, tab.estimate[i, j], tab.ci_low[i, j],
+                       tab.ci_high[i, j])
+
+
+def _table_payload(tab: ism.SubstitutionTable) -> dict:
+    cells = {f"{a}->{b}": {"estimate": e, "ci_low": lo, "ci_high": hi}
+             for a, b, e, lo, hi in _table_cells(tab)}
     return {"labels": list(tab.labels), "minutes": tab.minutes, "n": tab.n,
             "cells": cells}
 
 
 def _table_csv(tab: ism.SubstitutionTable) -> str:
-    rows = []
-    for i, a in enumerate(tab.labels):
-        for j, b in enumerate(tab.labels):
-            if i == j:
-                continue
-            rows.append([a, b, repr(tab.estimate[i, j]),
-                         repr(tab.ci_low[i, j]), repr(tab.ci_high[i, j])])
-    return _csv_text(["from", "to", "estimate", "ci_low", "ci_high"], rows)
+    return _csv_text(["from", "to", "estimate", "ci_low", "ci_high"],
+                     list(_table_cells(tab)))
 
 
 def cmd_ism(args) -> int:
     cohort = _load(args)
     out = _out_dir(args)
-    tables = {"overall": ism.substitution_table(
-        cohort, args.covariates, minutes=args.minutes)}
+    subgroups = {"overall": None}
     if args.subgroup_step_cut is not None:
         cut = args.subgroup_step_cut
         step = cohort.behavior("step")
-        tables[f"step_gt_{cut:g}"] = ism.substitution_table(
-            cohort, args.covariates, minutes=args.minutes,
-            subgroup=step > cut)
-        tables[f"step_le_{cut:g}"] = ism.substitution_table(
-            cohort, args.covariates, minutes=args.minutes,
-            subgroup=step <= cut)
+        subgroups[f"step_gt_{cut:g}"] = step > cut
+        subgroups[f"step_le_{cut:g}"] = step <= cut
+    tables = {name: ism.substitution_table(cohort, args.covariates,
+                                           minutes=args.minutes, subgroup=mask)
+              for name, mask in subgroups.items()}
     payload = {name: _table_payload(t) for name, t in tables.items()}
     atomic_write(os.path.join(out, "ism_table.json"), _json_text(payload))
     for name, t in tables.items():
@@ -197,55 +191,51 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.arange(lo, hi + by / 2, by)
 
 
-def cmd_coda(args) -> int:
-    cohort = _load(args)
-    out = _out_dir(args)
-    pivots = list(cohort.behavior_labels)
-    table_rows = []
-    for pv in pivots:
-        cfit = coda.fit_coda(cohort, pv, args.covariates)
-        est = cfit.fit.coef[1]
-        se = cfit.fit.se("z1")
-        from .linmod import Z95
-        from scipy import stats as _st
-        z = est / se if se > 0 else 0.0
-        table_rows.append({
-            "pivot": pv,
-            "estimate": est,
-            "ci_low": est - Z95 * se,
-            "ci_high": est + Z95 * se,
-            "p_value": float(2 * _st.norm.sf(abs(z))),
-        })
-    atomic_write(os.path.join(out, "coda_pivots.json"), _json_text(table_rows))
-    atomic_write(os.path.join(out, "coda_pivots.csv"), _csv_text(
-        ["pivot", "estimate", "ci_low", "ci_high", "p_value"],
-        [[r["pivot"], repr(r["estimate"]), repr(r["ci_low"]),
-          repr(r["ci_high"]), repr(r["p_value"])] for r in table_rows]))
-
-    deltas = _parse_grid(args.delta_grid)
-    cfit = coda.fit_coda(cohort, args.pivot, args.covariates)
-    curve = coda.reallocation_curve_proportional(cfit, args.pivot, deltas)
-    curve_rows = [[repr(d), repr(e), repr(lo), repr(hi)]
-                  for d, e, lo, hi in zip(curve.delta_minutes, curve.estimate,
-                                          curve.ci_low, curve.ci_high)]
-    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.csv"),
-                 _csv_text(["delta_min", "estimate", "ci_low", "ci_high"],
-                           curve_rows))
+def _realloc_curve(cohort: CohortTable, pivot: str, covariates,
+                   deltas: np.ndarray):
+    """Complete cases on ``covariates``, one CoDA fit with ``pivot`` first,
+    and its one-vs-remaining curve, as arrays and as an SVG."""
+    cohort = _complete_cases(cohort, covariates)
+    cfit = coda.fit_coda(cohort, pivot, list(covariates))
+    curve = coda.reallocation_curve_proportional(cfit, pivot, deltas)
     svg = plotting.curve_svg(curve.delta_minutes, curve.estimate,
                              curve.ci_low, curve.ci_high,
-                             title=f"{args.pivot} vs remaining")
-    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.svg"), svg)
+                             title=f"{pivot} vs remaining")
+    return cfit, curve, svg
+
+
+def cmd_coda(args) -> int:
+    deltas = _parse_grid(args.delta_grid)
+    out = _out_dir(args)
+    cfit, curve, svg = _realloc_curve(load_cohort_csv(args.input), args.pivot,
+                                      args.covariates, deltas)
+    piv = coda.pivot_coefficients(cfit)
+    p_values = 2 * stats.norm.sf(np.abs(piv.estimate / piv.se))
+    fields = ["pivot", "estimate", "ci_low", "ci_high", "p_value"]
+    table_rows = list(zip(cfit.basis.labels, piv.estimate, piv.ci_low,
+                          piv.ci_high, p_values))
+    pairwise = []
     if args.pairwise:
-        rows = []
-        for other in pivots:
+        for other in cfit.basis.labels:
             if other == args.pivot:
                 continue
             e = coda.pairwise_reallocation(cfit, other, args.pivot,
                                            args.pairwise_minutes)
-            rows.append([other, args.pivot, repr(e.estimate),
-                         repr(e.ci_low), repr(e.ci_high)])
+            pairwise.append([other, args.pivot, e.estimate, e.ci_low,
+                             e.ci_high])
+
+    atomic_write(os.path.join(out, "coda_pivots.json"),
+                 _json_text([dict(zip(fields, r)) for r in table_rows]))
+    atomic_write(os.path.join(out, "coda_pivots.csv"),
+                 _csv_text(fields, table_rows))
+    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.csv"), _csv_text(
+        ["delta_min", "estimate", "ci_low", "ci_high"],
+        list(zip(curve.delta_minutes, curve.estimate, curve.ci_low,
+                 curve.ci_high))))
+    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.svg"), svg)
+    if args.pairwise:
         atomic_write(os.path.join(out, "coda_pairwise.csv"), _csv_text(
-            ["from", "to", "estimate", "ci_low", "ci_high"], rows))
+            ["from", "to", "estimate", "ci_low", "ci_high"], pairwise))
     return EXIT_OK
 
 
@@ -290,11 +280,7 @@ def cmd_lpa(args) -> int:
     atomic_write(os.path.join(out, "lpa_selection.csv"), _csv_text(
         ["K", "loglik", "AIC", "BIC", "CAIC", "SABIC", "ICL_BIC",
          "entropy", "n_min", "n_min_pct", "n_replicated", "blrt_p"],
-        [[t["K"], repr(t["loglik"]), repr(t["AIC"]), repr(t["BIC"]),
-          repr(t["CAIC"]), repr(t["SABIC"]), repr(t["ICL_BIC"]),
-          repr(t["entropy"]), t["n_min"], t["n_min_pct"],
-          t["n_replicated"],
-          "" if t["blrt_p"] is None else repr(t["blrt_p"])] for t in table]))
+        [list(t.values()) for t in table]))
     best_k = min(table, key=lambda t: t["BIC"])["K"]
     model, post = models[best_k]
     atomic_write(os.path.join(out, "lpa_model.json"), model.to_json())
@@ -318,17 +304,14 @@ def cmd_lpa(args) -> int:
 def cmd_step3(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = lpa.MixtureModel.from_json(fh.read())
-    cohort = load_cohort_csv(args.input)
-    cohort, _ = complete_case(cohort, list(args.covariates))
+    cohort = _load(args)
     data, _ = _lpa_matrix(cohort, args.scale)
     post = lpa.posterior(model, data)
     assign = lpa.modal_assignment(post)
     covs = cohort.covariate_matrix(list(args.covariates)) \
         if args.covariates else None
     results = {}
-    for method in ("naive", args.method):
-        if method == "ml":
-            continue
+    for method in dict.fromkeys(("naive", args.method)):
         res = step3.step3_distal(post, assign, cohort.outcome, covs,
                                  method=method)
         results[method] = {
@@ -343,17 +326,12 @@ def cmd_step3(args) -> int:
         }
     out = _out_dir(args)
     atomic_write(os.path.join(out, "step3_report.json"), _json_text(results))
-    rows = []
     ref = results["naive"]["reference"]
-    for i, k in enumerate(results["naive"]["classes"]):
-        row = [f"class_{k}_vs_{ref}"]
-        for method in results:
-            row += [repr(results[method]["coef"][i]),
-                    repr(results[method]["robust_se"][i])]
-        rows.append(row)
-    header = ["contrast"]
-    for method in results:
-        header += [f"{method}_estimate", f"{method}_robust_se"]
+    rows = [[f"class_{k}_vs_{ref}"] + [r[field][i] for r in results.values()
+                                       for field in ("coef", "robust_se")]
+            for i, k in enumerate(results["naive"]["classes"])]
+    header = ["contrast"] + [f"{method}_{field}" for method in results
+                             for field in ("estimate", "robust_se")]
     atomic_write(os.path.join(out, "step3_report.csv"),
                  _csv_text(header, rows))
     return EXIT_OK
@@ -382,12 +360,9 @@ def cmd_plot(args) -> int:
                                    title="-".join(labels))
         atomic_write(os.path.join(out, "ternary.svg"), svg)
     elif args.kind == "realloc":
-        cfit = coda.fit_coda(cohort, args.pivot, list(COVARIATE_COLUMNS))
         deltas = _parse_grid(args.delta_grid)
-        curve = coda.reallocation_curve_proportional(cfit, args.pivot, deltas)
-        svg = plotting.curve_svg(curve.delta_minutes, curve.estimate,
-                                 curve.ci_low, curve.ci_high,
-                                 title=f"{args.pivot} vs remaining")
+        _, _, svg = _realloc_curve(cohort, args.pivot, COVARIATE_COLUMNS,
+                                   deltas)
         atomic_write(os.path.join(out, f"realloc_{args.pivot}.svg"), svg)
     elif args.kind == "profiles":
         if not args.model:

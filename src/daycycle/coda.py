@@ -76,26 +76,42 @@ def fit_coda(cohort: CohortTable, pivot: str, covariates: list[str],
                    Z.min(axis=0), Z.max(axis=0), day_minutes)
 
 
-def one_vs_remaining_effect(cfit: CodaFit, r: float,
+def one_vs_remaining_effect(cfit: CodaFit, r: float | np.ndarray,
                             use_robust: bool = False) -> Estimate:
     """Closed-form effect of scaling the pivot behavior by (1 + r) while
     shrinking every other behavior by a common factor (1 - s).
 
     Only the pivot coordinate moves, by sqrt((D-1)/D) * ln((1+r)/(1-s)), so
-    the effect and its CI come from the pivot coefficient alone.
+    the effect and its CI come from the pivot coefficient alone.  ``r`` may
+    be an array, which gives array fields.
     """
     x1 = cfit.baseline.part(cfit.pivot)
     upper = (1.0 - x1) / x1
-    if not (-1.0 < r < upper):
+    r = np.asarray(r, dtype=float)
+    if not np.all((-1.0 < r) & (r < upper)):
         raise CodaError(f"r must lie in (-1, {upper:.4g}); got {r}")
-    if r == 0:
-        return Estimate(0.0, 0.0, 0.0, 0.0)
     s = r * x1 / (1.0 - x1)
     d = cfit.basis.D
-    mult = math.sqrt((d - 1) / d) * math.log((1.0 + r) / (1.0 - s))
-    w = np.zeros(cfit.fit.p)
-    w[1] = mult  # pivot coordinate is z1
+    w = np.zeros(r.shape + (cfit.fit.p,))
+    # pivot coordinate is z1
+    w[..., 1] = math.sqrt((d - 1) / d) * np.log((1.0 + r) / (1.0 - s))
     return linear_combination(cfit.fit, w, use_robust=use_robust)
+
+
+def pivot_coefficients(cfit: CodaFit) -> Estimate:
+    """Every behavior's pivot coefficient, as arrays in basis label order.
+
+    Entry k is the z1 coefficient of the fit whose pivot is behavior k.  All
+    ilr bases span one model, so it is read off ``cfit`` by a change of
+    basis: ``V_k[:, 0] @ V @ beta``, with ``V_k`` and ``V`` the contrast
+    matrices of pivot k's basis and the fitted one, and ``beta`` the fitted
+    coordinate coefficients.
+    """
+    labels = cfit.basis.labels
+    first = np.array([pivot_basis(p, labels).contrast[:, 0] for p in labels])
+    w = np.zeros((len(labels), cfit.fit.p))
+    w[:, 1:1 + cfit.n_coords] = first @ cfit.basis.contrast
+    return linear_combination(cfit.fit, w)
 
 
 def proportional_reallocation_composition(cfit: CodaFit, r: float) -> Composition:
@@ -129,13 +145,10 @@ def reallocation_curve_proportional(cfit: CodaFit, behavior: str,
             f"fit pivot is {cfit.pivot!r}; refit with pivot={behavior!r}")
     base_min = cfit.baseline.part(behavior) * cfit.day_minutes
     deltas = np.asarray(deltas, dtype=float)
-    est = np.empty(deltas.size)
-    lo = np.empty(deltas.size)
-    hi = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        e = one_vs_remaining_effect(cfit, d / base_min, use_robust=use_robust)
-        est[i], lo[i], hi[i] = e.estimate, e.ci_low, e.ci_high
-    return ReallocationCurve(behavior, "one-vs-remaining", deltas, est, lo, hi)
+    e = one_vs_remaining_effect(cfit, deltas / base_min,
+                                use_robust=use_robust)
+    return ReallocationCurve(behavior, "one-vs-remaining", deltas,
+                             e.estimate, e.ci_low, e.ci_high)
 
 
 def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,

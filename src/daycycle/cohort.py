@@ -56,7 +56,8 @@ class CohortTable:
     outcome: np.ndarray
     valid_days: np.ndarray
     behavior_labels: tuple[str, ...] = BEHAVIOR_LABELS
-    _compositions: list[Composition] | None = field(default=None, repr=False)
+    _compositions: dict[float, list[Composition]] = field(
+        default_factory=dict, repr=False)  # keyed by zero floor
 
     def __post_init__(self):
         n = len(self.ids)
@@ -87,15 +88,15 @@ class CohortTable:
 
     def compositions(self, zero_floor: float = 1.0) -> list[Composition]:
         """Per-person closed compositions, with zeros floored first."""
-        if self._compositions is None:
+        if zero_floor not in self._compositions:
             out = []
             for row in self.behaviors:
                 raw = RawTimeVector(tuple(row), self.behavior_labels)
                 if any(m == 0 for m in raw.minutes):
                     raw = replace_zeros(raw, "fixed-floor", floor=zero_floor)
                 out.append(closure(raw))
-            self._compositions = out
-        return self._compositions
+            self._compositions[zero_floor] = out
+        return self._compositions[zero_floor]
 
     def composition_array(self, zero_floor: float = 1.0) -> np.ndarray:
         return np.array([c.parts for c in self.compositions(zero_floor)])
@@ -136,8 +137,13 @@ def complete_case(cohort: CohortTable, required: list[str]) -> tuple[CohortTable
     return cohort.subset(keep), report
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
+def format_number(x: float | int | None) -> str:
+    """A number as a CSV cell: an integer as is, a float as the shortest repr
+    that reads back to the same value, and a missing value (NaN or None) as
+    empty."""
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    if x is None or math.isnan(x):
         return ""
     return repr(float(x))
 
@@ -148,11 +154,12 @@ def save_cohort_csv(cohort: CohortTable, path) -> None:
         w.writerow(CSV_HEADER)
         for i in range(cohort.n):
             row = [cohort.ids[i]]
-            row += [_fmt(v) for v in cohort.behaviors[i]]
-            row.append(_fmt(cohort.total[i]))
-            row.append(str(int(cohort.valid_days[i])))
-            row += [_fmt(cohort.covariates[c][i]) for c in COVARIATE_COLUMNS]
-            row.append(_fmt(cohort.outcome[i]))
+            row += [format_number(v) for v in cohort.behaviors[i]]
+            row.append(format_number(cohort.total[i]))
+            row.append(format_number(cohort.valid_days[i]))
+            row += [format_number(cohort.covariates[c][i])
+                    for c in COVARIATE_COLUMNS]
+            row.append(format_number(cohort.outcome[i]))
             w.writerow(row)
 
 

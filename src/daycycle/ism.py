@@ -114,35 +114,33 @@ def substitution_table(cohort: CohortTable, covariates: list[str],
                        minutes: float = 30.0,
                        subgroup: np.ndarray | None = None,
                        use_robust: bool = False) -> SubstitutionTable:
-    """All pairwise reallocation effects with exact antisymmetry.
+    """All pairwise reallocation effects from one partition-model fit.
 
-    Cells (i, j) with i < j come from the model dropping behavior j; the
-    mirrored cells are their exact negations (the per-dropped-behavior models
-    are re-parameterizations of one partition model, so the two conventions
-    agree up to floating-point noise).
+    When the behaviors sum to total time, the model dropping any behavior is
+    a re-parameterization of the one dropping the last: with ``gamma`` its
+    behavior coefficients (0 for the dropped one), moving ``minutes`` from
+    behavior i to j changes the outcome by ``minutes * (gamma_j - gamma_i)``.
+    Cells (i, j) with i < j are estimated that way; the mirrored cells are
+    their exact negations.
     """
     data = cohort if subgroup is None else cohort.subset(subgroup)
     labels = data.behavior_labels
+    gap = np.abs(data.total - data.behaviors.sum(axis=1))
+    if np.any(gap > 1e-9 * data.total):
+        raise IsmError(
+            "behavior minutes must sum to the total day length, "
+            f"off by up to {gap.max():.3g} min")
+    fit = fit_ism(data, dropped=labels[-1], covariates=covariates).fit
     d = len(labels)
-    est = np.full((d, d), np.nan)
-    lo = np.full((d, d), np.nan)
-    hi = np.full((d, d), np.nan)
-    for j, to in enumerate(labels):
-        if minutes == 0:
-            fit = None
-        else:
-            fit = fit_ism(data, dropped=to, covariates=covariates).fit
-        for i, from_ in enumerate(labels):
-            if i >= j:
-                continue
-            if fit is None:
-                e = Estimate(0.0, 0.0, 0.0, 0.0)
-            else:
-                w = np.zeros(fit.p)
-                w[fit.index(from_)] = -minutes
-                e = linear_combination(fit, w, use_robust=use_robust)
-            est[i, j], lo[i, j], hi[i, j] = e.estimate, e.ci_low, e.ci_high
-            est[j, i], lo[j, i], hi[j, i] = -e.estimate, -e.ci_high, -e.ci_low
+    gamma = np.zeros((d, fit.p))
+    for k, b in enumerate(labels[:-1]):
+        gamma[k, fit.index(b)] = 1.0
+    i, j = np.triu_indices(d, k=1)
+    e = linear_combination(fit, minutes * (gamma[j] - gamma[i]),
+                           use_robust=use_robust)
+    est, lo, hi = (np.full((d, d), np.nan) for _ in range(3))
+    est[i, j], lo[i, j], hi[i, j] = e.estimate, e.ci_low, e.ci_high
+    est[j, i], lo[j, i], hi[j, i] = -e.estimate, -e.ci_high, -e.ci_low
     return SubstitutionTable(labels, minutes, est, lo, hi, data.n)
 
 
@@ -190,12 +188,9 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
         if best is None or score < best[0]:
             best = (score, n_knots, fit, spans)
     _, n_knots, fit, spans = best
-    tests = {}
-    for b in kept:
-        C = np.zeros((len(spans[b]), fit.p))
-        for r, idx in enumerate(spans[b]):
-            C[r, idx] = 1.0
-        tests[b] = wald_test(fit, C, use_robust=False)
+    # each behavior's test selects its spline coefficients
+    tests = {b: wald_test(fit, np.eye(fit.p)[spans[b]], use_robust=False)
+             for b in kept}
     return FlexibleIsmFit(fit, dropped, n_knots, scores, tests)
 
 

@@ -147,13 +147,20 @@ def wald_test(fit: FitResult, C: np.ndarray, use_robust: bool = True) -> WaldTes
 
 def linear_combination(fit: FitResult, weights: np.ndarray,
                        use_robust: bool = False) -> Estimate:
-    """Estimate and normal-based 95% CI for a linear combination of coefficients."""
+    """Estimate and normal-based 95% CI for a linear combination of coefficients.
+
+    ``weights`` is one length-p vector (the fields are floats) or an (m, p)
+    matrix of them (the fields are length-m arrays, one entry per row).
+    """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (fit.p,):
+    if w.ndim not in (1, 2) or w.shape[-1] != fit.p:
         raise LinmodError("weight length does not match coefficient count")
     V = fit.cov_robust if use_robust else fit.cov_model
-    est = float(w @ fit.coef)
-    se = math.sqrt(float(w @ V @ w))
+    # "+ 0.0" turns the -0.0 an all-zero weight row can give into 0.0.
+    est = w @ fit.coef + 0.0
+    se = np.sqrt(np.sum((w @ V) * w, axis=-1))
+    if w.ndim == 1:
+        est, se = float(est), float(se)
     return Estimate(est, se, est - Z95 * se, est + Z95 * se)
 
 

@@ -234,9 +234,10 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                 ) -> tuple[MixtureModel, np.ndarray]:
     """Best-of-``starts`` EM fit; returns the model and its posterior matrix.
 
-    Each start draws random responsibilities from seed + start index, so runs
-    are reproducible and starts are independent.  Components are relabeled in
-    ascending order of the ordering indicator's mean.
+    Each start takes K distinct random observations as its means (drawn
+    from seed + start index, so runs are reproducible and starts are
+    independent) and the pooled covariance for every component.  Components
+    are relabeled in ascending order of the ordering indicator's mean.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, and output artifacts."""
 
+import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from daycycle.cli import main
+from daycycle.cohort import load_cohort_csv, save_cohort_csv
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +22,17 @@ def cohort_csv(tmp_path_factory):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_numeric_cells(path, label_columns=0):
+    """Every data cell after the leading label columns is a float or empty."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    for row in rows:
+        for cell in row[label_columns:]:
+            if cell:
+                float(cell)
 
 
 def test_simulate_deterministic(tmp_path, cohort_csv):
@@ -52,6 +66,8 @@ def test_ism_outputs(tmp_path, cohort_csv):
     body = (out / "ism_table_overall.csv").read_text().splitlines()
     assert body[0] == "from,to,estimate,ci_low,ci_high"
     assert len(body) == 1 + 12
+    for name in tables:
+        assert_numeric_cells(out / f"ism_table_{name}.csv", label_columns=2)
 
 
 def test_coda_outputs(tmp_path, cohort_csv):
@@ -68,6 +84,27 @@ def test_coda_outputs(tmp_path, cohort_csv):
     ET.fromstring(svg)  # well-formed XML
     pairwise = (out / "coda_pairwise.csv").read_text().splitlines()
     assert len(pairwise) == 1 + 3
+    assert_numeric_cells(out / "coda_pivots.csv", label_columns=1)
+    assert_numeric_cells(out / "coda_curve_step.csv")
+    assert_numeric_cells(out / "coda_pairwise.csv", label_columns=2)
+    assert curve[3] == "0.0,0.0,0.0,0.0"  # delta = 0
+
+
+def test_coda_validates_arguments_before_writing(tmp_path, cohort_csv,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DAYCYCLE_OUT", raising=False)
+    assert run(["coda", cohort_csv, "--delta-grid", "oops"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ism_requires_behaviors_summing_to_total(tmp_path, cohort_csv):
+    cohort = load_cohort_csv(cohort_csv)
+    cohort.total[0] += 5.0
+    path = tmp_path / "off_total.csv"
+    save_cohort_csv(cohort, path)
+    assert run(["ism", path, "-o", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +133,7 @@ def test_lpa_outputs(lpa_out):
     assert np.allclose(np.sum(D, axis=1), 1.0)
     prof = json.loads((lpa_out / "lpa_profiles.json").read_text())
     assert set(prof["derived_remainder"]) == {"mean", "sd", "corr"}
+    assert_numeric_cells(lpa_out / "lpa_selection.csv")
 
 
 def test_step3_outputs(tmp_path, cohort_csv, lpa_out):
@@ -109,6 +147,7 @@ def test_step3_outputs(tmp_path, cohort_csv, lpa_out):
         assert 0 <= rep[method]["overall_wald"]["p_value"] <= 1
     csv_lines = (out / "step3_report.csv").read_text().splitlines()
     assert csv_lines[0].startswith("contrast,")
+    assert_numeric_cells(out / "step3_report.csv", label_columns=1)
 
 
 def test_plot_kinds(tmp_path, cohort_csv, lpa_out):
@@ -121,6 +160,16 @@ def test_plot_kinds(tmp_path, cohort_csv, lpa_out):
     for name in ("ternary.svg", "realloc_step.svg", "profiles.svg"):
         root = ET.fromstring((out / name).read_text())
         assert root.tag.endswith("svg")
+
+
+def test_plot_realloc_drops_incomplete_cases(tmp_path, cohort_csv):
+    cohort = load_cohort_csv(cohort_csv)
+    cohort.covariates["bmi"][3] = math.nan
+    path = tmp_path / "missing_bmi.csv"
+    save_cohort_csv(cohort, path)
+    out = tmp_path / "plots"
+    assert run(["plot", path, "-o", out, "--kind", "realloc"]) == 0
+    ET.fromstring((out / "realloc_step.svg").read_text())
 
 
 def test_plot_deterministic(tmp_path, cohort_csv):

@@ -13,6 +13,7 @@ from daycycle.coda import (
     one_vs_remaining_effect,
     pairwise_reallocation,
     pairwise_reallocation_curve,
+    pivot_coefficients,
     proportional_reallocation_composition,
     reallocation_curve_proportional,
 )
@@ -137,6 +138,20 @@ def test_reallocation_curve_monotone_for_positive_pivot_slope():
     assert np.all(curve.ci_low <= curve.estimate)
     assert np.all(curve.estimate <= curve.ci_high)
     assert curve.estimate[deltas.tolist().index(0.0)] == 0.0
+
+
+def test_pivot_coefficients_match_separate_fits():
+    """One fit gives every pivot's z1 coefficient and SE, whichever pivot
+    basis it was fitted on."""
+    cohort, _ = ilr_truth_cohort(n=700, seed=17)
+    direct = {p: fit_coda(cohort, p, COVS) for p in CANONICAL_LABELS}
+    for fitted in ("step", "sleep"):
+        piv = pivot_coefficients(direct[fitted])
+        for k, p in enumerate(CANONICAL_LABELS):
+            assert piv.estimate[k] == pytest.approx(direct[p].fit.coef[1],
+                                                    abs=1e-10)
+            assert piv.se[k] == pytest.approx(direct[p].fit.se("z1"),
+                                              abs=1e-10)
 
 
 def test_curve_requires_matching_pivot():

@@ -258,3 +258,15 @@ def test_cohort_table_validation():
             outcome=np.ones(1),
             valid_days=np.ones(1, dtype=int),
         )
+
+
+def test_composition_cache_is_keyed_on_zero_floor():
+    from conftest import make_cohort
+    cohort = make_cohort(n=40, seed=3)
+    cohort.behaviors[0, 2] = 0.0
+    fresh = cohort.subset(np.ones(cohort.n, dtype=bool))
+    floor1 = cohort.composition_array(1.0)
+    floor30 = cohort.composition_array(30.0)
+    assert np.array_equal(floor30, fresh.composition_array(30.0))
+    assert not np.array_equal(floor30[0], floor1[0])
+    assert np.array_equal(floor1, cohort.composition_array(1.0))

@@ -114,6 +114,13 @@ def test_dropped_behavior_equivalence():
     assert via_drop_to.se == pytest.approx(via_drop_from.se, abs=1e-9)
 
 
+def test_table_requires_behaviors_summing_to_total():
+    cohort = make_cohort(n=200, seed=13)
+    cohort.total[7] += 5.0
+    with pytest.raises(IsmError, match="sum to the total"):
+        substitution_table(cohort, COVS)
+
+
 def test_subgroup_uses_subset_rows():
     cohort = make_cohort(n=300, seed=12, behavior_effects=TRUE_EFFECTS)
     mask = cohort.behavior("step") > np.median(cohort.behavior("step"))

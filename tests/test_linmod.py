@@ -132,6 +132,12 @@ def test_linear_combination_matches_manual():
     assert est.se == pytest.approx(se)
     assert est.ci_low == pytest.approx(est.estimate - Z95 * se)
     assert est.ci_high == pytest.approx(est.estimate + Z95 * se)
+    # a weight matrix gives one entry per row; an all-zero row is exactly 0
+    rows = linear_combination(fit, np.vstack([w, -w, np.zeros(3)]))
+    assert rows.estimate.tolist() == pytest.approx(
+        [est.estimate, -est.estimate, 0.0])
+    assert rows.se.tolist() == pytest.approx([se, se, 0.0])
+    assert str(rows.ci_low[2]) == "0.0" and str(rows.ci_high[2]) == "0.0"
 
 
 def test_spline_reproduces_linear_functions():
