@@ -24,10 +24,10 @@ from .cohort import (
     COVARIATE_COLUMNS,
     CohortError,
     CohortTable,
+    cohort_csv_text,
     complete_case,
     format_number,
     load_cohort_csv,
-    save_cohort_csv,
 )
 from .composition import CompositionError
 from .ingest import IngestError
@@ -254,13 +254,15 @@ def _lpa_matrix(cohort: CohortTable, scale: str) -> tuple[np.ndarray, tuple[str,
 
 
 def cmd_lpa(args) -> int:
-    cohort = load_cohort_csv(args.input)
-    out = _out_dir(args)
-    data, labels = _lpa_matrix(cohort, args.scale)
     try:
         lo, hi = (int(v) for v in args.classes.split(":"))
     except ValueError:
         raise UsageError(f"bad --classes {args.classes!r}; expected lo:hi")
+    if not 1 <= lo <= hi:
+        raise UsageError(f"bad --classes {args.classes!r}; need 1 <= lo <= hi")
+    cohort = load_cohort_csv(args.input)
+    out = _out_dir(args)
+    data, labels = _lpa_matrix(cohort, args.scale)
     rows, models = lpa.selection_table(
         data, range(lo, hi + 1), structure=args.covariance,
         starts=args.starts, max_iter=args.max_iter, seed=args.seed,
@@ -275,12 +277,12 @@ def cmd_lpa(args) -> int:
             "entropy": r.stats.entropy,
             "n_min": r.n_min, "n_min_pct": r.n_min_pct,
             "n_replicated": r.n_replicated, "blrt_p": r.blrt_p,
+            "converged": r.converged, "n_iter": r.n_iter,
+            "n_degenerate_starts": r.n_degenerate_starts,
         })
     atomic_write(os.path.join(out, "lpa_selection.json"), _json_text(table))
     atomic_write(os.path.join(out, "lpa_selection.csv"), _csv_text(
-        ["K", "loglik", "AIC", "BIC", "CAIC", "SABIC", "ICL_BIC",
-         "entropy", "n_min", "n_min_pct", "n_replicated", "blrt_p"],
-        [list(t.values()) for t in table]))
+        list(table[0]), [list(t.values()) for t in table]))
     best_k = min(table, key=lambda t: t["BIC"])["K"]
     model, post = models[best_k]
     atomic_write(os.path.join(out, "lpa_model.json"), model.to_json())
@@ -344,7 +346,7 @@ def cmd_simulate(args) -> int:
     else:
         spec = simulate.default_sim_spec()
     result = simulate.simulate_cohort(spec, args.n, seed=args.seed)
-    save_cohort_csv(result.cohort, args.output)
+    atomic_write(args.output, cohort_csv_text(result.cohort))
     return EXIT_OK
 
 

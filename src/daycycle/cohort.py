@@ -9,6 +9,7 @@ missing covariates are NaN until a complete-case filter is applied.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +117,11 @@ class CohortTable:
 
 def complete_case(cohort: CohortTable, required: list[str]) -> tuple[CohortTable, dict]:
     """Drop persons with any missing required covariate; report what was dropped."""
+    unknown = [name for name in required if name not in cohort.covariates]
+    if unknown:
+        raise CohortError(
+            f"unknown covariate(s) {', '.join(unknown)}; "
+            f"valid: {', '.join(cohort.covariates)}")
     bad_fields: dict[str, int] = {}
     keep = np.ones(cohort.n, dtype=bool)
     for name in required:
@@ -138,9 +144,11 @@ def complete_case(cohort: CohortTable, required: list[str]) -> tuple[CohortTable
 
 
 def format_number(x: float | int | None) -> str:
-    """A number as a CSV cell: an integer as is, a float as the shortest repr
-    that reads back to the same value, and a missing value (NaN or None) as
-    empty."""
+    """A number as a CSV cell: a boolean as 1 or 0, an integer as is, a float
+    as the shortest repr that reads back to the same value, and a missing
+    value (NaN or None) as empty."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(x)
     if x is None or math.isnan(x):
@@ -148,43 +156,62 @@ def format_number(x: float | int | None) -> str:
     return repr(float(x))
 
 
+def _csv_rows(cohort: CohortTable):
+    yield CSV_HEADER
+    for i in range(cohort.n):
+        row = [cohort.ids[i]]
+        row += [format_number(v) for v in cohort.behaviors[i]]
+        row.append(format_number(cohort.total[i]))
+        row.append(format_number(cohort.valid_days[i]))
+        row += [format_number(cohort.covariates[c][i])
+                for c in COVARIATE_COLUMNS]
+        row.append(format_number(cohort.outcome[i]))
+        yield row
+
+
+def cohort_csv_text(cohort: CohortTable) -> str:
+    """The cohort as the text ``save_cohort_csv`` writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(cohort))
+    return buf.getvalue()
+
+
 def save_cohort_csv(cohort: CohortTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for i in range(cohort.n):
-            row = [cohort.ids[i]]
-            row += [format_number(v) for v in cohort.behaviors[i]]
-            row.append(format_number(cohort.total[i]))
-            row.append(format_number(cohort.valid_days[i]))
-            row += [format_number(cohort.covariates[c][i])
-                    for c in COVARIATE_COLUMNS]
-            row.append(format_number(cohort.outcome[i]))
-            w.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerows(_csv_rows(cohort))
 
 
 def load_cohort_csv(path) -> CohortTable:
+    """Read a cohort CSV; a row with the wrong number of fields or a
+    non-numeric cell raises ``CohortError`` naming its line.  Empty cells
+    read as NaN."""
+    width = len(CSV_HEADER)
+    days_col = CSV_HEADER.index("valid_days")
+    ids, valid_days, values = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise CohortError(f"unexpected cohort header in {path}")
-        rows = list(reader)
-    if not rows:
+        for row in reader:
+            if len(row) != width:
+                raise CohortError(
+                    f"{path} line {reader.line_num}: {len(row)} fields, "
+                    f"expected {width}")
+            try:
+                valid_days.append(int(row[days_col]))
+                values.append([float(v) if v != "" else math.nan
+                               for v in row[1:]])
+            except ValueError as exc:
+                raise CohortError(
+                    f"{path} line {reader.line_num}: {exc}") from None
+            ids.append(row[0])
+    if not ids:
         raise CohortError("empty cohort file")
-
-    def parse(s: str) -> float:
-        return float(s) if s != "" else math.nan
-
-    ids = [r[0] for r in rows]
+    # columns of ``values``: behaviors, total, valid_days, covariates, outcome
+    values = np.array(values)
+    cols = np.ascontiguousarray(values.T)
     d = len(BEHAVIOR_LABELS)
-    behaviors = np.array([[parse(v) for v in r[1:1 + d]] for r in rows])
-    total = np.array([parse(r[1 + d]) for r in rows])
-    valid_days = np.array([int(r[2 + d]) for r in rows])
-    cov_start = 3 + d
-    covariates = {
-        name: np.array([parse(r[cov_start + j]) for r in rows])
-        for j, name in enumerate(COVARIATE_COLUMNS)
-    }
-    outcome = np.array([parse(r[-1]) for r in rows])
-    return CohortTable(ids, behaviors, total, covariates, outcome, valid_days)
+    covariates = dict(zip(COVARIATE_COLUMNS, cols[d + 2:-1]))
+    return CohortTable(ids, values[:, :d].copy(), cols[d], covariates,
+                       cols[-1], np.array(valid_days))

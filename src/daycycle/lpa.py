@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 STRUCTURES = (
     "equal-var-zero-cov",
@@ -135,96 +133,176 @@ class FitStats:
     entropy: float
 
 
-def _log_gauss(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+# Starts run in blocks of at most this many start x component x row
+# elements (but at least one start), so a block's (S, K, d, N) work arrays do
+# not grow with the number of starts.  Larger blocks were no faster on an
+# N=1000, K=6 fit and raised peak memory.  Results do not depend on the
+# block size.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _by_start(fn, mats: np.ndarray):
+    """``fn`` (a stacked LAPACK routine) over per-start matrices in one call.
+
+    LAPACK fails the whole stack when one matrix fails, so on failure each
+    start is tried alone; the failing starts get identity matrices instead
+    and are flagged in the returned mask.
+    """
+    failed = np.zeros(len(mats), dtype=bool)
+    try:
+        return fn(mats), failed
+    except np.linalg.LinAlgError:
+        pass
+    for s in range(len(mats)):
+        try:
+            fn(mats[s])
+        except np.linalg.LinAlgError:
+            failed[s] = True
+    mats = mats.copy()
+    mats[failed] = np.eye(mats.shape[-1])
+    return fn(mats), failed
+
+
+def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrize per-start covariances (S, ..., d, d) and clamp their
+    eigenvalues at the variance floor; also returns the starts whose
+    eigendecomposition failed."""
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    (vals, vecs), failed = _by_start(np.linalg.eigh, covs)
+    low = vals[..., 0] < VARIANCE_FLOOR
+    if low.any():
+        v = vecs[low]
+        covs[low] = (v * np.maximum(vals[low], VARIANCE_FLOOR)[..., None, :]
+                     ) @ np.swapaxes(v, -1, -2)
+    return covs, failed
+
+
+def _estep(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
+           chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log responsibilities (S, K, N) and log-likelihoods (S,) of S mixtures
+    given the Cholesky factors (S, K, d, d) of their covariances."""
     d = X.shape[1]
-    L = np.linalg.cholesky(cov)
-    centered = X - mean
-    sol = solve_triangular(L, centered.T, lower=True)
-    maha = np.sum(sol**2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * math.log(2 * math.pi) + logdet + maha)
+    prec = np.linalg.inv(chol)
+    z = prec @ np.ascontiguousarray(X.T)
+    z -= prec @ means[..., None]
+    np.square(z, out=z)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    logp = (np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
+            )[..., None] - 0.5 * z.sum(axis=-2)
+    top = logp.max(axis=1, keepdims=True)
+    norm = top + np.log(np.exp(logp - top).sum(axis=1, keepdims=True))
+    logp -= norm
+    return logp, norm[:, 0].sum(axis=-1)
 
 
-def _floor_cov(cov: np.ndarray) -> np.ndarray:
-    """Clamp covariance eigenvalues at the variance floor."""
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] >= VARIANCE_FLOOR:
-        return cov
-    vals = np.maximum(vals, VARIANCE_FLOOR)
-    return (vecs * vals) @ vecs.T
+def _mstep_batch(X: np.ndarray, resp: np.ndarray, nk: np.ndarray,
+                 structure: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means and floored covariances of S mixtures from their
+    responsibilities (S, K, N) and component masses ``nk`` (S, K); also
+    returns the starts whose covariance floor failed."""
+    n, d = X.shape
+    S, K = nk.shape
+    weights = nk / n
+    means = (resp @ X) / nk[..., None]
+    centered = np.ascontiguousarray(X.T) - means[..., None]
+    scatter = (centered * resp[:, :, None, :]) @ np.swapaxes(centered, -1, -2)
+    if structure == "free-var-free-cov":
+        covs = scatter / nk[..., None, None]
+    elif structure == "free-var-zero-cov":
+        covs = (np.diagonal(scatter, axis1=-2, axis2=-1) / nk[..., None]
+                )[..., None] * np.eye(d)
+    elif structure == "equal-var-free-cov":
+        covs = scatter.sum(axis=1) / n
+    elif structure == "equal-var-zero-cov":
+        covs = (np.diagonal(scatter.sum(axis=1), axis1=-2, axis2=-1) / n
+                )[..., None] * np.eye(d)
+    else:
+        raise LpaError(f"unknown covariance structure {structure!r}")
+    covs, failed = _floor_covs(covs)
+    if structure.startswith("equal"):
+        covs = np.broadcast_to(covs[:, None], (S, K, d, d)).copy()
+    return weights, means, covs, failed
 
 
 def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, d = X.shape
-    K = resp.shape[1]
-    nk = resp.sum(axis=0)
+    """One start's M-step from its N x K responsibilities."""
+    resp = resp.T[None]
+    nk = resp.sum(axis=-1)
     if np.any(nk < 1e-8):
         raise ConvergenceError("component weight collapsed")
-    weights = nk / n
-    means = (resp.T @ X) / nk[:, None]
-    scatter = np.empty((K, d, d))
-    for k in range(K):
-        centered = X - means[k]
-        scatter[k] = (centered * resp[:, k:k + 1]).T @ centered
-    if structure == "free-var-free-cov":
-        covs = scatter / nk[:, None, None]
-    elif structure == "free-var-zero-cov":
-        covs = np.zeros((K, d, d))
-        for k in range(K):
-            covs[k] = np.diag(np.diag(scatter[k]) / nk[k])
-    elif structure == "equal-var-free-cov":
-        pooled = scatter.sum(axis=0) / n
-        covs = np.broadcast_to(pooled, (K, d, d)).copy()
-    elif structure == "equal-var-zero-cov":
-        pooled = np.diag(np.diag(scatter.sum(axis=0)) / n)
-        covs = np.broadcast_to(pooled, (K, d, d)).copy()
-    else:
-        raise LpaError(f"unknown covariance structure {structure!r}")
-    for k in range(K):
-        covs[k] = _floor_cov(covs[k])
-    return weights, means, covs
+    weights, means, covs, failed = _mstep_batch(X, resp, nk, structure)
+    if failed[0]:
+        raise np.linalg.LinAlgError("covariance eigendecomposition failed")
+    return weights[0], means[0], covs[0]
 
 
 def _log_resp(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
               covs: np.ndarray) -> tuple[np.ndarray, float]:
-    K = len(weights)
-    logp = np.empty((X.shape[0], K))
-    for k in range(K):
-        logp[:, k] = math.log(weights[k]) + _log_gauss(X, means[k], covs[k])
-    norm = logsumexp(logp, axis=1)
-    return logp - norm[:, None], float(norm.sum())
+    """One mixture's N x K log responsibilities and its log-likelihood."""
+    chol = np.linalg.cholesky(covs)
+    logr, ll = _estep(X, weights[None], means[None], chol[None])
+    return logr[0].T, float(ll[0])
 
 
-def _em_once(X: np.ndarray, K: int, structure: str,
-             rng: np.random.Generator, max_iter: int, tol: float
-             ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
+              pooled: np.ndarray, max_iter: int, tol: float):
+    """EM from one random-point start per seed, all starts as one batch.
+
+    Returns per start: log-likelihood, weights, means, covariances,
+    iteration count, converged flag, and a degenerate flag.  A start is
+    degenerate when its covariance is not positive definite, its
+    log-likelihood decreases (beyond relative slack 1e-8) or is not finite,
+    or a component weight collapses; the other starts go on.  A start
+    leaves the batch when it converges; at ``max_iter`` the last E-step's
+    log-likelihood and the last M-step's parameters are returned.
+    """
     n, d = X.shape
+    S = len(seeds)
+    ll_out = np.full(S, -np.inf)
+    w_out = np.empty((S, K))
+    m_out = np.empty((S, K, d))
+    c_out = np.empty((S, K, d, d))
+    it_out = np.zeros(S, dtype=int)
+    conv_out = np.zeros(S, dtype=bool)
+    degenerate = np.ones(S, dtype=bool)
+
+    def record(j, ll, weights, means, covs, it, converged):
+        ll_out[j], w_out[j], m_out[j], c_out[j] = ll, weights, means, covs
+        it_out[j], conv_out[j], degenerate[j] = it, converged, False
+
     # Random-point start: K distinct observations as means, pooled spread as
     # the common covariance.  (Random soft responsibilities put every
     # component at the grand mean, a symmetric saddle EM can stall on.)
-    means = X[rng.choice(n, size=K, replace=False)].copy()
-    pooled = np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
-    if "zero-cov" in structure:
-        pooled = np.diag(np.diag(pooled))
-    pooled = _floor_cov(pooled)
-    covs = np.tile(pooled, (K, 1, 1))
-    weights = np.full(K, 1.0 / K)
-    prev = -np.inf
-    converged = False
-    it = 0
+    means = np.stack([X[np.random.default_rng(s).choice(n, size=K,
+                                                         replace=False)]
+                      for s in seeds])
+    covs = np.broadcast_to(pooled, (S, K, d, d)).copy()
+    weights = np.full((S, K), 1.0 / K)
+    prev = np.full(S, -np.inf)
+    idx = np.arange(S)  # start of each row of the batch
     for it in range(1, max_iter + 1):
-        logr, ll = _log_resp(X, weights, means, covs)
-        if ll < prev - 1e-8 * max(1.0, abs(prev)):
-            raise ConvergenceError("log-likelihood decreased")
-        if prev > -np.inf and abs(ll - prev) <= tol * max(1.0, abs(prev)):
-            converged = True
-            prev = ll
+        chol, bad = _by_start(np.linalg.cholesky, covs)
+        logr, ll = _estep(X, weights, means, chol)
+        slack = np.maximum(1.0, np.abs(prev))
+        bad |= ~np.isfinite(ll) | (ll < prev - 1e-8 * slack)
+        done = ~bad & (prev > -np.inf) & (np.abs(ll - prev) <= tol * slack)
+        record(idx[done], ll[done], weights[done], means[done], covs[done],
+               it, True)
+        go = ~(bad | done)
+        idx, prev, resp = idx[go], ll[go], np.exp(logr[go])
+        nk = resp.sum(axis=-1)
+        ok = ~np.any(nk < 1e-8, axis=1)
+        idx, prev, resp, nk = idx[ok], prev[ok], resp[ok], nk[ok]
+        weights, means, covs, bad = _mstep_batch(X, resp, nk, structure)
+        ok = ~bad
+        idx, prev = idx[ok], prev[ok]
+        weights, means, covs = weights[ok], means[ok], covs[ok]
+        if not idx.size:
             break
-        prev = ll
-        weights, means, covs = _mstep(X, np.exp(logr), structure)
-    return prev, weights, means, covs, it, converged
+    record(idx, prev, weights, means, covs, max_iter, False)
+    return ll_out, w_out, m_out, c_out, it_out, conv_out, degenerate
 
 
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
@@ -236,42 +314,50 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
 
     Each start takes K distinct random observations as its means (drawn
     from seed + start index, so runs are reproducible and starts are
-    independent) and the pooled covariance for every component.  Components
-    are relabeled in ascending order of the ordering indicator's mean.
+    independent) and the pooled covariance for every component.  The starts
+    run as one batched EM, in blocks of bounded size; each keeps its own
+    convergence test and degenerate-start checks.  Components are relabeled
+    in ascending order of the ordering indicator's mean.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     n, d = X.shape
-    if K < 1 or starts < 1:
-        raise LpaError("K and starts must be at least 1")
+    if min(K, starts, max_iter) < 1:
+        raise LpaError("K, starts and max_iter must be at least 1")
     p = param_count(K, d, structure)
     if n <= p:
         raise LpaError(f"need N > {p} free parameters; got N={n}")
     if labels is None:
         labels = tuple(f"ind{j}" for j in range(d))
 
-    results = []
-    n_degenerate = 0
-    for s in range(starts):
-        rng = np.random.default_rng(seed + s)
-        try:
-            results.append(_em_once(X, K, structure, rng, max_iter, tol))
-        except (ConvergenceError, np.linalg.LinAlgError):
-            n_degenerate += 1
-    if not results:
+    pooled = np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
+    if "zero-cov" in structure:
+        pooled = np.diag(np.diag(pooled))
+    pooled, failed = _floor_covs(pooled[None])
+    if failed[0]:
         raise ConvergenceError("all EM starts failed")
-    best = max(results, key=lambda r: r[0])
-    ll, weights, means, covs, n_iter, converged = best
-    n_replicated = sum(1 for r in results if abs(r[0] - ll) <= 1e-4)
+    block = max(1, _BLOCK_ELEMENTS // (K * n))
+    parts = [_em_block(X, K, structure,
+                       range(seed + b, seed + min(b + block, starts)),
+                       pooled[0], max_iter, tol)
+             for b in range(0, starts, block)]
+    ll, weights, means, covs, n_iter, converged, degenerate = (
+        np.concatenate(a) for a in zip(*parts))
+    if degenerate.all():
+        raise ConvergenceError("all EM starts failed")
+    kept = np.flatnonzero(~degenerate)
+    best = kept[np.argmax(ll[kept])]
+    n_replicated = int(np.sum(np.abs(ll[kept] - ll[best]) <= 1e-4))
 
-    order = np.argsort(means[:, order_indicator], kind="stable")
+    order = np.argsort(means[best][:, order_indicator], kind="stable")
     model = MixtureModel(
-        weights=weights[order], means=means[order], covs=covs[order],
-        structure=structure, loglik=ll, n=n, labels=labels,
-        order_indicator=order_indicator, n_iter=n_iter, converged=converged,
+        weights=weights[best][order], means=means[best][order],
+        covs=covs[best][order], structure=structure, loglik=float(ll[best]),
+        n=n, labels=labels, order_indicator=order_indicator,
+        n_iter=int(n_iter[best]), converged=bool(converged[best]),
         n_starts=starts, n_replicated=n_replicated,
-        n_degenerate_starts=n_degenerate,
+        n_degenerate_starts=int(degenerate.sum()),
     )
     return model, posterior(model, X)
 
@@ -328,12 +414,16 @@ def classification_error_matrix(posteriors: np.ndarray,
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
          n_boot: int = 500, starts: int = 20, starts_boot: int = 20,
          max_iter: int = 250, tol: float = 1e-8, seed: int = 0,
-         max_failure_fraction: float = 0.2) -> dict:
+         max_failure_fraction: float = 0.2,
+         null_model: MixtureModel | None = None,
+         alt_model: MixtureModel | None = None) -> dict:
     """Parametric bootstrap likelihood ratio test of K-1 vs K components.
 
     Simulates from the fitted K-1 model, refits both models on each
     replicate, and compares the observed LR statistic against the bootstrap
-    distribution: p = (1 + #{boot >= observed}) / (n_boot + 1).
+    distribution: p = (1 + #{boot >= observed}) / (n_boot + 1).  The K-1
+    and K models of ``data`` are fit here with ``starts`` and ``seed``
+    unless already-fitted ones are passed as ``null_model``/``alt_model``.
     """
     if K < 2:
         raise LpaError("BLRT compares K-1 vs K; need K >= 2")
@@ -342,10 +432,15 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    null_model, _ = fit_mixture(X, K - 1, structure, starts=starts,
-                                max_iter=max_iter, tol=tol, seed=seed)
-    alt_model, _ = fit_mixture(X, K, structure, starts=starts,
-                               max_iter=max_iter, tol=tol, seed=seed)
+    for model, k in ((null_model, K - 1), (alt_model, K)):
+        if model is not None and (model.K, model.structure) != (k, structure):
+            raise LpaError(f"BLRT needs a {structure} model with K={k}")
+    if null_model is None:
+        null_model, _ = fit_mixture(X, K - 1, structure, starts=starts,
+                                    max_iter=max_iter, tol=tol, seed=seed)
+    if alt_model is None:
+        alt_model, _ = fit_mixture(X, K, structure, starts=starts,
+                                   max_iter=max_iter, tol=tol, seed=seed)
     observed = 2.0 * (alt_model.loglik - null_model.loglik)
     rng = np.random.default_rng(seed + 10_000)
     boot_stats = []
@@ -405,6 +500,9 @@ class SelectionRow:
     n_min: int
     n_min_pct: float
     n_replicated: int
+    converged: bool
+    n_iter: int
+    n_degenerate_starts: int
     blrt_p: float | None = None
 
 
@@ -416,7 +514,9 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
                     starts_boot: int = 10) -> tuple[list[SelectionRow], dict]:
     """Fit a series of class counts and tabulate selection statistics.
 
-    Returns the rows plus a dict of fitted models keyed by K.
+    Returns the rows plus a dict of fitted models keyed by K.  The BLRT of
+    K-1 vs K reuses the table's K fit, and its K-1 fit when the table has
+    one.
     """
     rows = []
     models = {}
@@ -431,14 +531,18 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
         stats = fit_stats(model, post)
         blrt_p = None
         if run_blrt and K >= 2:
+            null = models.get(K - 1, (None,))[0]
             blrt_p = blrt(X, K, structure, n_boot=n_boot, starts=starts,
                           starts_boot=starts_boot, max_iter=max_iter,
-                          seed=seed)["p_value"]
+                          seed=seed, null_model=null,
+                          alt_model=model)["p_value"]
         rows.append(SelectionRow(
             K=K, loglik=model.loglik, stats=stats,
             n_min=int(sizes.min()),
             n_min_pct=round(100.0 * sizes.min() / model.n, 1),
-            n_replicated=model.n_replicated, blrt_p=blrt_p,
+            n_replicated=model.n_replicated, converged=model.converged,
+            n_iter=model.n_iter,
+            n_degenerate_starts=model.n_degenerate_starts, blrt_p=blrt_p,
         ))
         models[K] = (model, post)
     return rows, models

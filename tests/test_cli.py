@@ -134,6 +134,16 @@ def test_lpa_outputs(lpa_out):
     prof = json.loads((lpa_out / "lpa_profiles.json").read_text())
     assert set(prof["derived_remainder"]) == {"mean", "sd", "corr"}
     assert_numeric_cells(lpa_out / "lpa_selection.csv")
+    health = ("converged", "n_iter", "n_degenerate_starts")
+    with open(lpa_out / "lpa_selection.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    for row, csv_row in zip(table, csv_rows):
+        assert isinstance(row["converged"], bool)
+        assert row["n_iter"] >= 1 and row["n_degenerate_starts"] >= 0
+        assert [csv_row[f] for f in health] == [
+            str(int(row[f])) for f in health]
+    assert model["n_iter"] == next(
+        row["n_iter"] for row in table if row["K"] == len(model["weights"]))
 
 
 def test_step3_outputs(tmp_path, cohort_csv, lpa_out):
@@ -188,6 +198,56 @@ def test_exit_codes(tmp_path, cohort_csv):
     bad.write_text("not,a,cohort\n1,2,3\n")
     assert run(["describe", bad]) == 2
     assert main(["describe"]) == 1  # missing positional
+    assert run(["lpa", cohort_csv, "--classes", "3:2"]) == 1
+
+
+def test_unknown_covariate_exits_2_before_writing(tmp_path, cohort_csv,
+                                                  lpa_out, capsys):
+    out = tmp_path / "out"
+    for args in (["ism", cohort_csv], ["coda", cohort_csv],
+                 ["step3", lpa_out / "lpa_model.json", cohort_csv]):
+        assert run(args + ["-o", out, "--covariates", "bmi", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "nope" in err and "bmi" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _edited_cohort(src, tmp_path, line, edit):
+    lines = src.read_text().splitlines(keepends=True)
+    lines[line - 1] = edit(lines[line - 1])
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(lines))
+    return path
+
+
+def _set_field(line, j, value):
+    fields = line.split(",")
+    fields[j] = value
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.rsplit(",", 3)[0] + "\n",
+    lambda s: _set_field(s, 2, "n/a"),
+    lambda s: _set_field(s, 6, "7.5"),
+    lambda s: s.rstrip("\n") + ",1\n",
+], ids=["truncated", "non-numeric", "fractional-days", "extra-field"])
+def test_malformed_cohort_row_exits_2_naming_its_line(tmp_path, cohort_csv,
+                                                      capsys, edit):
+    path = _edited_cohort(cohort_csv, tmp_path, 7, edit)
+    out = tmp_path / "out"
+    for cmd in ("describe", "lpa", "ism"):
+        assert run([cmd, path, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "line 7" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_creates_its_output_directory(tmp_path, cohort_csv):
+    target = tmp_path / "new" / "dir" / "cohort.csv"
+    assert run(["simulate", "--n", "250", "--seed", "42", "-o", target]) == 0
+    assert target.read_bytes() == cohort_csv.read_bytes()
+    assert [p.name for p in target.parent.iterdir()] == ["cohort.csv"]
 
 
 def test_env_var_output_dir(tmp_path, cohort_csv, monkeypatch):

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
+from daycycle import lpa
 from daycycle.lpa import (
     STRUCTURES,
+    VARIANCE_FLOOR,
     ConvergenceError,
     LpaError,
     MixtureModel,
+    _by_start,
     _log_resp,
     _mstep,
     blrt,
@@ -280,6 +285,9 @@ def test_selection_table_shape_and_bic():
     for r in rows:
         assert r.n_min >= 1
         assert 0 < r.n_min_pct <= 100
+        model = models[r.K][0]
+        assert (r.converged, r.n_iter, r.n_degenerate_starts) == (
+            model.converged, model.n_iter, model.n_degenerate_starts)
     lls = [r.loglik for r in rows]
     assert lls == sorted(lls)  # more classes never fit worse here
 
@@ -290,3 +298,164 @@ def test_fit_mixture_input_validation():
         fit_mixture(X, 0)
     with pytest.raises(LpaError):
         fit_mixture(X[:10], 3)  # n <= parameter count
+
+
+# --- a plain single-start EM, one component at a time, as the reference for
+# the batched engine in ``fit_mixture`` ---
+
+def _ref_floor(cov):
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] >= VARIANCE_FLOOR:
+        return cov
+    return (vecs * np.maximum(vals, VARIANCE_FLOOR)) @ vecs.T
+
+
+def _ref_em(X, K, structure, seed, max_iter, tol):
+    """(loglik, weights, means, covs, n_iter, converged), or None for a
+    degenerate start."""
+    n, d = X.shape
+    means = X[np.random.default_rng(seed).choice(n, size=K, replace=False)]
+    pooled = np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
+    if "zero-cov" in structure:
+        pooled = np.diag(np.diag(pooled))
+    covs = np.tile(_ref_floor(pooled), (K, 1, 1))
+    weights = np.full(K, 1.0 / K)
+    prev = -np.inf
+    for it in range(1, max_iter + 1):
+        logp = np.empty((n, K))
+        for k in range(K):
+            try:
+                L = np.linalg.cholesky(covs[k])
+            except np.linalg.LinAlgError:
+                return None
+            sol = solve_triangular(L, (X - means[k]).T, lower=True)
+            logp[:, k] = math.log(weights[k]) - 0.5 * (
+                d * math.log(2 * math.pi) + 2 * np.log(np.diag(L)).sum()
+                + (sol ** 2).sum(axis=0))
+        norm = logsumexp(logp, axis=1)
+        ll = float(norm.sum())
+        if ll < prev - 1e-8 * max(1.0, abs(prev)):
+            return None
+        if prev > -np.inf and abs(ll - prev) <= tol * max(1.0, abs(prev)):
+            return ll, weights, means, covs, it, True
+        prev = ll
+        resp = np.exp(logp - norm[:, None])
+        nk = resp.sum(axis=0)
+        if np.any(nk < 1e-8):
+            return None
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        scatter = np.array([((X - means[k]) * resp[:, [k]]).T
+                            @ (X - means[k]) for k in range(K)])
+        if structure.startswith("equal"):
+            scatter = np.tile(scatter.sum(axis=0) / n, (K, 1, 1))
+        else:
+            scatter = scatter / nk[:, None, None]
+        if "zero-cov" in structure:
+            scatter = np.array([np.diag(np.diag(c)) for c in scatter])
+        covs = np.array([_ref_floor(c) for c in scatter])
+    return prev, weights, means, covs, max_iter, False
+
+
+def _ordered(weights, means, covs):
+    order = np.argsort(means[:, 0], kind="stable")
+    return weights[order], means[order], covs[order]
+
+
+def _assert_start_matches(model, ref, rtol=1e-10):
+    ll, weights, means, covs, n_iter, converged = ref
+    assert model.loglik == pytest.approx(ll, rel=1e-10, abs=1e-10)
+    for got, want in zip((model.weights, model.means, model.covs),
+                         _ordered(weights, means, covs)):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-12)
+    assert (model.n_iter, model.converged) == (n_iter, converged)
+
+
+def collinear_data():
+    """Two nearly collinear indicators on a large scale: a K=2 start whose
+    component shrinks onto two points has a covariance with condition number
+    near 1e14, whose floored eigenvalue jitters, so its log-likelihood
+    decreases and the start is degenerate.  Rounding differences grow
+    faster here, so its parameters are compared to a looser tolerance."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=120)
+    return np.column_stack([x, x + rng.normal(size=120) * 1e-3]) * 1e4
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_batched_em_matches_single_start_reference(structure):
+    X = three_class_data(n=240, seed=15)
+    cases = [(X, K, 1e-10) for K in (1, 2, 3, 4)]
+    if structure == "free-var-free-cov":
+        cases.append((collinear_data(), 2, 1e-7))
+    for X, K, rtol in cases:
+        refs = [_ref_em(X, K, structure, s, 60, 1e-8) for s in range(12)]
+        for s, ref in enumerate(refs):
+            if ref is None:
+                with pytest.raises(ConvergenceError):
+                    fit_mixture(X, K, structure, starts=1, max_iter=60, seed=s)
+            else:
+                model, _ = fit_mixture(X, K, structure, starts=1,
+                                       max_iter=60, seed=s)
+                _assert_start_matches(model, ref, rtol)
+        kept = [r for r in refs if r is not None]
+        best = max(r[0] for r in kept)
+        model, post = fit_mixture(X, K, structure, starts=12, max_iter=60)
+        assert model.loglik == pytest.approx(best, rel=1e-10)
+        assert model.n_replicated == sum(abs(r[0] - best) <= 1e-4
+                                         for r in kept)
+        assert model.n_degenerate_starts == len(refs) - len(kept)
+        # starts that tie at the best log-likelihood may swap places by
+        # rounding; the model is one of them
+        assert any(_matches(model, r, rtol) for r in kept
+                   if abs(r[0] - best) <= 1e-9 * abs(best))
+        assert np.allclose(post.sum(axis=1), 1.0)
+    if structure == "free-var-free-cov":
+        assert model.n_degenerate_starts > 0
+
+
+def _matches(model, ref, rtol):
+    try:
+        _assert_start_matches(model, ref, rtol)
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("block_elements", [1, 10**9])
+def test_results_do_not_depend_on_the_block_size(monkeypatch,
+                                                 block_elements):
+    cases = [(three_class_data(n=300, seed=16), 3, "free-var-free-cov"),
+             (three_class_data(n=300, seed=16), 2, "equal-var-zero-cov"),
+             (collinear_data(), 2, "free-var-free-cov")]
+    default = [fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
+               for X, K, st in cases]
+    monkeypatch.setattr(lpa, "_BLOCK_ELEMENTS", block_elements)
+    for (X, K, st), (want, want_post) in zip(cases, default):
+        got, got_post = fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
+        assert got.to_json() == want.to_json()
+        assert np.array_equal(got_post, want_post)
+
+
+def test_failed_batched_cholesky_flags_only_the_failing_start():
+    good = np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+    bad = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])  # indefinite
+    chol, failed = _by_start(np.linalg.cholesky, np.array([good, bad, good]))
+    assert failed.tolist() == [False, True, False]
+    for s in (0, 2):
+        assert np.array_equal(chol[s], np.linalg.cholesky(good))
+
+
+def test_selection_table_blrt_reuses_its_fits():
+    X = three_class_data(n=240, seed=17)
+    rows, _ = selection_table(X, range(1, 3), starts=4, seed=3,
+                              run_blrt=True, n_boot=19, starts_boot=2)
+    alone = blrt(X, 2, n_boot=19, starts=4, starts_boot=2, seed=3)
+    assert rows[0].blrt_p is None
+    assert rows[1].blrt_p == alone["p_value"]
+    rows, _ = selection_table(X, [2], starts=4, seed=3, run_blrt=True,
+                              n_boot=19, starts_boot=2)
+    assert rows[0].blrt_p == alone["p_value"]
+    with pytest.raises(LpaError):
+        blrt(X, 3, alt_model=fit_mixture(X, 2, starts=2)[0])
