@@ -60,7 +60,7 @@ def fit_coda(cohort: CohortTable, pivot: str, covariates: list[str],
     parts = cohort.composition_array(zero_floor)
     Z = ilr_array(parts, basis)
     if baseline is None:
-        baseline = comp.compositional_mean(cohort.compositions(zero_floor))
+        baseline = comp.compositional_mean(parts, cohort.behavior_labels)
     elif baseline.labels != cohort.behavior_labels:
         raise CodaError("baseline labels do not match the cohort")
     cols = [np.ones(cohort.n)]
@@ -152,42 +152,48 @@ def reallocation_curve_proportional(cfit: CodaFit, behavior: str,
 
 
 def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
-                          delta_minutes: float,
+                          delta_minutes: float | np.ndarray,
                           use_robust: bool = False) -> Estimate:
     """Effect of moving ``delta_minutes`` from one behavior to another,
-    starting from the baseline composition."""
+    starting from the baseline composition.  ``delta_minutes`` may be an
+    array, which gives array fields; a zero move has exactly zero effect."""
     if from_ == to:
         raise CodaError("source and destination behavior must differ")
-    if delta_minutes == 0:
-        return Estimate(0.0, 0.0, 0.0, 0.0)
+    deltas = np.asarray(delta_minutes, dtype=float)
     minutes = cfit.baseline.array() * cfit.day_minutes
     labels = cfit.baseline.labels
     i_from, i_to = labels.index(from_), labels.index(to)
-    if delta_minutes >= minutes[i_from]:
+    if np.any(deltas >= minutes[i_from]):
         raise CodaError(
-            f"cannot move {delta_minutes} min out of {from_!r} "
+            f"cannot move {deltas.max()} min out of {from_!r} "
             f"({minutes[i_from]:.1f} min at baseline)")
-    if -delta_minutes >= minutes[i_to]:
+    if np.any(-deltas >= minutes[i_to]):
         raise CodaError(f"reverse move would drive {to!r} nonpositive")
-    moved = minutes.copy()
-    moved[i_from] -= delta_minutes
-    moved[i_to] += delta_minutes
-    perturbed = comp.closure_values(moved, labels)
-    return composition_contrast(cfit, cfit.baseline, perturbed,
-                                use_robust=use_robust)
+    moved = np.tile(minutes, deltas.shape + (1,))
+    moved[..., i_from] -= deltas
+    moved[..., i_to] += deltas
+    moved /= moved.sum(axis=-1, keepdims=True)
+    z = ilr_array(moved.reshape(-1, len(labels)), cfit.basis)
+    z0 = ilr_array(cfit.baseline.array()[None, :], cfit.basis)[0]
+    for name, zz in (("baseline", z0), ("reallocated", z)):
+        if np.any(zz < cfit.coord_min) or np.any(zz > cfit.coord_max):
+            warnings.warn(
+                f"{name} composition lies outside the observed coordinate "
+                "range; the contrast extrapolates", stacklevel=2)
+    w = np.zeros(deltas.shape + (cfit.fit.p,))
+    w[..., 1:1 + cfit.n_coords] = (z - z0).reshape(deltas.shape + (-1,))
+    w[deltas == 0] = 0.0
+    return linear_combination(cfit.fit, w, use_robust=use_robust)
 
 
 def pairwise_reallocation_curve(cfit: CodaFit, from_: str, to: str,
                                 deltas: np.ndarray,
                                 use_robust: bool = False) -> ReallocationCurve:
+    """``pairwise_reallocation`` over a grid of deltas."""
     deltas = np.asarray(deltas, dtype=float)
-    est = np.empty(deltas.size)
-    lo = np.empty(deltas.size)
-    hi = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        e = pairwise_reallocation(cfit, from_, to, d, use_robust=use_robust)
-        est[i], lo[i], hi[i] = e.estimate, e.ci_low, e.ci_high
-    return ReallocationCurve(f"{from_}->{to}", "pairwise", deltas, est, lo, hi)
+    e = pairwise_reallocation(cfit, from_, to, deltas, use_robust=use_robust)
+    return ReallocationCurve(f"{from_}->{to}", "pairwise", deltas,
+                             e.estimate, e.ci_low, e.ci_high)
 
 
 def composition_contrast(cfit: CodaFit, xa: Composition, xb: Composition,
@@ -226,7 +232,6 @@ def compare_group_means(cohort: CohortTable, grouping: np.ndarray,
     basis = pivot_basis(cohort.behavior_labels[0], cohort.behavior_labels)
     parts = cohort.composition_array(zero_floor)
     Z = ilr_array(parts, basis)
-    comps = cohort.compositions(zero_floor)
     means: dict[str, Composition] = {}
     sizes: dict[str, int] = {}
     samples = []
@@ -234,8 +239,8 @@ def compare_group_means(cohort: CohortTable, grouping: np.ndarray,
         mask = grouping == g
         if mask.sum() < cohort.behaviors.shape[1]:
             raise CodaError(f"group {g!r} too small")
-        means[str(g)] = comp.compositional_mean(
-            [c for c, m in zip(comps, mask) if m])
+        means[str(g)] = comp.compositional_mean(parts[mask],
+                                                cohort.behavior_labels)
         sizes[str(g)] = int(mask.sum())
         samples.append(Z[mask])
     test = james_test(samples)

@@ -137,16 +137,32 @@ def uniform(labels) -> Composition:
     return Composition((1.0 / d,) * d, labels)
 
 
-def compositional_mean(samples: list[Composition]) -> Composition:
-    """Center of a sample: closure of per-part geometric means (in log space)."""
-    if not samples:
+def compositional_mean(samples: list[Composition] | np.ndarray,
+                       labels: tuple[str, ...] | None = None) -> Composition:
+    """Center of a sample: closure of per-part geometric means (in log space).
+
+    ``samples`` is a list of compositions or an (N, D) array with one
+    composition per row, whose part ``labels`` must then be given.
+    """
+    if isinstance(samples, np.ndarray):
+        if labels is None:
+            raise CompositionError("an array sample needs its part labels")
+        parts = samples
+        labels = tuple(labels)
+        if parts.ndim != 2 or parts.shape[1] != len(labels):
+            raise CompositionError(
+                f"sample must be an (N, {len(labels)}) array; got {parts.shape}")
+        if not np.all(parts > 0):
+            raise CompositionError("all parts must be strictly positive")
+    else:
+        for s in samples:
+            _check_labels(samples[0], s)
+        labels = samples[0].labels if samples else None
+        parts = np.array([s.parts for s in samples])
+    if len(parts) == 0:
         raise CompositionError("empty sample")
-    labels = samples[0].labels
-    logs = np.zeros(len(labels))
-    for s in samples:
-        _check_labels(samples[0], s)
-        logs += np.log(s.array())
-    logs /= len(samples)
+    # Summing over axis 0 adds the rows in order, as a loop over them would.
+    logs = np.log(parts).sum(axis=0) / len(parts)
     return closure_values(np.exp(logs - logs.max()), labels)
 
 

@@ -17,6 +17,8 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DayRecord:
     person_id: str
     date: str
@@ -138,17 +140,23 @@ def aggregate_person(
     if missing:
         raise IngestError(f"persons absent from covariate table: {missing[:5]}")
     n = len(ids)
-    behaviors = np.zeros((n, 4))
-    total = np.zeros(n)
-    ndays = np.zeros(n, dtype=int)
-    for i, pid in enumerate(ids):
-        days = valid[pid]
-        behaviors[i, 0] = np.mean([d.sit_min for d in days])
-        behaviors[i, 1] = np.mean([d.stand_min for d in days])
-        behaviors[i, 2] = np.mean([d.step_min for d in days])
-        behaviors[i, 3] = np.mean([d.sleep_min for d in days])
-        total[i] = np.mean([d.total_min for d in days])
-        ndays[i] = len(days)
+    ndays = np.fromiter((len(valid[pid]) for pid in ids), dtype=int, count=n)
+    days = list(chain.from_iterable(valid[pid] for pid in ids))
+    person = np.repeat(np.arange(n), ndays)
+
+    def day_column(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), days), dtype=float,
+                           count=len(days))
+
+    def person_mean(values: np.ndarray) -> np.ndarray:
+        # bincount adds each person's days in order, as np.mean does for up
+        # to seven of them
+        return np.bincount(person, weights=values, minlength=n) / ndays
+
+    sit, stand, step, sleep = (day_column(f"{b}_min") for b in BEHAVIOR_LABELS)
+    behaviors = np.column_stack(
+        [person_mean(col) for col in (sit, stand, step, sleep)])
+    total = person_mean(sit + stand + step + sleep)  # as DayRecord.total_min
     covariates = {
         name: np.array([covariate_table[pid].get(name, math.nan) for pid in ids])
         for name in COVARIATE_COLUMNS

@@ -103,23 +103,71 @@ class MixtureModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MixtureModel":
-        data = json.loads(text)
-        if data.get("format_version") != ARTIFACT_VERSION:
+        """Read an artifact written by ``to_json``; a missing or ill-typed
+        field raises ``LpaError`` naming it, and so do weights that are not
+        positive or do not sum to 1 and covariances that are not positive
+        definite."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise LpaError(f"model artifact is not JSON: {exc}") from None
+        if not isinstance(data, dict) \
+                or data.get("format_version") != ARTIFACT_VERSION:
             raise LpaError("unsupported model artifact version")
+
+        def entry(name, kind):
+            if name not in data:
+                raise LpaError(f"model artifact lacks {name!r}")
+            value = data[name]
+            # bool is an int subclass; only "converged" may be one
+            if not isinstance(value, kind) or (
+                    isinstance(value, bool) and kind is not bool):
+                raise LpaError(f"model artifact field {name!r} is ill-typed")
+            return value
+
+        def array(name, ndim):
+            value = entry(name, list)
+            try:
+                out = np.array(value)
+            except ValueError:  # ragged nesting
+                out = None
+            if (out is None or out.ndim != ndim or out.dtype.kind not in "iuf"
+                    or not np.isfinite(out).all()):
+                raise LpaError(f"model artifact field {name!r} is not a "
+                               f"{ndim}-d array of numbers")
+            return out.astype(float)
+
+        weights, means, covs = (array("weights", 1), array("means", 2),
+                                array("covs", 3))
+        labels = entry("labels", list)
+        K, d = means.shape
+        if (weights.shape != (K,) or covs.shape != (K, d, d)
+                or len(labels) != d
+                or not all(isinstance(lab, str) for lab in labels)):
+            raise LpaError("model artifact weights, means, covs and labels "
+                           "do not agree in shape")
+        if (weights <= 0).any() or abs(weights.sum() - 1.0) > 1e-9:
+            raise LpaError("model artifact weights must be positive and sum "
+                           "to 1")
+        try:
+            np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            raise LpaError("model artifact covariances are not positive "
+                           "definite") from None
+        structure = entry("structure", str)
+        if structure not in STRUCTURES:
+            raise LpaError(f"unknown covariance structure {structure!r}")
         return cls(
-            weights=np.array(data["weights"]),
-            means=np.array(data["means"]),
-            covs=np.array(data["covs"]),
-            structure=data["structure"],
-            loglik=data["loglik"],
-            n=data["n"],
-            labels=tuple(data["labels"]),
-            order_indicator=data["order_indicator"],
-            n_iter=data["n_iter"],
-            converged=data["converged"],
-            n_starts=data["n_starts"],
-            n_replicated=data["n_replicated"],
-            n_degenerate_starts=data["n_degenerate_starts"],
+            weights=weights, means=means, covs=covs, structure=structure,
+            loglik=float(entry("loglik", (int, float))),
+            n=entry("n", int),
+            labels=tuple(labels),
+            order_indicator=entry("order_indicator", int),
+            n_iter=entry("n_iter", int),
+            converged=entry("converged", bool),
+            n_starts=entry("n_starts", int),
+            n_replicated=entry("n_replicated", int),
+            n_degenerate_starts=entry("n_degenerate_starts", int),
         )
 
 
@@ -367,6 +415,9 @@ def posterior(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.shape[1] != model.d:
+        raise LpaError(f"data have {X.shape[1]} indicators; the model has "
+                       f"{model.d} ({', '.join(model.labels)})")
     logr, _ = _log_resp(X, model.weights, model.means, model.covs)
     return np.exp(logr)
 

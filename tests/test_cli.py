@@ -254,3 +254,71 @@ def test_env_var_output_dir(tmp_path, cohort_csv, monkeypatch):
     monkeypatch.setenv("DAYCYCLE_OUT", str(tmp_path / "envout"))
     assert run(["describe", cohort_csv, "--format", "json"]) == 0
     assert (tmp_path / "envout" / "describe.json").exists()
+
+
+@pytest.mark.parametrize("column", ["stand_min", "total_min"])
+def test_blank_behavior_cell_exits_2_before_writing(tmp_path, cohort_csv,
+                                                    lpa_out, capsys, column):
+    from daycycle.cohort import CSV_HEADER
+    path = _edited_cohort(cohort_csv, tmp_path, 9,
+                          lambda s: _set_field(s, CSV_HEADER.index(column), ""))
+    out = tmp_path / "out"
+    model = lpa_out / "lpa_model.json"
+    for args in (["describe", path], ["lpa", path, "--classes", "1:2"],
+                 ["ism", path], ["coda", path], ["step3", model, path],
+                 ["plot", path, "--kind", "ternary"],
+                 ["plot", path, "--kind", "realloc"],
+                 ["plot", path, "--kind", "profiles", "--model", model]):
+        assert run(args + ["-o", out]) == 2, args
+        err = capsys.readouterr().err
+        assert f"line 9: {column} is empty" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unusable_model_artifact_exits_2(tmp_path, cohort_csv,
+                                                lpa_out, capsys):
+    data = json.loads((lpa_out / "lpa_model.json").read_text())
+    del data["covs"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    stub = tmp_path / "stub.json"
+    stub.write_text('{"format_version": 1}')
+    two_d = tmp_path / "two_d.json"
+    data = json.loads((lpa_out / "lpa_model.json").read_text())
+    data["means"] = [m[:2] for m in data["means"]]
+    data["covs"] = [[row[:2] for row in c[:2]] for c in data["covs"]]
+    data["labels"] = data["labels"][:2]
+    two_d.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for path in (model, stub, two_d):
+        for args in (["step3", path, cohort_csv],
+                     ["plot", cohort_csv, "--kind", "profiles",
+                      "--model", path]):
+            assert run(args + ["-o", out]) == 2
+            err = capsys.readouterr().err
+            assert "model" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
+    """The plot built from the composition array is byte-identical to one
+    built from per-row zero replacement and closure."""
+    from daycycle import plotting
+    from daycycle.composition import RawTimeVector, closure, replace_zeros
+    cohort = load_cohort_csv(cohort_csv)
+    cohort.behaviors[[2, 5], 2] = 0.0  # zero step time: floored
+    path = tmp_path / "zeros.csv"
+    save_cohort_csv(cohort, path)
+    cohort = load_cohort_csv(path)
+    labels = ("sit", "stand", "step")
+    comps = []
+    for row in cohort.behaviors:
+        raw = RawTimeVector(tuple(row), cohort.behavior_labels)
+        if any(m == 0 for m in raw.minutes):
+            raw = replace_zeros(raw, "fixed-floor", floor=1.0)
+        comps.append(closure(raw).subcomposition(labels))
+    want = plotting.ternary_svg(comps, cohort.outcome, title="-".join(labels))
+    out = tmp_path / "plots"
+    assert run(["plot", path, "-o", out, "--kind", "ternary"]) == 0
+    assert (out / "ternary.svg").read_text(encoding="utf-8") == want

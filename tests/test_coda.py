@@ -17,6 +17,7 @@ from daycycle.coda import (
     proportional_reallocation_composition,
     reallocation_curve_proportional,
 )
+from daycycle.linmod import Estimate
 from daycycle.composition import (
     CANONICAL_LABELS,
     SBPartition,
@@ -183,6 +184,61 @@ def test_pairwise_curve_shapes():
     assert curve.mode == "pairwise"
     assert curve.estimate.shape == deltas.shape
     assert curve.estimate[2] == 0.0
+
+
+def _pairwise_reference(cfit, from_, to, delta, use_robust):
+    """One reallocation as an explicit contrast between the baseline and the
+    moved composition, closed on its own."""
+    if delta == 0:
+        return Estimate(0.0, 0.0, 0.0, 0.0)
+    labels = cfit.baseline.labels
+    moved = cfit.baseline.array() * cfit.day_minutes
+    moved[labels.index(from_)] -= delta
+    moved[labels.index(to)] += delta
+    return composition_contrast(cfit, cfit.baseline,
+                                closure_values(moved, labels),
+                                use_robust=use_robust)
+
+
+@pytest.mark.parametrize("use_robust", [False, True])
+def test_pairwise_curve_matches_per_delta_calls(use_robust):
+    cohort, _ = ilr_truth_cohort(n=600, seed=18)
+    cfit = fit_coda(cohort, "sleep", COVS)
+    deltas = np.arange(-60.0, 61.0, 7.5)
+    assert 0.0 in deltas
+    for from_, to in (("sit", "step"), ("sleep", "stand"), ("step", "sit")):
+        curve = pairwise_reallocation_curve(cfit, from_, to, deltas,
+                                            use_robust=use_robust)
+        assert curve.behavior == f"{from_}->{to}"
+        assert np.array_equal(curve.delta_minutes, deltas)
+        for i, d in enumerate(deltas):
+            e = pairwise_reallocation(cfit, from_, to, d,
+                                      use_robust=use_robust)
+            ref = _pairwise_reference(cfit, from_, to, d, use_robust)
+            # a single delta takes the same arithmetic as the per-delta
+            # contrast, bit for bit
+            assert e == ref and isinstance(e.estimate, float)
+            for got, want in ((curve.estimate[i], e.estimate),
+                              (curve.ci_low[i], e.ci_low),
+                              (curve.ci_high[i], e.ci_high)):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        zero = deltas == 0
+        assert curve.estimate[zero][0] == 0.0
+        assert curve.ci_low[zero][0] == 0.0 and curve.ci_high[zero][0] == 0.0
+
+
+def test_pairwise_curve_range_checks():
+    cohort, _ = ilr_truth_cohort(n=300, seed=19)
+    cfit = fit_coda(cohort, "step", COVS)
+    step_min = cfit.baseline.part("step") * cfit.day_minutes
+    with pytest.raises(CodaError):
+        pairwise_reallocation_curve(cfit, "sit", "sit", np.array([10.0]))
+    with pytest.raises(CodaError, match="out of 'step'"):
+        pairwise_reallocation_curve(cfit, "step", "sit",
+                                    np.array([0.0, step_min]))
+    with pytest.raises(CodaError, match="'step' nonpositive"):
+        pairwise_reallocation_curve(cfit, "sit", "step",
+                                    np.array([-step_min, 10.0]))
 
 
 def test_contrast_fixture_weights():

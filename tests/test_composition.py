@@ -145,6 +145,42 @@ def test_compositional_mean_is_closed_geometric_mean():
                        atol=1e-15)
 
 
+def _reference_compositional_mean(samples):
+    """The per-sample loop the array version replaced."""
+    logs = np.zeros(samples[0].D)
+    for s in samples:
+        logs += np.log(s.array())
+    logs /= len(samples)
+    return closure_values(np.exp(logs - logs.max()), samples[0].labels)
+
+
+def test_compositional_mean_of_array_equals_list():
+    rng = np.random.default_rng(5)
+    parts = rng.dirichlet([20.0, 8.0, 3.0, 17.0], size=2000)
+    samples = [Composition(tuple(row), CANONICAL_LABELS)
+               for row in parts.tolist()]
+    from_array = compositional_mean(parts, CANONICAL_LABELS)
+    assert from_array == compositional_mean(samples)
+    assert from_array == _reference_compositional_mean(samples)
+    assert from_array.labels == CANONICAL_LABELS
+
+
+def test_compositional_mean_array_validation():
+    parts = np.array([[0.5, 0.5], [0.25, 0.75]])
+    with pytest.raises(CompositionError):
+        compositional_mean(parts)  # no labels
+    with pytest.raises(CompositionError):
+        compositional_mean(parts, LAB3)  # width does not match the labels
+    with pytest.raises(CompositionError):
+        compositional_mean(np.empty((0, 2)), ("a", "b"))
+    with pytest.raises(CompositionError):
+        compositional_mean(np.array([[0.0, 1.0]]), ("a", "b"))
+    with pytest.raises(CompositionError):
+        compositional_mean(np.array([[math.nan, 1.0]]), ("a", "b"))
+    with pytest.raises(CompositionError):
+        compositional_mean([comp([1, 2, 3]), comp([1, 2], ("a", "b"))])
+
+
 def test_aitchison_distance_properties():
     x = comp([1, 2, 3])
     y = comp([3, 2, 1])

@@ -270,3 +270,164 @@ def test_composition_cache_is_keyed_on_zero_floor():
     assert np.array_equal(floor30, fresh.composition_array(30.0))
     assert not np.array_equal(floor30[0], floor1[0])
     assert np.array_equal(floor1, cohort.composition_array(1.0))
+
+
+# --- the array path against the per-row arithmetic it replaced ---
+
+def reference_composition_array(behaviors, labels, zero_floor):
+    """One RawTimeVector per row, floored if it has a zero, then closed."""
+    from daycycle.composition import RawTimeVector, closure, replace_zeros
+    rows = []
+    for row in behaviors:
+        raw = RawTimeVector(tuple(row), labels)
+        if any(m == 0 for m in raw.minutes):
+            raw = replace_zeros(raw, "fixed-floor", floor=zero_floor)
+        rows.append(closure(raw).parts)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("zero_floor", [1.0, 30.0])
+def test_composition_array_matches_per_row_closure(zero_floor):
+    from conftest import make_cohort
+    cohort = make_cohort(n=500, seed=21)
+    cohort.behaviors[3, 2] = 0.0
+    cohort.behaviors[10, [0, 2]] = 0.0
+    cohort.behaviors[11, 1:] = 0.0
+    parts = cohort.composition_array(zero_floor)
+    assert np.array_equal(parts, reference_composition_array(
+        cohort.behaviors, cohort.behavior_labels, zero_floor))
+    assert not parts.flags.writeable
+    comps = cohort.compositions(zero_floor)
+    assert [c.parts for c in comps] == [tuple(row) for row in parts.tolist()]
+    assert all(c.labels == cohort.behavior_labels for c in comps)
+    # whole minutes: the floored rows must not be truncated back to integers
+    cohort = cohort.subset(np.ones(cohort.n, dtype=bool))
+    cohort.behaviors = np.round(cohort.behaviors).astype(int)
+    assert np.array_equal(cohort.composition_array(zero_floor),
+                          reference_composition_array(
+                              cohort.behaviors, cohort.behavior_labels,
+                              zero_floor))
+
+
+@pytest.mark.parametrize("row", [
+    [0.0, 0.0, 0.0, 0.0],
+    [600.0, -1.0, 80.0, 480.0],
+    [600.0, math.nan, 80.0, 480.0],
+    [600.0, 200.0, math.inf, 480.0],
+], ids=["all-zero", "negative", "nan", "inf"])
+def test_composition_array_rejects_unrepairable_rows(row):
+    from conftest import make_cohort
+    from daycycle.composition import CompositionError
+    cohort = make_cohort(n=20, seed=22)
+    cohort.behaviors[5] = row
+    with pytest.raises(CompositionError):
+        cohort.composition_array()
+
+
+def _reference_aggregate(valid):
+    """Per-person np.mean over each day field, as before the column path."""
+    ids = sorted(valid)
+    behaviors = np.array([[np.mean([getattr(d, f"{b}_min") for d in valid[p]])
+                           for b in BEHAVIOR_LABELS] for p in ids])
+    total = np.array([np.mean([d.total_min for d in valid[p]]) for p in ids])
+    return behaviors, total
+
+
+def _random_days(rng, pid, n_days):
+    return [make_day(pid, f"2020-01-{i + 1:02d}",
+                     *(rng.uniform([300, 60, 0], [700, 300, 150])
+                       * rng.uniform(0.5, 1.5)),
+                     wear=rng.uniform(600, 1000), sleep_h=rng.uniform(5, 10))
+            for i in range(n_days)]
+
+
+def test_aggregate_person_matches_per_person_mean():
+    rng = np.random.default_rng(23)
+    table = {}
+    short, long = {}, {}
+    for i in range(300):
+        pid = f"p{i:03d}"
+        table[pid] = {c: float(i) for c in COVARIATE_COLUMNS} | {"casi_irt": 0.0}
+        short[pid] = _random_days(rng, pid, 1 + i % 7)
+        long[pid] = _random_days(rng, pid, 8 + i % 20)
+    got = aggregate_person(short, table)
+    want_b, want_t = _reference_aggregate(short)
+    assert np.array_equal(got.behaviors, want_b)
+    assert np.array_equal(got.total, want_t)
+    assert got.valid_days.tolist() == [1 + i % 7 for i in range(300)]
+    got = aggregate_person(long, table)
+    want_b, want_t = _reference_aggregate(long)
+    np.testing.assert_allclose(got.behaviors, want_b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.total, want_t, rtol=1e-12, atol=0)
+    assert got.covariates["bmi"].tolist() == [float(i) for i in range(300)]
+
+
+def test_day_record_has_slots():
+    assert not hasattr(make_day(), "__dict__")
+
+
+def _reference_cohort_csv(cohort):
+    """Row by row through format_number, as the writer did before."""
+    import csv
+    import io
+    from daycycle.cohort import format_number
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for i in range(cohort.n):
+        w.writerow([cohort.ids[i]]
+                   + [format_number(v) for v in cohort.behaviors[i]]
+                   + [format_number(cohort.total[i]),
+                      format_number(cohort.valid_days[i])]
+                   + [format_number(cohort.covariates[c][i])
+                      for c in COVARIATE_COLUMNS]
+                   + [format_number(cohort.outcome[i])])
+    return buf.getvalue()
+
+
+def test_save_cohort_csv_matches_row_by_row_writer(tmp_path, monkeypatch):
+    from daycycle import cohort as cohort_module
+    spec = default_sim_spec()
+    spec.missing_covariate_rate = 0.2
+    cohort = simulate_cohort(spec, 300, seed=24).cohort
+    cohort.outcome[[0, 7]] = math.nan
+    cohort.covariates["bmi"][1] = 1e-310  # subnormal
+    cohort.covariates["cesd"][2] = -0.0
+    assert np.isnan(cohort.covariates["bmi"]).any()
+    want = _reference_cohort_csv(cohort)
+    # several blocks, the last one partial
+    monkeypatch.setattr(cohort_module, "_CSV_BLOCK_ROWS", 64)
+    path = tmp_path / "c.csv"
+    save_cohort_csv(cohort, path)
+    assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("column,cell,message", [
+    ("stand_min", "", "stand_min is empty"),
+    ("sleep_min", "nan", "sleep_min is empty or NaN"),
+    ("total_min", "inf", "total_min is infinite"),
+    ("sit_min", "-inf", "sit_min is infinite"),
+])
+def test_load_cohort_csv_rejects_missing_behavior_cells(tmp_path, column,
+                                                        cell, message):
+    cohort = simulate_cohort(default_sim_spec(), 20, seed=25).cohort
+    path = tmp_path / "c.csv"
+    save_cohort_csv(cohort, path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[CSV_HEADER.index(column)] = cell
+    lines[4] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(CohortError, match=f"line 5: {message}"):
+        load_cohort_csv(path)
+
+
+def test_load_cohort_csv_reads_blank_covariates_and_outcome_as_nan(tmp_path):
+    cohort = simulate_cohort(default_sim_spec(), 20, seed=26).cohort
+    cohort.covariates["cesd"][3] = math.nan
+    cohort.outcome[4] = math.nan
+    path = tmp_path / "c.csv"
+    save_cohort_csv(cohort, path)
+    back = load_cohort_csv(path)
+    assert math.isnan(back.covariates["cesd"][3])
+    assert math.isnan(back.outcome[4])

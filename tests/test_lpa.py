@@ -202,6 +202,8 @@ def test_posterior_matches_bayes_rule():
     ])
     assert np.allclose(post, num / num.sum(axis=1, keepdims=True),
                        atol=1e-10)
+    with pytest.raises(LpaError, match="3 indicators"):
+        posterior(model, np.zeros((5, 3)))
 
 
 def test_derived_remainder_stats_against_brute_force():
@@ -264,6 +266,58 @@ def test_artifact_json_round_trip():
     bad["format_version"] = 999
     with pytest.raises(LpaError):
         MixtureModel.from_json(json.dumps(bad))
+
+
+_ARTIFACT_FIELDS = ("structure", "weights", "means", "covs", "loglik", "n",
+                    "labels", "order_indicator", "n_iter", "converged",
+                    "n_starts", "n_replicated", "n_degenerate_starts")
+
+
+@pytest.mark.parametrize("edit", [
+    *[pytest.param(lambda d, f=f: d.pop(f), id=f"missing-{f}")
+      for f in _ARTIFACT_FIELDS],
+    pytest.param(lambda d: d.update(n="50"), id="string-n"),
+    pytest.param(lambda d: d.update(n=50.5), id="float-n"),
+    pytest.param(lambda d: d.update(n_iter=True), id="bool-n_iter"),
+    pytest.param(lambda d: d.update(converged=1), id="int-converged"),
+    pytest.param(lambda d: d.update(loglik=None), id="null-loglik"),
+    pytest.param(lambda d: d.update(labels="ab"), id="string-labels"),
+    pytest.param(lambda d: d.update(labels=["a", 2]), id="int-label"),
+    pytest.param(lambda d: d.update(labels=["a"]), id="short-labels"),
+    pytest.param(lambda d: d.update(structure="diag"), id="bad-structure"),
+    pytest.param(lambda d: d.update(weights=[0.4]), id="short-weights"),
+    pytest.param(lambda d: d.update(weights=[[0.4, 0.6]]), id="2d-weights"),
+    pytest.param(lambda d: d.update(means=[[0.0, "x"], [3.0, 1.0]]),
+                 id="text-mean"),
+    pytest.param(lambda d: d.update(weights=["0.4", "0.6"]),
+                 id="numeric-text-weights"),
+    pytest.param(lambda d: d.update(weights=[True, False]), id="bool-weights"),
+    pytest.param(lambda d: d.update(weights=[0.4, float("nan")]),
+                 id="nan-weight"),
+    pytest.param(lambda d: d.update(weights=[-0.4, 1.4]),
+                 id="negative-weight"),
+    pytest.param(lambda d: d.update(weights=[0.0, 1.0]), id="zero-weight"),
+    pytest.param(lambda d: d.update(weights=[0.4, 0.5]),
+                 id="weights-not-summing-to-1"),
+    pytest.param(lambda d: d["covs"].__setitem__(0, [[1.0, 2.0], [2.0, 1.0]]),
+                 id="indefinite-cov"),
+    pytest.param(lambda d: d.update(means=[[0.0], [3.0, 1.0]]),
+                 id="ragged-means"),
+    pytest.param(lambda d: d.update(covs=d["covs"][:1]), id="short-covs"),
+    pytest.param(lambda d: d.update(covs=None), id="null-covs"),
+])
+def test_artifact_with_missing_or_ill_typed_field_is_rejected(edit):
+    import json
+    data = json.loads(reference_model().to_json())
+    edit(data)
+    with pytest.raises(LpaError):
+        MixtureModel.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["", "not json", "[1, 2]", "null"])
+def test_artifact_that_is_not_a_json_object_is_rejected(text):
+    with pytest.raises(LpaError):
+        MixtureModel.from_json(text)
 
 
 def test_fit_mixture_reproducible():
