@@ -357,9 +357,8 @@ def cmd_plot(args) -> int:
         labels = tuple(args.behaviors)
         if len(labels) != 3:
             raise UsageError("--behaviors needs exactly 3 labels")
-        comps = [c.subcomposition(labels) for c in cohort.compositions()]
-        svg = plotting.ternary_svg(comps, cohort.outcome,
-                                   title="-".join(labels))
+        svg = plotting.ternary_svg(cohort.compositions(labels=labels),
+                                   cohort.outcome, title="-".join(labels))
         atomic_write(os.path.join(out, "ternary.svg"), svg)
     elif args.kind == "realloc":
         deltas = _parse_grid(args.delta_grid)

@@ -113,11 +113,27 @@ class CohortTable:
             self._composition_arrays[zero_floor] = parts
         return self._composition_arrays[zero_floor]
 
-    def compositions(self, zero_floor: float = 1.0) -> list[Composition]:
-        """The rows of ``composition_array`` as ``Composition`` points."""
-        labels = self.behavior_labels
-        return [Composition(tuple(row), labels)
-                for row in self.composition_array(zero_floor).tolist()]
+    def compositions(self, zero_floor: float = 1.0,
+                     labels: tuple[str, ...] | None = None
+                     ) -> list[Composition]:
+        """The rows of ``composition_array`` as ``Composition`` points.
+
+        With ``labels``, each point is the closed subcomposition of those
+        parts, in that order: the columns are picked from the array and
+        closed with one row-sum division.
+        """
+        parts = self.composition_array(zero_floor)
+        if labels is None:
+            labels = self.behavior_labels
+        else:
+            labels = tuple(labels)
+            for lab in labels:
+                if lab not in self.behavior_labels:
+                    raise CompositionError(f"unknown label {lab!r}")
+            parts = parts[:, [self.behavior_labels.index(lab)
+                              for lab in labels]]
+            parts = parts / parts.sum(axis=1, keepdims=True)
+        return [Composition(tuple(row), labels) for row in parts.tolist()]
 
     def subset(self, mask: np.ndarray) -> "CohortTable":
         idx = np.flatnonzero(mask)

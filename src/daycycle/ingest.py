@@ -68,7 +68,14 @@ class RowError:
 
 
 def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
-    """Parse day records; malformed rows go into the error report."""
+    """Parse day records; malformed rows go into the error report.
+
+    Each row is checked in this order: field count, the four minute cells as
+    numbers, none negative, both timestamps as ISO-8601, ``out_bed`` after
+    ``in_bed`` (both naive or both with a UTC offset), then the minute cells
+    finite.  The first failed check is the row's error.
+    """
+    fromiso, inf = datetime.fromisoformat, math.inf
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -79,27 +86,47 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
         records: list[DayRecord] = []
         errors: list[RowError] = []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(DAY_CSV_HEADER):
+            try:
+                pid, date, sit, stand, step, in_bed, out_bed, wear = row
+            except ValueError:
                 errors.append(RowError(lineno, "wrong field count"))
                 continue
             try:
-                records.append(_parse_row(row))
-            except (ValueError, IngestError) as exc:
+                sit, stand, step, wear = (
+                    float(sit), float(stand), float(step), float(wear))
+                if sit < 0 or stand < 0 or step < 0 or wear < 0:
+                    raise IngestError(
+                        "negative " + _first_minute_column(
+                            lambda v: v < 0, sit, stand, step, wear))
+                in_bed, out_bed = fromiso(in_bed), fromiso(out_bed)
+                try:
+                    if out_bed <= in_bed:
+                        raise IngestError("out_bed must follow in_bed")
+                except TypeError:
+                    raise IngestError(
+                        "in_bed and out_bed mix naive and UTC-offset "
+                        "timestamps") from None
+                # NaN and +inf pass the checks above; -inf is negative
+                if not (sit < inf and stand < inf and step < inf
+                        and wear < inf):
+                    raise IngestError(
+                        "non-finite " + _first_minute_column(
+                            lambda v: not math.isfinite(v),
+                            sit, stand, step, wear))
+            except ValueError as exc:  # IngestError is one
                 errors.append(RowError(lineno, str(exc)))
+                continue
+            records.append(
+                DayRecord(pid, date, sit, stand, step, in_bed, out_bed, wear))
     return records, errors
 
 
-def _parse_row(row: list[str]) -> DayRecord:
-    sit, stand, step, wear = (float(row[i]) for i in (2, 3, 4, 7))
-    for name, v in (("sit_min", sit), ("stand_min", stand),
-                    ("step_min", step), ("wear_min", wear)):
-        if v < 0:
-            raise IngestError(f"negative {name}")
-    in_bed = datetime.fromisoformat(row[5])
-    out_bed = datetime.fromisoformat(row[6])
-    if out_bed <= in_bed:
-        raise IngestError("out_bed must follow in_bed")
-    return DayRecord(row[0], row[1], sit, stand, step, in_bed, out_bed, wear)
+_MINUTE_COLUMNS = ("sit_min", "stand_min", "step_min", "wear_min")
+
+
+def _first_minute_column(failed, *values: float) -> str:
+    """The name of the first minute column whose value ``failed``."""
+    return next(name for name, v in zip(_MINUTE_COLUMNS, values) if failed(v))
 
 
 def write_day_csv(records: list[DayRecord], path) -> None:

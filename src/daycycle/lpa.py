@@ -333,9 +333,13 @@ def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
     for it in range(1, max_iter + 1):
         chol, bad = _by_start(np.linalg.cholesky, covs)
         logr, ll = _estep(X, weights, means, chol)
-        slack = np.maximum(1.0, np.abs(prev))
+        # prev is -inf before a start's first E-step, which gets no slack
+        # (0 * inf would warn at tol=0) and no convergence test
+        started = prev > -np.inf
+        ref = np.where(started, prev, 0.0)
+        slack = np.maximum(1.0, np.abs(ref))
         bad |= ~np.isfinite(ll) | (ll < prev - 1e-8 * slack)
-        done = ~bad & (prev > -np.inf) & (np.abs(ll - prev) <= tol * slack)
+        done = ~bad & started & (np.abs(ll - ref) <= tol * slack)
         record(idx[done], ll[done], weights[done], means[done], covs[done],
                it, True)
         go = ~(bad | done)

@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 
-from .composition import Composition, ternary_coords
+from .composition import Composition, CompositionError
 
 _W, _H = 480.0, 420.0
 _MARGIN = 50.0
+_NO_VALUE_FILL = "#4477aa"  # also the fill of the lowest value
 
 
 def _f(x: float) -> str:
@@ -30,7 +31,9 @@ def _svg(body: list[str], width: float = _W, height: float = _H) -> str:
 def ternary_svg(compositions: list[Composition], values: np.ndarray | None = None,
                 title: str = "") -> str:
     """Scatter of 3-part compositions in the unit triangle, vertices labeled
-    with the behavior names; optional values drive a blue-orange fill."""
+    with the behavior names; optional values drive a blue-orange fill, whose
+    range comes from the finite values.  Points without a finite value, and
+    every point when ``values`` is None, get the fill of the lowest value."""
     labels = compositions[0].labels
     side = _W - 2 * _MARGIN
     tri_h = side * math.sqrt(3) / 2
@@ -50,22 +53,28 @@ def ternary_svg(compositions: list[Composition], values: np.ndarray | None = Non
     for lab, ((px, py), anchor, dy) in zip(labels, anchors):
         body.append(f'<text x="{_f(px)}" y="{_f(py + dy)}" '
                     f'text-anchor="{anchor}" font-size="12">{lab}</text>')
+    pts = np.array([c.parts for c in compositions])
+    if pts.shape[1] != 3:
+        raise CompositionError(
+            "ternary coordinates require a 3-part composition")
+    # ternary_coords for every point at once
+    px, py = to_px(pts[:, 1] + 0.5 * pts[:, 2], (math.sqrt(3) / 2) * pts[:, 2])
+    fills = np.full(len(pts), _NO_VALUE_FILL, dtype=object)
     if values is not None:
-        vmin, vmax = float(np.min(values)), float(np.max(values))
-        span = (vmax - vmin) or 1.0
-    for i, c in enumerate(compositions):
-        u, v = ternary_coords(c)
-        px, py = to_px(u, v)
-        if values is None:
-            fill = "#4477aa"
-        else:
-            t = (float(values[i]) - vmin) / span
-            r = int(68 + t * (238 - 68))
-            g = int(119 + t * (119 - 119))
-            b = int(170 + t * (51 - 170))
-            fill = f"#{r:02x}{g:02x}{b:02x}"
-        body.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="2.5" '
-                    f'fill="{fill}" fill-opacity="0.7"/>')
+        values = np.asarray(values, dtype=float)
+        known = np.isfinite(values)
+        if known.any():
+            v = values[known]
+            vmin, vmax = float(v.min()), float(v.max())
+            t = (v - vmin) / ((vmax - vmin) or 1.0)
+            # red and blue run from #4477aa to #ee7733; green stays 0x77
+            r = (68 + t * (238 - 68)).astype(int)
+            b = (170 + t * (51 - 170)).astype(int)
+            fills[known] = [f"#{ri:02x}77{bi:02x}"
+                            for ri, bi in zip(r.tolist(), b.tolist())]
+    body.extend(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="2.5" '
+                f'fill="{fill}" fill-opacity="0.7"/>'
+                for x, y, fill in zip(px.tolist(), py.tolist(), fills))
     return _svg(body)
 
 

@@ -322,3 +322,30 @@ def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
     out = tmp_path / "plots"
     assert run(["plot", path, "-o", out, "--kind", "ternary"]) == 0
     assert (out / "ternary.svg").read_text(encoding="utf-8") == want
+
+
+def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
+    """A blank outcome is drawn in the no-value fill; the colour range comes
+    from the finite outcomes, so the plot equals one where that person has
+    the lowest of the other outcomes."""
+    from daycycle import plotting
+    cohort = load_cohort_csv(cohort_csv)
+    cohort.outcome[7] = math.nan
+    path = tmp_path / "missing.csv"
+    save_cohort_csv(cohort, path)
+    out = tmp_path / "plots"
+    assert run(["plot", path, "-o", out, "--kind", "ternary"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    svg = (out / "ternary.svg").read_text(encoding="utf-8")
+    circles = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}circle")
+    assert len(circles) == cohort.n
+    assert circles[7].get("fill") == "#4477aa"
+    labels = ("sit", "stand", "step")
+    lowest = cohort.outcome.copy()
+    lowest[7] = np.nanmin(lowest)
+    assert svg == plotting.ternary_svg(cohort.compositions(labels=labels),
+                                       lowest, title="-".join(labels))
+    # the ends of the range are the lowest and highest known outcomes
+    assert circles[int(np.nanargmin(cohort.outcome))].get("fill") == "#4477aa"
+    assert circles[int(np.nanargmax(cohort.outcome))].get("fill") == "#ee7733"
+    assert len(set(c.get("fill") for c in circles)) > 2

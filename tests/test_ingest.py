@@ -1,5 +1,6 @@
 """Day-level ingestion, cohort CSV round trips, and the simulator."""
 
+import csv
 import math
 from datetime import datetime, timedelta
 
@@ -18,8 +19,10 @@ from daycycle.cohort import (
 from daycycle.ingest import (
     MIN_VALID_DAYS,
     MIN_WEAR_MINUTES,
+    DAY_CSV_HEADER,
     DayRecord,
     IngestError,
+    RowError,
     aggregate_person,
     describe,
     load_day_csv,
@@ -431,3 +434,124 @@ def test_load_cohort_csv_reads_blank_covariates_and_outcome_as_nan(tmp_path):
     back = load_cohort_csv(path)
     assert math.isnan(back.covariates["cesd"][3])
     assert math.isnan(back.outcome[4])
+
+
+def test_compositions_of_labels_match_per_point_subcomposition():
+    """The subcomposition points are closed from the array, bit for bit as
+    per-point ``subcomposition`` closed them, in the order asked for."""
+    from conftest import make_cohort
+    cohort = make_cohort(n=400, seed=27)
+    cohort.behaviors[3, 2] = 0.0
+    cohort.behaviors[10, [0, 2]] = 0.0
+    cohort.behaviors[11, 1:] = 0.0
+    for labels in [("sit", "stand", "step"), ("sleep", "sit", "step"),
+                   ("step", "stand"), cohort.behavior_labels]:
+        for zero_floor in (1.0, 30.0):
+            want = [c.subcomposition(labels)
+                    for c in cohort.compositions(zero_floor)]
+            got = cohort.compositions(zero_floor, labels=list(labels))
+            assert [c.parts for c in got] == [c.parts for c in want]
+            assert all(c.labels == labels for c in got)
+
+
+def test_compositions_reject_an_unknown_label():
+    from conftest import make_cohort
+    from daycycle.composition import CompositionError
+    cohort = make_cohort(n=20, seed=28)
+    with pytest.raises(CompositionError, match="unknown label 'nap'"):
+        cohort.compositions(labels=("sit", "nap", "step"))
+
+
+# --- the one-pass day parser against the per-row parser it replaced ---
+
+def _reference_parse_row(row):
+    sit, stand, step, wear = (float(row[i]) for i in (2, 3, 4, 7))
+    for name, v in (("sit_min", sit), ("stand_min", stand),
+                    ("step_min", step), ("wear_min", wear)):
+        if v < 0:
+            raise IngestError(f"negative {name}")
+    in_bed = datetime.fromisoformat(row[5])
+    out_bed = datetime.fromisoformat(row[6])
+    if out_bed <= in_bed:
+        raise IngestError("out_bed must follow in_bed")
+    return DayRecord(row[0], row[1], sit, stand, step, in_bed, out_bed, wear)
+
+
+def reference_load_day_csv(path):
+    """The per-row loop: a field-count check, then ``_reference_parse_row``."""
+    records, errors = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == DAY_CSV_HEADER
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(DAY_CSV_HEADER):
+                errors.append(RowError(lineno, "wrong field count"))
+                continue
+            try:
+                records.append(_reference_parse_row(row))
+            except (ValueError, IngestError) as exc:
+                errors.append(RowError(lineno, str(exc)))
+    return records, errors
+
+
+def _day_row(pid="p1", date="2020-01-01", sit="600", stand="200", step="80",
+             in_bed="2020-01-01T22:00:00", out_bed="2020-01-02T06:00:00",
+             wear="880"):
+    return ",".join([pid, date, sit, stand, step, in_bed, out_bed, wear])
+
+
+def test_load_day_csv_matches_per_row_parser(tmp_path):
+    minute_cells = ("sit", "stand", "step", "wear")
+    rows = [_day_row(), _day_row(sit="600.25", wear="1e3"),
+            _day_row(in_bed="2020-01-01T22:00:00+02:00",
+                     out_bed="2020-01-02T06:00:00+02:00"),
+            _day_row(pid='"p,2"', in_bed="2020-01-01 22:00"),
+            "p1,too,few", _day_row() + ",extra", "",
+            _day_row(in_bed="not-a-time"), _day_row(out_bed="2020-13-01"),
+            _day_row(in_bed="2020-13-01", out_bed="not-a-time"),
+            _day_row(out_bed="2020-01-01T21:00:00"),
+            _day_row(out_bed="2020-01-01T22:00:00"),
+            # several faults: the first check in order names the row
+            _day_row(sit="-1", stand="x", in_bed="bad"),
+            _day_row(stand="-1", wear="-2", out_bed="bad"),
+            _day_row(step="-0.5", out_bed="2020-01-01T21:00:00")]
+    for cell in minute_cells:
+        rows += [_day_row(**{cell: "x"}), _day_row(**{cell: ""}),
+                 _day_row(**{cell: "-1"}), _day_row(**{cell: "-inf"}),
+                 _day_row(**{cell: "-0.0"})]
+    path = tmp_path / "days.csv"
+    path.write_text("\n".join([",".join(DAY_CSV_HEADER)] + rows) + "\n")
+    records, errors = load_day_csv(path)
+    want_records, want_errors = reference_load_day_csv(path)
+    assert records == want_records
+    assert errors == want_errors
+    assert len(records) == 8 and len(errors) == 27
+    assert {e.message for e in errors} >= {
+        "wrong field count", "out_bed must follow in_bed",
+        "negative sit_min", "negative stand_min", "negative step_min",
+        "negative wear_min", "could not convert string to float: 'x'"}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("column", ["sit", "stand", "step", "wear"])
+def test_load_day_csv_rejects_non_finite_minutes(tmp_path, column, cell):
+    path = tmp_path / "days.csv"
+    path.write_text("\n".join([",".join(DAY_CSV_HEADER), _day_row(),
+                               _day_row(**{column: cell})]) + "\n")
+    records, errors = load_day_csv(path)
+    assert len(records) == 1
+    assert errors == [RowError(3, f"non-finite {column}_min")]
+
+
+def test_load_day_csv_rejects_mixed_timestamps(tmp_path):
+    path = tmp_path / "days.csv"
+    path.write_text("\n".join([
+        ",".join(DAY_CSV_HEADER),
+        _day_row(out_bed="2020-01-02T06:00:00+00:00"),
+        _day_row(in_bed="2020-01-01T22:00:00Z"),
+        _day_row(in_bed="2020-01-01T22:00:00Z",
+                 out_bed="2020-01-02T06:00:00+01:00")]) + "\n")
+    records, errors = load_day_csv(path)
+    message = "in_bed and out_bed mix naive and UTC-offset timestamps"
+    assert errors == [RowError(2, message), RowError(3, message)]
+    assert len(records) == 1 and records[0].sleep_min == 420.0

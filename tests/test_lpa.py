@@ -1,6 +1,7 @@
 """Gaussian mixture profiles: EM, fit statistics, BLRT, and artifacts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,25 @@ def test_batched_em_matches_single_start_reference(structure):
         assert np.allclose(post.sum(axis=1), 1.0)
     if structure == "free-var-free-cov":
         assert model.n_degenerate_starts > 0
+
+
+def test_zero_tolerance_fits_without_warnings():
+    """With tol=0 a start's first step once multiplied 0 by an infinite
+    slack.  The iteration counts and convergence flags stay the reference's;
+    tol=0 stops only on an exactly repeated log-likelihood, which rounding
+    decides, so there the reference is compared within 5 iterations."""
+    X = three_class_data(n=240, seed=15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K, structure in ((1, "free-var-free-cov"),
+                             (2, "free-var-free-cov"),
+                             (3, "equal-var-zero-cov")):
+            for tol, max_iter in ((0.0, 5), (1e-8, 40)):
+                for s in range(4):
+                    ref = _ref_em(X, K, structure, s, max_iter, tol)
+                    model, _ = fit_mixture(X, K, structure, starts=1,
+                                           max_iter=max_iter, tol=tol, seed=s)
+                    assert (model.n_iter, model.converged) == ref[4:]
 
 
 def _matches(model, ref, rtol):
