@@ -246,11 +246,19 @@ def _lpa_matrix(cohort: CohortTable, scale: str) -> tuple[np.ndarray, tuple[str,
     mat = np.column_stack(cols)
     if scale == "proportion":
         mat = mat / cohort.total[:, None]
-    elif scale == "hours":
-        mat = mat / 60.0
     else:
-        raise UsageError(f"unknown scale {scale!r}")
+        mat = mat / 60.0
     return mat, labels
+
+
+def _classify(model_path: str, cohort: CohortTable, scale: str):
+    """The mixture model artifact at ``model_path``, and each person's
+    posterior class probabilities and modal class under it."""
+    with open(model_path, encoding="utf-8") as fh:
+        model = lpa.MixtureModel.from_json(fh.read())
+    data, _ = _lpa_matrix(cohort, scale)
+    post = lpa.posterior(model, data)
+    return model, post, lpa.modal_assignment(post)
 
 
 def cmd_lpa(args) -> int:
@@ -260,6 +268,12 @@ def cmd_lpa(args) -> int:
         raise UsageError(f"bad --classes {args.classes!r}; expected lo:hi")
     if not 1 <= lo <= hi:
         raise UsageError(f"bad --classes {args.classes!r}; need 1 <= lo <= hi")
+    if min(args.starts, args.max_iter) < 1:
+        raise UsageError("--starts and --max-iter must be at least 1")
+    if args.blrt and args.blrt_boot < lpa.MIN_BLRT_BOOT:
+        raise UsageError(f"--blrt-boot must be at least {lpa.MIN_BLRT_BOOT}")
+    if args.blrt and args.blrt_starts < 1:
+        raise UsageError("--blrt-starts must be at least 1")
     cohort = load_cohort_csv(args.input)
     out = _out_dir(args)
     data, labels = _lpa_matrix(cohort, args.scale)
@@ -304,14 +318,9 @@ def cmd_lpa(args) -> int:
 
 
 def cmd_step3(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        model = lpa.MixtureModel.from_json(fh.read())
     cohort = _load(args)
-    data, _ = _lpa_matrix(cohort, args.scale)
-    post = lpa.posterior(model, data)
-    assign = lpa.modal_assignment(post)
-    covs = cohort.covariate_matrix(list(args.covariates)) \
-        if args.covariates else None
+    _, post, assign = _classify(args.model, cohort, args.scale)
+    covs = cohort.covariate_matrix(args.covariates)
     results = {}
     for method in dict.fromkeys(("naive", args.method)):
         res = step3.step3_distal(post, assign, cohort.outcome, covs,
@@ -340,6 +349,8 @@ def cmd_step3(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
             spec = simulate.SimSpec.from_json(fh.read())
@@ -351,12 +362,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    labels = tuple(args.behaviors)
+    if args.kind == "ternary" and len(labels) != 3:
+        raise UsageError("--behaviors needs exactly 3 labels")
+    if args.kind == "profiles" and not args.model:
+        raise UsageError("--kind profiles requires --model")
     out = _out_dir(args)
     cohort = load_cohort_csv(args.input)
     if args.kind == "ternary":
-        labels = tuple(args.behaviors)
-        if len(labels) != 3:
-            raise UsageError("--behaviors needs exactly 3 labels")
         svg = plotting.ternary_svg(cohort.compositions(labels=labels),
                                    cohort.outcome, title="-".join(labels))
         atomic_write(os.path.join(out, "ternary.svg"), svg)
@@ -365,14 +378,8 @@ def cmd_plot(args) -> int:
         _, _, svg = _realloc_curve(cohort, args.pivot, COVARIATE_COLUMNS,
                                    deltas)
         atomic_write(os.path.join(out, f"realloc_{args.pivot}.svg"), svg)
-    elif args.kind == "profiles":
-        if not args.model:
-            raise UsageError("--kind profiles requires --model")
-        with open(args.model, encoding="utf-8") as fh:
-            model = lpa.MixtureModel.from_json(fh.read())
-        data, _ = _lpa_matrix(cohort, args.scale)
-        post = lpa.posterior(model, data)
-        assign = lpa.modal_assignment(post)
+    else:
+        model, _, assign = _classify(args.model, cohort, args.scale)
         groups = {}
         # model classes are already ordered by mean sitting time
         for k in range(model.K):
@@ -383,8 +390,6 @@ def cmd_plot(args) -> int:
                 b: cohort.behavior(b)[mask] / 60.0 for b in BEHAVIOR_LABELS}
         svg = plotting.profile_boxplot_svg(groups, title="24HAC profiles")
         atomic_write(os.path.join(out, "profiles.svg"), svg)
-    else:
-        raise UsageError(f"unknown plot kind {args.kind!r}")
     return EXIT_OK
 
 
@@ -405,7 +410,7 @@ def build_parser() -> _Parser:
                    help="split on mean step minutes/day (e.g. 60)")
     i.add_argument("--flexible", action="store_true",
                    help="also fit the spline ISM with GCV knot selection")
-    i.add_argument("--dropped", default="step",
+    i.add_argument("--dropped", default="step", choices=BEHAVIOR_LABELS,
                    help="behavior dropped in the flexible model")
     i.set_defaults(func=cmd_ism)
 

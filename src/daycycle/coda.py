@@ -68,9 +68,8 @@ def fit_coda(cohort: CohortTable, pivot: str, covariates: list[str],
     for k in range(Z.shape[1]):
         cols.append(Z[:, k])
         labels.append(f"z{k + 1}")
-    for c in covariates:
-        cols.append(cohort.covariates[c])
-        labels.append(c)
+    cols += list(cohort.covariate_matrix(covariates).T)
+    labels += covariates
     fit = fit_ols(np.column_stack(cols), cohort.outcome, tuple(labels))
     return CodaFit(fit, basis, pivot, baseline, tuple(covariates),
                    Z.min(axis=0), Z.max(axis=0), day_minutes)

@@ -73,9 +73,8 @@ def build_ism_design(cohort: CohortTable, dropped: str,
         labels.append(b)
     cols.append(cohort.total)
     labels.append("total")
-    for c in covariates:
-        cols.append(cohort.covariates[c])
-        labels.append(c)
+    cols += list(cohort.covariate_matrix(covariates).T)
+    labels += covariates
     X = DesignMatrix(np.column_stack(cols), tuple(labels),
                      has_intercept=not total_constant)
     return X, cohort.outcome
@@ -164,6 +163,7 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
     kept = [b for b in cohort.behavior_labels if b != dropped]
     if dropped not in cohort.behavior_labels:
         raise IsmError(f"unknown behavior {dropped!r}")
+    covariate_cols = list(cohort.covariate_matrix(covariates).T)
     best = None
     scores: dict[int, float] = {}
     for n_knots in knot_grid:
@@ -179,9 +179,8 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
             spans[b] = list(range(start, len(labels)))
         cols.append(cohort.total)
         labels.append("total")
-        for c in covariates:
-            cols.append(cohort.covariates[c])
-            labels.append(c)
+        cols += covariate_cols
+        labels += covariates
         fit = fit_ols(np.column_stack(cols), cohort.outcome, tuple(labels))
         score = gcv_score(fit)
         scores[n_knots] = score

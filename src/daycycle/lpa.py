@@ -19,6 +19,7 @@ STRUCTURES = (
 
 VARIANCE_FLOOR = 1e-6
 ARTIFACT_VERSION = 1
+MIN_BLRT_BOOT = 19  # the fewest replicates whose p-value can reach 0.05
 
 
 class LpaError(ValueError):
@@ -482,8 +483,8 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     """
     if K < 2:
         raise LpaError("BLRT compares K-1 vs K; need K >= 2")
-    if n_boot < 19:
-        raise LpaError("need at least 19 bootstrap replicates")
+    if n_boot < MIN_BLRT_BOOT:
+        raise LpaError(f"need at least {MIN_BLRT_BOOT} bootstrap replicates")
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

@@ -58,8 +58,16 @@ class SimSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SimSpec":
-        data = json.loads(text)
-        return cls(**data)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SimulationError(f"spec is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise SimulationError("spec must be a JSON object")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # an unknown or a missing key
+            raise SimulationError(f"bad spec: {exc}") from None
 
     @property
     def n_classes(self) -> int:

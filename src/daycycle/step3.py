@@ -44,9 +44,10 @@ class Step3Result:
 
 def _expanded_design(assignments: np.ndarray, weights_matrix: np.ndarray,
                      covariates: np.ndarray | None, reference: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray,
                                 tuple[int, ...], tuple[str, ...]]:
-    """Pseudo-observation design: one row per (subject, latent class).
+    """Pseudo-observation design: one row per (latent class, subject), in
+    K blocks of the n subjects, class 0 first.
 
     Row weight for subject i and class k is weights_matrix[assign_i, k].
     The naive method is the special case of an identity weight matrix, where
@@ -56,30 +57,21 @@ def _expanded_design(assignments: np.ndarray, weights_matrix: np.ndarray,
     K = weights_matrix.shape[0]
     classes = tuple(k for k in range(K) if k != reference)
     q = 0 if covariates is None else covariates.shape[1]
-    rows = n * K
-    X = np.zeros((rows, len(classes) + q + 1))
-    w = np.empty(rows)
-    subject = np.empty(rows, dtype=int)
-    for k in range(K):
-        sl = slice(k * n, (k + 1) * n)
-        if k != reference:
-            X[sl, classes.index(k)] = 1.0
-        if q:
-            X[sl, len(classes):len(classes) + q] = covariates
-        X[sl, -1] = 1.0
-        w[sl] = weights_matrix[assignments, k]
-        subject[sl] = np.arange(n)
-    labels = tuple(f"class_{k}" for k in classes)
+    # filled in place: stacking repeated and tiled blocks doubles peak memory
+    X = np.ones((K, n, len(classes) + q + 1))
+    X[:, :, :len(classes)] = np.eye(K)[:, None, classes]
     if q:
-        labels += tuple(f"x{j}" for j in range(q))
-    labels += ("intercept",)
-    return X, w, subject, classes, labels
+        X[:, :, len(classes):-1] = covariates
+    w = weights_matrix[assignments].T.ravel()
+    labels = (tuple(f"class_{k}" for k in classes)
+              + tuple(f"x{j}" for j in range(q)) + ("intercept",))
+    return X.reshape(K * n, -1), w, classes, labels
 
 
 def _weighted_cluster_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                          subject: np.ndarray, n_subjects: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """WLS with cluster-by-subject sandwich covariance.
+                          n_subjects: int) -> tuple[np.ndarray, np.ndarray]:
+    """WLS with cluster-by-subject sandwich covariance, for rows laid out as
+    blocks of the ``n_subjects`` subjects in the same order.
 
     Weights may be negative (rows of an inverted error matrix); the normal
     equations still apply.  The sandwich gets the HC1-style N/(N-p) factor so
@@ -95,13 +87,18 @@ def _weighted_cluster_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray,
         raise Step3Error("singular weighted design") from None
     coef = bread @ (Xw.T @ y)
     resid = y - X @ coef
-    g = np.zeros((n_subjects, p))
     contrib = Xw * resid[:, None]
-    np.add.at(g, subject, contrib)
+    g = contrib.reshape(-1, n_subjects, p).sum(axis=0)
     meat = g.T @ g
     cov = bread @ meat @ bread
     cov *= n_subjects / (n_subjects - p)
     return coef, cov
+
+
+def _joint_wald(b: np.ndarray, V: np.ndarray) -> WaldTest:
+    """Chi-square Wald test of b = 0 given its covariance V."""
+    stat = float(b @ np.linalg.solve(V, b))
+    return WaldTest(stat, b.size, float(stats.chi2.sf(stat, b.size)))
 
 
 def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
@@ -134,15 +131,13 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
             raise Step3Error("classification-error matrix is singular") from None
     else:
         raise Step3Error(f"unknown method {method!r}")
-    X, w, subject, classes, labels = _expanded_design(
-        assignments, W, covariates, reference)
+    X, w, classes, labels = _expanded_design(assignments, W, covariates,
+                                             reference)
     y = np.tile(outcome, K)
-    coef, cov = _weighted_cluster_ols(X, y, w, subject, n)
+    coef, cov = _weighted_cluster_ols(X, y, w, n)
     se = np.sqrt(np.diag(cov))
     nc = len(classes)
-    sub = cov[:nc, :nc]
-    stat = float(coef[:nc] @ np.linalg.solve(sub, coef[:nc]))
-    overall = WaldTest(stat, nc, float(stats.chi2.sf(stat, nc)))
+    overall = _joint_wald(coef[:nc], cov[:nc, :nc])
     return Step3Result(method, reference, classes, coef, se, labels,
                        overall, n)
 
@@ -160,6 +155,40 @@ class CovariateResult:
     wald: WaldTest  # joint test of all covariate slopes
     converged: bool
     loglik: float
+
+
+def _subject_terms(theta: np.ndarray, Z: np.ndarray, Dcols: np.ndarray,
+                   free: list[int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per subject at ``theta``: class probabilities pi (n x K), likelihood
+    L = sum_k pi_k D[k, w_i] and g_k = d log L / d eta_k = pi_k (D[k, w_i]
+    - L) / L (n x K), where eta = Z @ B.T and B is ``theta`` in the rows of
+    the ``free`` classes, zero in the reference row."""
+    B = np.zeros((Dcols.shape[1], Z.shape[1]))
+    B[free] = theta.reshape(len(free), Z.shape[1])
+    eta = Z @ B.T
+    eta -= eta.max(axis=1, keepdims=True)
+    expeta = np.exp(eta)
+    pi = expeta / expeta.sum(axis=1, keepdims=True)
+    inner = (pi * Dcols).sum(axis=1, keepdims=True)
+    L = np.maximum(inner[:, 0], 1e-300)
+    g = pi * (Dcols - inner) / L[:, None]
+    return pi, L, g
+
+
+def _loglik_hessian(pi: np.ndarray, g: np.ndarray, Z: np.ndarray,
+                    free: list[int]) -> np.ndarray:
+    """Hessian of sum_i log L_i in theta, from ``_subject_terms``.
+
+    Per subject, d2 log L / d eta_k d eta_m = delta_km g_k - g_k (pi_m + g_m)
+    - pi_k g_m; theta's entry (k, a) moves eta_k by z_a.
+    """
+    pf, gf = pi[:, free], g[:, free]
+    nf = len(free)
+    h = -gf[:, :, None] * (pf + gf)[:, None, :] - pf[:, :, None] * gf[:, None, :]
+    h[:, range(nf), range(nf)] += gf
+    H = np.einsum("ikm,ia,ib->kamb", h, Z, Z, optimize=True)
+    return H.reshape(nf * Z.shape[1], nf * Z.shape[1])
 
 
 def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
@@ -184,25 +213,9 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     nf = len(free)
     Dcols = D[:, assignments].T  # n x K: D[k, assigned_i]
 
-    def unpack(theta):
-        B = np.zeros((K, q1))
-        B[free] = theta.reshape(nf, q1)
-        return B
-
     def neg_loglik_grad(theta):
-        B = unpack(theta)
-        eta = Z @ B.T  # n x K
-        eta -= eta.max(axis=1, keepdims=True)
-        expeta = np.exp(eta)
-        pi = expeta / expeta.sum(axis=1, keepdims=True)
-        L = (pi * Dcols).sum(axis=1)
-        L = np.maximum(L, 1e-300)
-        nll = -float(np.log(L).sum())
-        # d log L_i / d eta_k = pi_k (D[k,w_i] - sum_m pi_m D[m,w_i]) / L_i
-        inner = (pi * Dcols).sum(axis=1, keepdims=True)
-        dEta = pi * (Dcols - inner) / L[:, None]  # n x K
-        grad = -(dEta[:, free].T @ Z)  # nf x q1
-        return nll, grad.ravel()
+        _, L, g = _subject_terms(theta, Z, Dcols, free)
+        return -float(np.log(L).sum()), -(g[:, free].T @ Z).ravel()
 
     theta0 = np.zeros(nf * q1)
     res = optimize.minimize(neg_loglik_grad, theta0, jac=True, method="BFGS",
@@ -211,23 +224,13 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     if not np.isfinite(res.fun):
         raise Step3Error("multinomial likelihood did not converge")
 
-    # Robust (sandwich) covariance: numerical Hessian bread, score outer meat.
-    def scores(th):
-        B = unpack(th)
-        eta = Z @ B.T
-        eta -= eta.max(axis=1, keepdims=True)
-        expeta = np.exp(eta)
-        pi = expeta / expeta.sum(axis=1, keepdims=True)
-        L = np.maximum((pi * Dcols).sum(axis=1), 1e-300)
-        inner = (pi * Dcols).sum(axis=1, keepdims=True)
-        dEta = pi * (Dcols - inner) / L[:, None]
-        return dEta[:, free][:, :, None] * Z[:, None, :]  # n x nf x q1
-
-    S = scores(theta).reshape(n, -1)
+    # Robust (sandwich) covariance: the inverse Hessian of -log L as bread,
+    # the outer product of the per-subject scores as meat.
+    pi, _, g = _subject_terms(theta, Z, Dcols, free)
+    S = (g[:, free, None] * Z[:, None, :]).reshape(n, -1)
     meat = S.T @ S
-    H = _numerical_hessian(lambda t: neg_loglik_grad(t)[0], theta)
     try:
-        bread = np.linalg.inv(H)
+        bread = np.linalg.inv(-_loglik_hessian(pi, g, Z, free))
     except np.linalg.LinAlgError:
         raise Step3Error("singular Hessian; possible separation") from None
     cov = bread @ meat @ bread
@@ -236,22 +239,6 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
 
     # Joint Wald test over all covariate slopes (intercepts excluded).
     slope_idx = [i * q1 + j for i in range(nf) for j in range(q1 - 1)]
-    b = theta[slope_idx]
-    V = cov[np.ix_(slope_idx, slope_idx)]
-    stat = float(b @ np.linalg.solve(V, b))
-    wald = WaldTest(stat, len(slope_idx), float(stats.chi2.sf(stat, len(slope_idx))))
+    wald = _joint_wald(theta[slope_idx], cov[np.ix_(slope_idx, slope_idx)])
     return CovariateResult(coef, se, reference, wald, bool(res.success),
                            -float(res.fun))
-
-
-def _numerical_hessian(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    n = x.size
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pp = x.copy(); pp[i] += eps; pp[j] += eps
-            pm = x.copy(); pm[i] += eps; pm[j] -= eps
-            mp = x.copy(); mp[i] -= eps; mp[j] += eps
-            mm = x.copy(); mm[i] -= eps; mm[j] -= eps
-            H[i, j] = H[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * eps * eps)
-    return 0.5 * (H + H.T)

@@ -349,3 +349,49 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     assert circles[int(np.nanargmin(cohort.outcome))].get("fill") == "#4477aa"
     assert circles[int(np.nanargmax(cohort.outcome))].get("fill") == "#ee7733"
     assert len(set(c.get("fill") for c in circles)) > 2
+
+
+@pytest.mark.parametrize("args", [
+    ["ism", "{csv}", "--flexible", "--dropped", "nope"],
+    ["lpa", "{csv}", "--starts", "0"],
+    ["lpa", "{csv}", "--max-iter", "0"],
+    ["lpa", "{csv}", "--classes", "1:2", "--blrt", "--blrt-boot", "5"],
+    ["lpa", "{csv}", "--classes", "1:2", "--blrt", "--blrt-starts", "0"],
+    ["plot", "{csv}", "--kind", "profiles"],
+], ids=["ism-dropped", "lpa-starts", "lpa-max-iter", "lpa-blrt-boot",
+        "lpa-blrt-starts", "plot-profiles-no-model"])
+def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
+                                                        capsys, args):
+    out = tmp_path / "out"
+    out.mkdir()
+    for csv_path in (cohort_csv, tmp_path / "missing.csv"):
+        argv = [str(csv_path) if a == "{csv}" else a for a in args]
+        assert run(argv + ["-o", out]) == 1
+        assert "usage error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("{not json", "not JSON"),
+    ("[1, 2]", "JSON object"),
+    ('{"class_weights": [1.0], "class_means": [[0.3, 0.2, 0.1]], '
+     '"class_covs": [[[0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]], '
+     '"colour": "red"}', "colour"),
+    ('{"class_weights": [1.0]}', "class_means"),
+], ids=["not-json", "not-object", "unknown-key", "missing-key"])
+def test_simulate_bad_spec_exits_2(tmp_path, capsys, text, problem):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    target = tmp_path / "out" / "cohort.csv"
+    assert run(["simulate", "--spec", spec, "-o", target]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_needs_a_positive_n(tmp_path, capsys, n):
+    target = tmp_path / "out" / "cohort.csv"
+    assert run(["simulate", "--n", n, "-o", target]) == 1
+    assert "--n" in capsys.readouterr().err
+    assert not target.parent.exists()

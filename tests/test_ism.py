@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_cohort
+from daycycle.coda import fit_coda
+from daycycle.cohort import CohortError
 from daycycle.ism import (
     IsmError,
     build_ism_design,
@@ -177,3 +179,13 @@ def test_profile_contrast_requires_all_behaviors():
     ismfit = fit_ism(cohort, dropped="sleep", covariates=[])
     with pytest.raises(IsmError):
         profile_contrast(ismfit, {"sit": 600.0}, {"sit": 630.0})
+
+
+@pytest.mark.parametrize("fit", [
+    lambda c, covs: build_ism_design(c, "step", covs),
+    lambda c, covs: fit_flexible_ism(c, covs, dropped="step"),
+    lambda c, covs: fit_coda(c, "step", covs),
+], ids=["build_ism_design", "fit_flexible_ism", "fit_coda"])
+def test_unknown_covariate_raises_cohort_error(fit):
+    with pytest.raises(CohortError, match="'nope'"):
+        fit(make_cohort(n=50), ["bmi", "nope"])

@@ -176,3 +176,151 @@ def test_covariate_singular_error_matrix():
     Z, classes = multinomial_data(n=200, seed=10)
     with pytest.raises(Step3Error):
         step3_covariate(classes, np.ones((2, 2)), Z)
+
+
+# --- reference implementations: the per-class pseudo-observation loop with
+# np.add.at, and the ML covariate model with a finite-difference Hessian ---
+
+def reference_step3_distal(posteriors, assignments, outcome, covariates,
+                           method, reference, error_matrix=None):
+    from daycycle.lpa import classification_error_matrix
+    n, K = posteriors.shape
+    if method == "naive":
+        W = np.eye(K)
+    else:
+        if error_matrix is None:
+            error_matrix = classification_error_matrix(posteriors,
+                                                       assignments)
+        W = np.linalg.inv(error_matrix)
+    classes = tuple(k for k in range(K) if k != reference)
+    q = 0 if covariates is None else covariates.shape[1]
+    X = np.zeros((n * K, len(classes) + q + 1))
+    w = np.empty(n * K)
+    subject = np.empty(n * K, dtype=int)
+    for k in range(K):
+        sl = slice(k * n, (k + 1) * n)
+        if k != reference:
+            X[sl, classes.index(k)] = 1.0
+        if q:
+            X[sl, len(classes):len(classes) + q] = covariates
+        X[sl, -1] = 1.0
+        w[sl] = W[assignments, k]
+        subject[sl] = np.arange(n)
+    y = np.tile(outcome, K)
+    p = X.shape[1]
+    Xw = X * w[:, None]
+    bread = np.linalg.inv(X.T @ Xw)
+    coef = bread @ (Xw.T @ y)
+    resid = y - X @ coef
+    g = np.zeros((n, p))
+    np.add.at(g, subject, Xw * resid[:, None])
+    cov = bread @ (g.T @ g) @ bread
+    cov *= n / (n - p)
+    nc = len(classes)
+    stat = float(coef[:nc] @ np.linalg.solve(cov[:nc, :nc], coef[:nc]))
+    return coef, np.sqrt(np.diag(cov)), stat
+
+
+def reference_step3_covariate(assignments, D, covariates, reference):
+    Z = np.column_stack([covariates, np.ones(len(assignments))])
+    n, q1 = Z.shape
+    K = D.shape[0]
+    free = [k for k in range(K) if k != reference]
+    nf = len(free)
+    Dcols = D[:, assignments].T
+
+    def dEta_at(theta):
+        B = np.zeros((K, q1))
+        B[free] = theta.reshape(nf, q1)
+        eta = Z @ B.T
+        eta -= eta.max(axis=1, keepdims=True)
+        expeta = np.exp(eta)
+        pi = expeta / expeta.sum(axis=1, keepdims=True)
+        L = np.maximum((pi * Dcols).sum(axis=1), 1e-300)
+        inner = (pi * Dcols).sum(axis=1, keepdims=True)
+        return L, pi * (Dcols - inner) / L[:, None]
+
+    def neg_loglik_grad(theta):
+        L, dEta = dEta_at(theta)
+        return -float(np.log(L).sum()), (-(dEta[:, free].T @ Z)).ravel()
+
+    res = minimize(neg_loglik_grad, np.zeros(nf * q1), jac=True,
+                   method="BFGS", options={"maxiter": 500, "gtol": 1e-7})
+    x, eps = res.x, 1e-5
+    H = np.empty((x.size, x.size))
+    f = lambda t: neg_loglik_grad(t)[0]
+    for i in range(x.size):
+        for j in range(i, x.size):
+            e_i, e_j = np.eye(x.size)[i] * eps, np.eye(x.size)[j] * eps
+            H[i, j] = H[j, i] = (f(x + e_i + e_j) - f(x + e_i - e_j)
+                                 - f(x - e_i + e_j) + f(x - e_i - e_j)
+                                 ) / (4 * eps * eps)
+    S = (dEta_at(x)[1][:, free][:, :, None] * Z[:, None, :]).reshape(n, -1)
+    bread = np.linalg.inv(H)
+    cov = bread @ (S.T @ S) @ bread
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(nf, q1)
+    return x.reshape(nf, q1), se, -float(res.fun)
+
+
+def misclassified_logit_data(n, K, q, seed):
+    """Classes from a K-class logit in q covariates, observed through a
+    non-identity error matrix D (rows: true class, columns: observed)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, q))
+    B = rng.normal(scale=0.7, size=(K, q + 1))
+    eta = np.column_stack([X, np.ones(n)]) @ B.T
+    p = np.exp(eta - logsumexp(eta, axis=1, keepdims=True))
+    classes = (p.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1)
+    D = 0.8 * np.eye(K) + rng.dirichlet(np.ones(K), size=K) * 0.2
+    observed = (D[classes].cumsum(axis=1) < rng.random((n, 1))).sum(axis=1)
+    return X, observed, D
+
+
+def test_covariate_hessian_matches_differenced_gradient():
+    from daycycle.step3 import _loglik_hessian, _subject_terms
+    Z, observed, D = misclassified_logit_data(n=500, K=3, q=2, seed=11)
+    Z = np.column_stack([Z, np.ones(len(observed))])
+    free = [0, 1]  # reference class 2
+    Dcols = D[:, observed].T
+    theta = np.random.default_rng(12).normal(scale=0.5, size=2 * 3)
+
+    def grad(t):
+        _, _, g = _subject_terms(t, Z, Dcols, free)
+        return (g[:, free].T @ Z).ravel()
+
+    eps = 1e-5
+    fd = np.column_stack([(grad(theta + e) - grad(theta - e)) / (2 * eps)
+                          for e in np.eye(theta.size) * eps])
+    pi, _, g = _subject_terms(theta, Z, Dcols, free)
+    H = _loglik_hessian(pi, g, Z, free)
+    assert np.max(np.abs(H - fd)) < 1e-7 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("K,reference", [(2, 0), (3, 1), (4, 3)])
+def test_covariate_matches_reference(K, reference):
+    X, observed, D = misclassified_logit_data(n=600, K=K, q=2, seed=K)
+    res = step3_covariate(observed, D, X, reference=reference)
+    coef, se, loglik = reference_step3_covariate(observed, D, X, reference)
+    assert np.array_equal(res.coef, coef)
+    assert res.loglik == loglik
+    assert np.allclose(res.robust_se, se, rtol=1e-3, atol=0)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("method", ["naive", "bch"])
+@pytest.mark.parametrize("q", [0, 3])
+def test_distal_matches_per_class_reference(K, method, q):
+    rng = np.random.default_rng(100 * K + q)
+    n = 300
+    post = rng.dirichlet(np.full(K, 0.6), size=n)
+    assign = post.argmax(axis=1)
+    y = rng.normal(size=n) + assign * 0.1
+    covs = rng.normal(size=(n, q)) if q else None
+    res = step3_distal(post, assign, y, covs, method=method)
+    coef, se, stat = reference_step3_distal(post, assign, y, covs, method,
+                                            res.reference)
+    assert np.array_equal(res.coef, coef)
+    assert np.array_equal(res.robust_se, se)
+    assert res.overall.statistic == stat
+    assert res.overall.df == K - 1
+    assert len(res.labels) == K + q
