@@ -43,7 +43,7 @@ EXIT_NUMERIC = 3
 
 DATA_ERRORS = (CohortError, IngestError, CompositionError, LpaError,
                SimulationError, Step3Error, coda.CodaError, ism.IsmError,
-               LinmodError, FileNotFoundError)
+               LinmodError, FileNotFoundError, IsADirectoryError)
 NUMERIC_ERRORS = (RankDeficientError, ConvergenceError, np.linalg.LinAlgError,
                   FloatingPointError)
 
@@ -86,8 +86,30 @@ def _csv_text(header: list[str], rows: list) -> str:
     return buf.getvalue()
 
 
+def _check_dir(path: str, what: str) -> None:
+    """A usage error unless ``path`` is a directory or can be made one (its
+    nearest existing ancestor is a directory)."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise UsageError(f"{what} {path!r}: {head} is not a directory")
+
+
 def _out_dir(args) -> str:
-    return args.out or os.environ.get("DAYCYCLE_OUT", ".")
+    """The output directory, checked before any input is read."""
+    out = args.out or os.environ.get("DAYCYCLE_OUT", ".")
+    _check_dir(out, "-o" if args.out else "$DAYCYCLE_OUT")
+    return out
+
+
+def _read_text(path: str, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; other bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _complete_cases(cohort: CohortTable, covariates) -> CohortTable:
@@ -111,9 +133,9 @@ def _add_common(p, covariates=True):
 
 
 def cmd_describe(args) -> int:
+    out = os.path.join(_out_dir(args), "describe")
     cohort = load_cohort_csv(args.input)
     report = ingest.describe(cohort)
-    out = os.path.join(_out_dir(args), "describe")
     if args.format in ("json", "both"):
         atomic_write(out + ".json", _json_text(report))
     if args.format in ("csv", "both"):
@@ -152,8 +174,8 @@ def _table_csv(tab: ism.SubstitutionTable) -> str:
 
 
 def cmd_ism(args) -> int:
-    cohort = _load(args)
     out = _out_dir(args)
+    cohort = _load(args)
     subgroups = {"overall": None}
     if args.subgroup_step_cut is not None:
         cut = args.subgroup_step_cut
@@ -254,8 +276,7 @@ def _lpa_matrix(cohort: CohortTable, scale: str) -> tuple[np.ndarray, tuple[str,
 def _classify(model_path: str, cohort: CohortTable, scale: str):
     """The mixture model artifact at ``model_path``, and each person's
     posterior class probabilities and modal class under it."""
-    with open(model_path, encoding="utf-8") as fh:
-        model = lpa.MixtureModel.from_json(fh.read())
+    model = lpa.MixtureModel.from_json(_read_text(model_path, LpaError))
     data, _ = _lpa_matrix(cohort, scale)
     post = lpa.posterior(model, data)
     return model, post, lpa.modal_assignment(post)
@@ -274,8 +295,8 @@ def cmd_lpa(args) -> int:
         raise UsageError(f"--blrt-boot must be at least {lpa.MIN_BLRT_BOOT}")
     if args.blrt and args.blrt_starts < 1:
         raise UsageError("--blrt-starts must be at least 1")
-    cohort = load_cohort_csv(args.input)
     out = _out_dir(args)
+    cohort = load_cohort_csv(args.input)
     data, labels = _lpa_matrix(cohort, args.scale)
     rows, models = lpa.selection_table(
         data, range(lo, hi + 1), structure=args.covariance,
@@ -291,6 +312,7 @@ def cmd_lpa(args) -> int:
             "entropy": r.stats.entropy,
             "n_min": r.n_min, "n_min_pct": r.n_min_pct,
             "n_replicated": r.n_replicated, "blrt_p": r.blrt_p,
+            "blrt_n_boot_failed": r.blrt_n_boot_failed,
             "converged": r.converged, "n_iter": r.n_iter,
             "n_degenerate_starts": r.n_degenerate_starts,
         })
@@ -318,6 +340,7 @@ def cmd_lpa(args) -> int:
 
 
 def cmd_step3(args) -> int:
+    out = _out_dir(args)
     cohort = _load(args)
     _, post, assign = _classify(args.model, cohort, args.scale)
     covs = cohort.covariate_matrix(args.covariates)
@@ -335,7 +358,6 @@ def cmd_step3(args) -> int:
                              "df": res.overall.df,
                              "p_value": res.overall.p_value},
         }
-    out = _out_dir(args)
     atomic_write(os.path.join(out, "step3_report.json"), _json_text(results))
     ref = results["naive"]["reference"]
     rows = [[f"class_{k}_vs_{ref}"] + [r[field][i] for r in results.values()
@@ -351,9 +373,12 @@ def cmd_step3(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if os.path.isdir(args.output):
+        raise UsageError(f"-o {args.output!r} is a directory")
+    _check_dir(os.path.dirname(os.path.abspath(args.output)), "-o")
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = simulate.SimSpec.from_json(fh.read())
+        spec = simulate.SimSpec.from_json(
+            _read_text(args.spec, SimulationError))
     else:
         spec = simulate.default_sim_spec()
     result = simulate.simulate_cohort(spec, args.n, seed=args.seed)

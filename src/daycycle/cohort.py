@@ -223,30 +223,34 @@ def save_cohort_csv(cohort: CohortTable, path) -> None:
 def load_cohort_csv(path) -> CohortTable:
     """Read a cohort CSV; a row with the wrong number of fields, a
     non-numeric cell, or an empty or non-finite behavior or ``total_min``
-    cell raises ``CohortError`` naming its line.  Empty covariate and
-    outcome cells read as NaN."""
+    cell raises ``CohortError`` naming its line, and text that is not UTF-8
+    raises it too.  Empty covariate and outcome cells read as NaN."""
     width = len(CSV_HEADER)
     days_col = CSV_HEADER.index("valid_days")
     ids, valid_days, values, lines = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise CohortError(f"unexpected cohort header in {path}")
-        for row in reader:
-            if len(row) != width:
-                raise CohortError(
-                    f"{path} line {reader.line_num}: {len(row)} fields, "
-                    f"expected {width}")
-            try:
-                valid_days.append(int(row[days_col]))
-                values.append([float(v) if v != "" else math.nan
-                               for v in row[1:]])
-            except ValueError as exc:
-                raise CohortError(
-                    f"{path} line {reader.line_num}: {exc}") from None
-            ids.append(row[0])
-            lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise CohortError(f"unexpected cohort header in {path}")
+            for row in reader:
+                if len(row) != width:
+                    raise CohortError(
+                        f"{path} line {reader.line_num}: {len(row)} fields, "
+                        f"expected {width}")
+                try:
+                    valid_days.append(int(row[days_col]))
+                    values.append([float(v) if v != "" else math.nan
+                                   for v in row[1:]])
+                except ValueError as exc:
+                    raise CohortError(
+                        f"{path} line {reader.line_num}: {exc}") from None
+                ids.append(row[0])
+                lines.append(reader.line_num)
+        except UnicodeDecodeError as exc:
+            raise CohortError(
+                f"{path} is not UTF-8 text ({exc.reason})") from None
     if not ids:
         raise CohortError("empty cohort file")
     # columns of ``values``: behaviors, total, valid_days, covariates, outcome

@@ -226,36 +226,55 @@ def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return covs, failed
 
 
-def _estep(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
-           chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _estep(XT: np.ndarray, weights: np.ndarray, means: np.ndarray,
+           chol: np.ndarray, z: np.ndarray | None = None,
+           logp: np.ndarray | None = None, tmp: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Log responsibilities (S, K, N) and log-likelihoods (S,) of S mixtures
-    given the Cholesky factors (S, K, d, d) of their covariances."""
-    d = X.shape[1]
+    given the Cholesky factors (S, K, d, d) of their covariances.
+
+    ``XT`` is the transposed data, (d, N) for all mixtures or (S, 1, d, N)
+    for one data set each.  ``z`` (S, K, d, N) and ``tmp`` (S, K, N) are work
+    arrays, and the log responsibilities are written into ``logp``; each is
+    allocated when not given.
+    """
+    d = chol.shape[-1]
     prec = np.linalg.inv(chol)
-    z = prec @ np.ascontiguousarray(X.T)
+    z = np.matmul(prec, XT, out=z)
     z -= prec @ means[..., None]
     np.square(z, out=z)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    logp = (np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
-            )[..., None] - 0.5 * z.sum(axis=-2)
+    logp = np.sum(z, axis=-2, out=logp)
+    logp *= -0.5
+    logp += (np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
+             )[..., None]
     top = logp.max(axis=1, keepdims=True)
-    norm = top + np.log(np.exp(logp - top).sum(axis=1, keepdims=True))
+    tmp = np.exp(np.subtract(logp, top, out=tmp), out=tmp)
+    norm = top + np.log(tmp.sum(axis=1, keepdims=True))
     logp -= norm
     return logp, norm[:, 0].sum(axis=-1)
 
 
-def _mstep_batch(X: np.ndarray, resp: np.ndarray, nk: np.ndarray,
-                 structure: str
+def _mstep_batch(X: np.ndarray, XT: np.ndarray, resp: np.ndarray,
+                 nk: np.ndarray, structure: str,
+                 centered: np.ndarray | None = None,
+                 weighted: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights, means and floored covariances of S mixtures from their
     responsibilities (S, K, N) and component masses ``nk`` (S, K); also
-    returns the starts whose covariance floor failed."""
-    n, d = X.shape
+    returns the starts whose covariance floor failed.
+
+    ``X`` is the data (N, d) and ``XT`` its transpose (d, N), or one of each
+    per mixture, (S, N, d) and (S, 1, d, N).  ``centered`` and ``weighted``
+    are (S, K, d, N) work arrays, allocated when not given.
+    """
+    n, d = X.shape[-2:]
     S, K = nk.shape
     weights = nk / n
     means = (resp @ X) / nk[..., None]
-    centered = np.ascontiguousarray(X.T) - means[..., None]
-    scatter = (centered * resp[:, :, None, :]) @ np.swapaxes(centered, -1, -2)
+    centered = np.subtract(XT, means[..., None], out=centered)
+    weighted = np.multiply(centered, resp[:, :, None, :], out=weighted)
+    scatter = weighted @ np.swapaxes(centered, -1, -2)
     if structure == "free-var-free-cov":
         covs = scatter / nk[..., None, None]
     elif structure == "free-var-zero-cov":
@@ -281,7 +300,8 @@ def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
     nk = resp.sum(axis=-1)
     if np.any(nk < 1e-8):
         raise ConvergenceError("component weight collapsed")
-    weights, means, covs, failed = _mstep_batch(X, resp, nk, structure)
+    weights, means, covs, failed = _mstep_batch(
+        X, np.ascontiguousarray(X.T), resp, nk, structure)
     if failed[0]:
         raise np.linalg.LinAlgError("covariance eigendecomposition failed")
     return weights[0], means[0], covs[0]
@@ -291,13 +311,19 @@ def _log_resp(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
               covs: np.ndarray) -> tuple[np.ndarray, float]:
     """One mixture's N x K log responsibilities and its log-likelihood."""
     chol = np.linalg.cholesky(covs)
-    logr, ll = _estep(X, weights[None], means[None], chol[None])
+    logr, ll = _estep(np.ascontiguousarray(X.T), weights[None], means[None],
+                      chol[None])
     return logr[0].T, float(ll[0])
 
 
-def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
-              pooled: np.ndarray, max_iter: int, tol: float):
+def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
+              structure: str, seeds: list[int], max_iter: int, tol: float):
     """EM from one random-point start per seed, all starts as one batch.
+
+    Start j runs on the data set ``Xs[sets[j]]`` of the stack ``Xs``
+    (B, N, d) from seed ``seeds[j]``, with the pooled covariance
+    ``pooled[sets[j]]`` as its initial covariances.  With B = 1 every start
+    reads the one data set in place.
 
     Returns per start: log-likelihood, weights, means, covariances,
     iteration count, converged flag, and a degenerate flag.  A start is
@@ -307,7 +333,7 @@ def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
     leaves the batch when it converges; at ``max_iter`` the last E-step's
     log-likelihood and the last M-step's parameters are returned.
     """
-    n, d = X.shape
+    B, n, d = Xs.shape
     S = len(seeds)
     ll_out = np.full(S, -np.inf)
     w_out = np.empty((S, K))
@@ -324,16 +350,42 @@ def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
     # Random-point start: K distinct observations as means, pooled spread as
     # the common covariance.  (Random soft responsibilities put every
     # component at the grand mean, a symmetric saddle EM can stall on.)
-    means = np.stack([X[np.random.default_rng(s).choice(n, size=K,
-                                                         replace=False)]
-                      for s in seeds])
-    covs = np.broadcast_to(pooled, (S, K, d, d)).copy()
+    means = np.stack([Xs[b][np.random.default_rng(s).choice(n, size=K,
+                                                             replace=False)]
+                      for b, s in zip(sets, seeds)])
+    covs = np.repeat(pooled[sets][:, None], K, axis=1)
     weights = np.full((S, K), 1.0 / K)
+    shared = B == 1
+    if shared:
+        X = Xs[0]
+        XT = np.ascontiguousarray(X.T)
+    else:
+        X = Xs[sets]
+        # a copy even where the transpose is contiguous (d = 1): both
+        # arrays are compacted
+        XT = np.swapaxes(X, 1, 2).copy()[:, None]
+    # Work arrays, allocated once: the starts still running fill their
+    # leading rows, in the order of ``idx``.
+    work = np.empty((2, S, K, d, n))
+    logp = np.empty((S, K, n))
+    resp = np.empty((S, K, n))
+
+    def compact(keep, *arrays):
+        """Move the rows of the kept starts to the front of the per-start
+        arrays; returns how many starts are kept."""
+        m = int(keep.sum())
+        for a in (arrays if shared else (*arrays, X, XT)):
+            a[:m] = a[:keep.size][keep]
+        return m
+
     prev = np.full(S, -np.inf)
-    idx = np.arange(S)  # start of each row of the batch
+    idx = np.arange(S)  # start of each running row
+    m = S
     for it in range(1, max_iter + 1):
+        Xm, XTm = (X, XT) if shared else (X[:m], XT[:m])
         chol, bad = _by_start(np.linalg.cholesky, covs)
-        logr, ll = _estep(X, weights, means, chol)
+        _, ll = _estep(XTm, weights, means, chol, work[0, :m], logp[:m],
+                       resp[:m])
         # prev is -inf before a start's first E-step, which gets no slack
         # (0 * inf would warn at tol=0) and no convergence test
         started = prev > -np.inf
@@ -341,21 +393,69 @@ def _em_block(X: np.ndarray, K: int, structure: str, seeds: range,
         slack = np.maximum(1.0, np.abs(ref))
         bad |= ~np.isfinite(ll) | (ll < prev - 1e-8 * slack)
         done = ~bad & started & (np.abs(ll - ref) <= tol * slack)
-        record(idx[done], ll[done], weights[done], means[done], covs[done],
-               it, True)
         go = ~(bad | done)
-        idx, prev, resp = idx[go], ll[go], np.exp(logr[go])
-        nk = resp.sum(axis=-1)
+        if not go.all():
+            record(idx[done], ll[done], weights[done], means[done],
+                   covs[done], it, True)
+            idx, ll = idx[go], ll[go]
+            m = compact(go, logp)
+        prev = ll
+        np.exp(logp[:m], out=resp[:m])
+        nk = resp[:m].sum(axis=-1)
         ok = ~np.any(nk < 1e-8, axis=1)
-        idx, prev, resp, nk = idx[ok], prev[ok], resp[ok], nk[ok]
-        weights, means, covs, bad = _mstep_batch(X, resp, nk, structure)
-        ok = ~bad
-        idx, prev = idx[ok], prev[ok]
-        weights, means, covs = weights[ok], means[ok], covs[ok]
-        if not idx.size:
+        if not ok.all():
+            idx, prev, nk = idx[ok], prev[ok], nk[ok]
+            m = compact(ok, resp)
+        Xm, XTm = (X, XT) if shared else (X[:m], XT[:m])
+        weights, means, covs, bad = _mstep_batch(
+            Xm, XTm, resp[:m], nk, structure, work[0, :m], work[1, :m])
+        if bad.any():
+            ok = ~bad
+            idx, prev = idx[ok], prev[ok]
+            weights, means, covs = weights[ok], means[ok], covs[ok]
+            m = compact(ok)
+        if not m:
             break
     record(idx, prev, weights, means, covs, max_iter, False)
     return ll_out, w_out, m_out, c_out, it_out, conv_out, degenerate
+
+
+def _pooled_covs(Xs: np.ndarray, structure: str
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled covariance (B, d, d) of each data set of the stack ``Xs``
+    (B, N, d), diagonal for the zero-covariance structures and floored; also
+    returns the sets whose floor failed."""
+    pooled = np.stack([np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
+                       for X in Xs])
+    if "zero-cov" in structure:
+        pooled = np.stack([np.diag(np.diag(c)) for c in pooled])
+    return _floor_covs(pooled)
+
+
+def _em_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
+               structure: str, starts: int, max_iter: int, tol: float,
+               seed: int):
+    """``starts`` EM starts on each data set ``Xs[b]``, b in ``sets``, run by
+    ``_em_block`` in blocks of bounded size.  Start s of set b has seed
+    ``seed + b * starts + s``.  Returns ``_em_block``'s per-start arrays,
+    set by set."""
+    rep = np.repeat(sets, starts)
+    seeds = [seed + b * starts + s for b in sets.tolist()
+             for s in range(starts)]
+    block = max(1, _BLOCK_ELEMENTS // (K * Xs.shape[1]))
+    parts = [_em_block(Xs, rep[i:i + block], pooled, K, structure,
+                       seeds[i:i + block], max_iter, tol)
+             for i in range(0, len(seeds), block)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _check_fit(n: int, d: int, K: int, structure: str, starts: int,
+               max_iter: int) -> None:
+    if min(K, starts, max_iter) < 1:
+        raise LpaError("K, starts and max_iter must be at least 1")
+    p = param_count(K, d, structure)
+    if n <= p:
+        raise LpaError(f"need N > {p} free parameters; got N={n}")
 
 
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
@@ -376,27 +476,16 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     if X.ndim == 1:
         X = X[:, None]
     n, d = X.shape
-    if min(K, starts, max_iter) < 1:
-        raise LpaError("K, starts and max_iter must be at least 1")
-    p = param_count(K, d, structure)
-    if n <= p:
-        raise LpaError(f"need N > {p} free parameters; got N={n}")
+    _check_fit(n, d, K, structure, starts, max_iter)
     if labels is None:
         labels = tuple(f"ind{j}" for j in range(d))
 
-    pooled = np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
-    if "zero-cov" in structure:
-        pooled = np.diag(np.diag(pooled))
-    pooled, failed = _floor_covs(pooled[None])
+    pooled, failed = _pooled_covs(X[None], structure)
     if failed[0]:
         raise ConvergenceError("all EM starts failed")
-    block = max(1, _BLOCK_ELEMENTS // (K * n))
-    parts = [_em_block(X, K, structure,
-                       range(seed + b, seed + min(b + block, starts)),
-                       pooled[0], max_iter, tol)
-             for b in range(0, starts, block)]
-    ll, weights, means, covs, n_iter, converged, degenerate = (
-        np.concatenate(a) for a in zip(*parts))
+    ll, weights, means, covs, n_iter, converged, degenerate = _em_starts(
+        X[None], np.zeros(1, dtype=int), pooled, K, structure, starts,
+        max_iter, tol, seed)
     if degenerate.all():
         raise ConvergenceError("all EM starts failed")
     kept = np.flatnonzero(~degenerate)
@@ -475,11 +564,22 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
          alt_model: MixtureModel | None = None) -> dict:
     """Parametric bootstrap likelihood ratio test of K-1 vs K components.
 
-    Simulates from the fitted K-1 model, refits both models on each
-    replicate, and compares the observed LR statistic against the bootstrap
-    distribution: p = (1 + #{boot >= observed}) / (n_boot + 1).  The K-1
-    and K models of ``data`` are fit here with ``starts`` and ``seed``
-    unless already-fitted ones are passed as ``null_model``/``alt_model``.
+    Simulates ``n_boot`` replicates from the fitted K-1 model, refits both
+    models on each replicate, and compares the observed LR statistic against
+    the bootstrap distribution: p = (1 + #{boot >= observed}) / (n_used + 1)
+    over the replicates that did not fail.  The K-1 and K models of ``data``
+    are fit here with ``starts`` and ``seed`` unless already-fitted ones are
+    passed as ``null_model``/``alt_model``.
+
+    All replicates are drawn first, from ``default_rng(seed + 10_000)``.
+    Then the K-1 refits of every replicate run as one batched EM, and the K
+    refits as another; start s of replicate b has seed
+    ``seed + 20_000 + b * starts_boot + s`` in both, and each replicate's
+    statistic uses the best non-degenerate start of each order.  A replicate
+    fails when the variance floor of its pooled covariance fails, or when
+    all its K-1 starts or all its K starts are degenerate; more than
+    ``max_failure_fraction`` of ``n_boot`` failing raises
+    ``ConvergenceError``.
     """
     if K < 2:
         raise LpaError("BLRT compares K-1 vs K; need K >= 2")
@@ -488,6 +588,8 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    n, d = X.shape
+    _check_fit(n, d, K, structure, starts_boot, max_iter)
     for model, k in ((null_model, K - 1), (alt_model, K)):
         if model is not None and (model.K, model.structure) != (k, structure):
             raise LpaError(f"BLRT needs a {structure} model with K={k}")
@@ -499,23 +601,25 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                                    max_iter=max_iter, tol=tol, seed=seed)
     observed = 2.0 * (alt_model.loglik - null_model.loglik)
     rng = np.random.default_rng(seed + 10_000)
-    boot_stats = []
-    failures = 0
-    for b in range(n_boot):
-        Xb = null_model.sample(X.shape[0], rng)
-        bseed = seed + 20_000 + b * starts_boot
-        try:
-            m0, _ = fit_mixture(Xb, K - 1, structure, starts=starts_boot,
-                                max_iter=max_iter, tol=tol, seed=bseed)
-            m1, _ = fit_mixture(Xb, K, structure, starts=starts_boot,
-                                max_iter=max_iter, tol=tol, seed=bseed)
-            boot_stats.append(2.0 * (m1.loglik - m0.loglik))
-        except LpaError:
-            failures += 1
+    Xs = np.stack([null_model.sample(n, rng) for _ in range(n_boot)])
+    pooled, failed = _pooled_covs(Xs, structure)
+    best = np.zeros((2, n_boot))  # best log-likelihood at K-1 and at K
+    for row, k in enumerate((K - 1, K)):
+        sets = np.flatnonzero(~failed)
+        if not sets.size:
+            break
+        ll, *_, degenerate = _em_starts(Xs, sets, pooled, k, structure,
+                                        starts_boot, max_iter, tol,
+                                        seed + 20_000)
+        degenerate = degenerate.reshape(sets.size, starts_boot)
+        best[row, sets] = np.where(degenerate, -np.inf,
+                                   ll.reshape(degenerate.shape)).max(axis=1)
+        failed[sets] = degenerate.all(axis=1)
+    failures = int(failed.sum())
     if failures > max_failure_fraction * n_boot:
         raise ConvergenceError(
             f"{failures}/{n_boot} bootstrap refits failed")
-    boot_stats = np.asarray(boot_stats)
+    boot_stats = 2.0 * (best[1] - best[0])[~failed]
     n_used = boot_stats.size
     p = (1 + int((boot_stats >= observed).sum())) / (n_used + 1)
     return {
@@ -560,6 +664,7 @@ class SelectionRow:
     n_iter: int
     n_degenerate_starts: int
     blrt_p: float | None = None
+    blrt_n_boot_failed: int | None = None
 
 
 def selection_table(data: np.ndarray, k_range: range | list[int],
@@ -572,7 +677,7 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
 
     Returns the rows plus a dict of fitted models keyed by K.  The BLRT of
     K-1 vs K reuses the table's K fit, and its K-1 fit when the table has
-    one.
+    one; a row records its p-value and how many of its replicates failed.
     """
     rows = []
     models = {}
@@ -585,20 +690,21 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
         assign = modal_assignment(post)
         sizes = np.bincount(assign, minlength=K)
         stats = fit_stats(model, post)
-        blrt_p = None
+        test = {}
         if run_blrt and K >= 2:
             null = models.get(K - 1, (None,))[0]
-            blrt_p = blrt(X, K, structure, n_boot=n_boot, starts=starts,
-                          starts_boot=starts_boot, max_iter=max_iter,
-                          seed=seed, null_model=null,
-                          alt_model=model)["p_value"]
+            test = blrt(X, K, structure, n_boot=n_boot, starts=starts,
+                        starts_boot=starts_boot, max_iter=max_iter,
+                        seed=seed, null_model=null, alt_model=model)
         rows.append(SelectionRow(
             K=K, loglik=model.loglik, stats=stats,
             n_min=int(sizes.min()),
             n_min_pct=round(100.0 * sizes.min() / model.n, 1),
             n_replicated=model.n_replicated, converged=model.converged,
             n_iter=model.n_iter,
-            n_degenerate_starts=model.n_degenerate_starts, blrt_p=blrt_p,
+            n_degenerate_starts=model.n_degenerate_starts,
+            blrt_p=test.get("p_value"),
+            blrt_n_boot_failed=test.get("n_boot_failed"),
         ))
         models[K] = (model, post)
     return rows, models

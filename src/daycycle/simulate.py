@@ -14,7 +14,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .cohort import CohortTable
+from .cohort import COVARIATE_COLUMNS, CohortTable
 from .ingest import DayRecord
 
 
@@ -65,9 +65,48 @@ class SimSpec:
         if not isinstance(data, dict):
             raise SimulationError("spec must be a JSON object")
         try:
-            return cls(**data)
+            spec = cls(**data)
         except TypeError as exc:  # an unknown or a missing key
             raise SimulationError(f"bad spec: {exc}") from None
+        spec._check_values()
+        return spec
+
+    def _check_values(self) -> None:
+        """Raise ``SimulationError`` naming the first field whose value has
+        the wrong type or shape for K classes over (sit, stand, step)."""
+        if not isinstance(self.class_weights, list) or not self.class_weights:
+            raise SimulationError("bad spec: class_weights must be a "
+                                  "non-empty list of numbers")
+        K = len(self.class_weights)
+        shapes = {"class_weights": (K,), "class_means": (K, 3),
+                  "class_covs": (K, 3, 3), "class_effects": (K,),
+                  "age_probs": (3,)}
+        for name, value in asdict(self).items():
+            if name == "covariate_effects":
+                continue
+            try:
+                arr = np.array(value)
+            except ValueError:  # ragged nesting
+                arr = None
+            want = shapes.get(name, ())
+            if arr is None or arr.shape != want or arr.dtype.kind not in "iuf":
+                raise SimulationError(
+                    f"bad spec: {name} must be "
+                    + (f"an array of numbers of shape {want}" if want
+                       else "a number"))
+        effects = self.covariate_effects
+        if not isinstance(effects, dict):
+            raise SimulationError("bad spec: covariate_effects must be an "
+                                  "object")
+        for name, value in effects.items():
+            if name not in COVARIATE_COLUMNS:
+                raise SimulationError(
+                    f"bad spec: unknown covariate {name!r} in "
+                    f"covariate_effects; expected one of "
+                    f"{', '.join(COVARIATE_COLUMNS)}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SimulationError(f"bad spec: covariate_effects[{name!r}]"
+                                      " must be a number")
 
     @property
     def n_classes(self) -> int:

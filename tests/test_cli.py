@@ -138,12 +138,32 @@ def test_lpa_outputs(lpa_out):
     with open(lpa_out / "lpa_selection.csv", newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
     for row, csv_row in zip(table, csv_rows):
+        # no BLRT ran: both of its columns are missing values
+        assert row["blrt_p"] is None and row["blrt_n_boot_failed"] is None
+        assert csv_row["blrt_p"] == csv_row["blrt_n_boot_failed"] == ""
         assert isinstance(row["converged"], bool)
         assert row["n_iter"] >= 1 and row["n_degenerate_starts"] >= 0
         assert [csv_row[f] for f in health] == [
             str(int(row[f])) for f in health]
     assert model["n_iter"] == next(
         row["n_iter"] for row in table if row["K"] == len(model["weights"]))
+
+
+def test_lpa_blrt_reports_failed_replicates(tmp_path, cohort_csv):
+    out = tmp_path / "out"
+    assert run(["lpa", cohort_csv, "-o", out, "--classes", "1:2",
+                "--starts", "4", "--seed", "1", "--blrt", "--blrt-boot", "19",
+                "--blrt-starts", "2"]) == 0
+    table = json.loads((out / "lpa_selection.json").read_text())
+    with open(out / "lpa_selection.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    assert table[0]["blrt_n_boot_failed"] is None
+    assert csv_rows[0]["blrt_n_boot_failed"] == ""
+    failed = table[1]["blrt_n_boot_failed"]
+    assert isinstance(failed, int) and 0 <= failed <= 3
+    assert 0 < table[1]["blrt_p"] <= 1
+    assert csv_rows[1]["blrt_n_boot_failed"] == str(failed)
+    assert_numeric_cells(out / "lpa_selection.csv")
 
 
 def test_step3_outputs(tmp_path, cohort_csv, lpa_out):
@@ -395,3 +415,139 @@ def test_simulate_needs_a_positive_n(tmp_path, capsys, n):
     assert run(["simulate", "--n", n, "-o", target]) == 1
     assert "--n" in capsys.readouterr().err
     assert not target.parent.exists()
+
+
+def _assert_one_line_error(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind} error: ") and err.count("\n") == 1, err
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "{bad}"],
+    ["ism", "{bad}"],
+    ["lpa", "{bad}", "--classes", "1:2"],
+    ["step3", "{model}", "{bad}"],
+    ["plot", "{bad}", "--kind", "ternary"],
+    ["step3", "{bad}", "{csv}"],
+    ["plot", "{csv}", "--kind", "profiles", "--model", "{bad}"],
+], ids=["describe", "ism", "lpa", "step3-cohort", "plot", "step3-model",
+        "plot-model"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, cohort_csv, lpa_out,
+                                        capsys, args):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    paths = {"{bad}": bad, "{csv}": cohort_csv,
+             "{model}": lpa_out / "lpa_model.json"}
+    out = tmp_path / "out"
+    assert run([paths.get(a, a) for a in args] + ["-o", out]) == 2
+    _assert_one_line_error(capsys, "data")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "{dir}", "-o", "{out}"],
+    ["coda", "{dir}", "-o", "{out}"],
+    ["lpa", "{dir}", "--classes", "1:2", "-o", "{out}"],
+    ["step3", "{dir}", "{csv}", "-o", "{out}"],
+    ["simulate", "--spec", "{dir}", "-o", "{out}/cohort.csv"],
+], ids=["describe", "coda", "lpa", "step3-model", "simulate-spec"])
+def test_directory_given_as_input_exits_2(tmp_path, cohort_csv, capsys,
+                                          args):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    paths = {"{dir}": str(folder), "{csv}": str(cohort_csv)}
+    argv = [paths.get(a, a).replace("{out}", str(out)) for a in args]
+    assert run(argv) == 2
+    _assert_one_line_error(capsys, "data")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "{csv}"],
+    ["ism", "{csv}"],
+    ["coda", "{csv}"],
+    ["lpa", "{csv}", "--classes", "1:2"],
+    ["step3", "{model}", "{csv}"],
+    ["plot", "{csv}", "--kind", "ternary"],
+], ids=["describe", "ism", "coda", "lpa", "step3", "plot"])
+def test_output_directory_that_is_a_file_exits_1_before_reading(
+        tmp_path, cohort_csv, lpa_out, capsys, args):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    paths = {"{csv}": cohort_csv, "{model}": lpa_out / "lpa_model.json"}
+    for out in (taken, taken / "below"):
+        for present in (True, False):
+            # with a missing input the usage error still comes first
+            argv = [paths[a] if present and a in paths
+                    else tmp_path / "missing" if a in paths else a
+                    for a in args]
+            assert run(argv + ["-o", out]) == 1
+            _assert_one_line_error(capsys, "usage")
+    assert taken.read_text() == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_simulate_output_that_is_a_directory_exits_1(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for target in (folder, taken / "cohort.csv"):
+        assert run(["simulate", "--n", "20", "-o", target]) == 1
+        _assert_one_line_error(capsys, "usage")
+    assert list(folder.iterdir()) == []
+    assert taken.read_text() == "a file\n"
+
+
+def _spec_with(**fields):
+    from daycycle.simulate import default_sim_spec
+    spec = json.loads(default_sim_spec().to_json())
+    spec.update(fields)
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("text,problem", [
+    (_spec_with(class_weights="abc"), "class_weights"),
+    (_spec_with(class_means=[[0.3, 0.2]] * 4), "class_means"),
+    (_spec_with(class_covs=[[[0.01, 0.0], [0.0, 0.01]]] * 4), "class_covs"),
+    (_spec_with(class_covs=[[[0.01, 0, 0]] * 3] * 3), "class_covs"),
+    (_spec_with(class_effects=[0.0, 0.1]), "class_effects"),
+    (_spec_with(covariate_effects={"nope": 1.0}), "nope"),
+], ids=["weights-text", "means-rows-of-2", "covs-2x2", "covs-for-3-classes",
+        "effects-length", "unknown-covariate-effect"])
+def test_simulate_spec_with_ill_shaped_values_exits_2(tmp_path, capsys, text,
+                                                      problem):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    target = tmp_path / "out" / "cohort.csv"
+    assert run(["simulate", "--spec", spec, "--n", "20", "-o", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and problem in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_simulate_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(NOT_UTF8)
+    target = tmp_path / "out" / "cohort.csv"
+    assert run(["simulate", "--spec", spec, "-o", target]) == 2
+    _assert_one_line_error(capsys, "data")
+    assert not target.parent.exists()
+
+
+def test_simulate_accepts_the_default_spec_as_json(tmp_path):
+    from daycycle.simulate import default_sim_spec
+    spec = tmp_path / "spec.json"
+    spec.write_text(default_sim_spec().to_json())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["simulate", "--spec", spec, "--n", "50", "-o", a]) == 0
+    assert run(["simulate", "--n", "50", "-o", b]) == 0
+    # the JSON sorts the covariate effects, which reorders the outcome's
+    # sum; the behaviors are the same draws
+    assert np.array_equal(load_cohort_csv(a).behaviors,
+                          load_cohort_csv(b).behaviors)

@@ -427,15 +427,15 @@ def _assert_start_matches(model, ref, rtol=1e-10):
     assert (model.n_iter, model.converged) == (n_iter, converged)
 
 
-def collinear_data():
+def collinear_data(n=120):
     """Two nearly collinear indicators on a large scale: a K=2 start whose
     component shrinks onto two points has a covariance with condition number
     near 1e14, whose floored eigenvalue jitters, so its log-likelihood
     decreases and the start is degenerate.  Rounding differences grow
     faster here, so its parameters are compared to a looser tolerance."""
     rng = np.random.default_rng(0)
-    x = rng.normal(size=120)
-    return np.column_stack([x, x + rng.normal(size=120) * 1e-3]) * 1e4
+    x = rng.normal(size=n)
+    return np.column_stack([x, x + rng.normal(size=n) * 1e-3]) * 1e4
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -505,11 +505,18 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch,
              (collinear_data(), 2, "free-var-free-cov")]
     default = [fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
                for X, K, st in cases]
+    blrt_cases = [(three_class_data(n=240, seed=16), 2, {}),
+                  (collinear_data(40), 4, {"max_failure_fraction": 1.0})]
+    default_blrt = [blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
+                         **kw) for X, K, kw in blrt_cases]
     monkeypatch.setattr(lpa, "_BLOCK_ELEMENTS", block_elements)
     for (X, K, st), (want, want_post) in zip(cases, default):
         got, got_post = fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
         assert got.to_json() == want.to_json()
         assert np.array_equal(got_post, want_post)
+    for (X, K, kw), want in zip(blrt_cases, default_blrt):
+        assert blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
+                    **kw) == want
 
 
 def test_failed_batched_cholesky_flags_only_the_failing_start():
@@ -526,10 +533,88 @@ def test_selection_table_blrt_reuses_its_fits():
     rows, _ = selection_table(X, range(1, 3), starts=4, seed=3,
                               run_blrt=True, n_boot=19, starts_boot=2)
     alone = blrt(X, 2, n_boot=19, starts=4, starts_boot=2, seed=3)
-    assert rows[0].blrt_p is None
+    assert rows[0].blrt_p is None and rows[0].blrt_n_boot_failed is None
     assert rows[1].blrt_p == alone["p_value"]
+    assert rows[1].blrt_n_boot_failed == alone["n_boot_failed"]
     rows, _ = selection_table(X, [2], starts=4, seed=3, run_blrt=True,
                               n_boot=19, starts_boot=2)
     assert rows[0].blrt_p == alone["p_value"]
     with pytest.raises(LpaError):
         blrt(X, 3, alt_model=fit_mixture(X, 2, starts=2)[0])
+
+
+# --- the per-replicate BLRT loop that ``blrt`` replaced, kept as the
+# reference for its batched refits ---
+
+def _ref_blrt(X, K, structure="free-var-free-cov", n_boot=500, starts=20,
+              starts_boot=20, max_iter=250, tol=1e-8, seed=0,
+              max_failure_fraction=0.2):
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    null_model, _ = fit_mixture(X, K - 1, structure, starts=starts,
+                                max_iter=max_iter, tol=tol, seed=seed)
+    alt_model, _ = fit_mixture(X, K, structure, starts=starts,
+                               max_iter=max_iter, tol=tol, seed=seed)
+    observed = 2.0 * (alt_model.loglik - null_model.loglik)
+    rng = np.random.default_rng(seed + 10_000)
+    boot_stats = []
+    failures = 0
+    for b in range(n_boot):
+        Xb = null_model.sample(X.shape[0], rng)
+        bseed = seed + 20_000 + b * starts_boot
+        try:
+            m0, _ = fit_mixture(Xb, K - 1, structure, starts=starts_boot,
+                                max_iter=max_iter, tol=tol, seed=bseed)
+            m1, _ = fit_mixture(Xb, K, structure, starts=starts_boot,
+                                max_iter=max_iter, tol=tol, seed=bseed)
+            boot_stats.append(2.0 * (m1.loglik - m0.loglik))
+        except LpaError:
+            failures += 1
+    if failures > max_failure_fraction * n_boot:
+        raise ConvergenceError(
+            f"{failures}/{n_boot} bootstrap refits failed")
+    boot_stats = np.asarray(boot_stats)
+    n_used = boot_stats.size
+    p = (1 + int((boot_stats >= observed).sum())) / (n_used + 1)
+    return {"statistic": observed, "p_value": p, "n_boot_used": n_used,
+            "n_boot_failed": failures}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_blrt_matches_per_replicate_reference(seed):
+    rng = np.random.default_rng(900 + seed)
+    cases = [
+        (rng.normal(0.0, 1.0, size=250), 2,
+         dict(n_boot=19, starts=6, starts_boot=4, max_iter=80, tol=1e-5)),
+        (three_class_data(n=240, seed=seed), 3,
+         dict(n_boot=19, starts=4, starts_boot=2, max_iter=60,
+              structure=STRUCTURES[seed % 4])),
+    ]
+    for X, K, kw in cases:
+        assert blrt(X, K, seed=seed, **kw) == _ref_blrt(X, K, seed=seed, **kw)
+
+
+def test_batched_blrt_counts_failed_replicates_as_the_reference():
+    """On 40 nearly collinear points a K=4 refit from one start often
+    degenerates: 6 of 19 replicates fail here, and the threshold on the
+    failure count is the reference's.  On 60 points with 3 starts per
+    replicate, several replicates keep some but not all of their starts,
+    and one fails."""
+    X = collinear_data(60)
+    kw = dict(n_boot=19, starts=4, starts_boot=3, seed=0,
+              max_failure_fraction=1.0)
+    want = _ref_blrt(X, 4, **kw)
+    assert want["n_boot_failed"] == 1
+    assert blrt(X, 4, **kw) == want
+    X = collinear_data(40)
+    kw = dict(n_boot=19, starts=4, starts_boot=1, seed=0)
+    want = _ref_blrt(X, 4, max_failure_fraction=1.0, **kw)
+    assert want["n_boot_failed"] == 6
+    assert blrt(X, 4, max_failure_fraction=1.0, **kw) == want
+    fraction = 6 / 19
+    assert blrt(X, 4, max_failure_fraction=fraction, **kw) == _ref_blrt(
+        X, 4, max_failure_fraction=fraction, **kw)
+    for impl in (blrt, _ref_blrt):
+        with pytest.raises(ConvergenceError, match="6/19"):
+            impl(X, 4, max_failure_fraction=fraction - 1e-3, **kw)
