@@ -221,10 +221,88 @@ def save_cohort_csv(cohort: CohortTable, path) -> None:
 
 
 def load_cohort_csv(path) -> CohortTable:
-    """Read a cohort CSV; a row with the wrong number of fields, a
-    non-numeric cell, or an empty or non-finite behavior or ``total_min``
-    cell raises ``CohortError`` naming its line, and text that is not UTF-8
-    raises it too.  Empty covariate and outcome cells read as NaN."""
+    """Read a cohort CSV.
+
+    A row with the wrong number of fields or a cell that is not a number
+    (``valid_days``: an integer that fits in int64), a behavior or
+    ``total_min`` cell that is empty, NaN, infinite or negative, an infinite
+    covariate or outcome cell, or a negative ``valid_days`` raises
+    ``CohortError`` naming its line, and so does text that is not UTF-8.
+    Empty or NaN covariate and outcome cells read as missing (NaN).
+
+    Plain text is parsed by ``np.loadtxt``; the csv module reads the rest
+    row by row, and names the first row that does not parse.
+    """
+    try:
+        # no name holds the text here, so _parse_plain can free it early
+        parsed = _parse_plain(_read_text(path)) or _parse_rows(path)
+    except UnicodeDecodeError as exc:
+        raise CohortError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return _check_and_build(path, *parsed)
+
+
+def _read_text(path) -> str:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+_PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
+# The characters of a plain data row: printable ASCII and "\n", without the
+# ones the csv module and float() read differently from np.loadtxt: quotes
+# and "\r" (csv), "_" (float() reads 1_000) and the control characters
+# loadtxt strips as blanks.
+_PLAIN_BYTES = bytes([10, *range(0x20, 0x7F)]).translate(None, b'"_')
+_HEADER_NOT_PLAIN = _PLAIN_HEADER.encode().translate(None, _PLAIN_BYTES)
+_ROW_DTYPE = np.dtype([(name, np.int64 if name == "valid_days" else np.float64)
+                       for name in CSV_HEADER[1:]])
+
+
+def _parse_plain(text: str):
+    """``(ids, columns, line numbers)`` of a plain cohort text, parsed by
+    ``np.loadtxt``; None for any other text, or one that does not parse.
+
+    A plain text has the exact header, ends in a newline, and its data rows
+    are non-blank lines of plain characters with one comma per separator.
+    """
+    width = len(CSV_HEADER)
+    if not (text.startswith(_PLAIN_HEADER) and text.endswith("\n")
+            and text.isascii()
+            and text.encode("ascii").translate(None, _PLAIN_BYTES)
+            == _HEADER_NOT_PLAIN):
+        return None
+    commas = text.count(",")
+    lines = text.split("\n")[1:-1]
+    del text
+    if (not lines or "" in lines
+            or commas != (width - 1) * (len(lines) + 1)):
+        return None
+    for i, line in enumerate(lines):
+        if ",," in line or line.endswith(","):
+            lines[i] = _blanks_as_nan(line)
+    try:
+        rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
+                          comments=None, usecols=range(1, width), ndmin=1)
+    except ValueError:
+        return None
+    if rows.shape != (len(lines),):
+        return None
+    ids = [line.partition(",")[0] for line in lines]
+    columns = {name: rows[name] for name in CSV_HEADER[1:]}
+    return ids, columns, range(2, len(lines) + 2)
+
+
+def _blanks_as_nan(line: str) -> str:
+    # a run of blank cells takes two passes
+    line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+    return line + "nan" if line.endswith(",") else line
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_rows(path):
+    """``(ids, columns, line numbers)`` read by the csv module row by row; the
+    first row that does not parse raises ``CohortError`` naming its line."""
     width = len(CSV_HEADER)
     days_col = CSV_HEADER.index("valid_days")
     ids, valid_days, values, lines = [], [], [], []
@@ -240,29 +318,58 @@ def load_cohort_csv(path) -> CohortTable:
                         f"{path} line {reader.line_num}: {len(row)} fields, "
                         f"expected {width}")
                 try:
-                    valid_days.append(int(row[days_col]))
+                    days = int(row[days_col])
                     values.append([float(v) if v != "" else math.nan
                                    for v in row[1:]])
                 except ValueError as exc:
                     raise CohortError(
                         f"{path} line {reader.line_num}: {exc}") from None
+                if not _INT64.min <= days <= _INT64.max:
+                    raise CohortError(f"{path} line {reader.line_num}: "
+                                      "valid_days does not fit in int64")
+                valid_days.append(days)
                 ids.append(row[0])
                 lines.append(reader.line_num)
-        except UnicodeDecodeError as exc:
+        except csv.Error as exc:  # a cell over the csv module's size limit
             raise CohortError(
-                f"{path} is not UTF-8 text ({exc.reason})") from None
+                f"{path} line {reader.line_num}: {exc}") from None
+    columns = dict(zip(CSV_HEADER[1:],
+                       np.array(values).reshape(-1, width - 1).T))
+    columns["valid_days"] = np.array(valid_days, dtype=np.int64)
+    return ids, columns, lines
+
+
+_MINUTE_COLUMNS = tuple(f"{b}_min" for b in BEHAVIOR_LABELS) + ("total_min",)
+_VALUE_COLUMNS = ("total_min",) + COVARIATE_COLUMNS + ("casi_irt",)
+
+
+def _bad_cells(name: str, col: np.ndarray) -> np.ndarray:
+    if name in _MINUTE_COLUMNS:
+        return ~np.isfinite(col) | (col < 0)
+    if name == "valid_days":
+        return col < 0
+    return np.isinf(col)  # covariates and outcome: NaN is missing
+
+
+def _check_and_build(path, ids: list[str], columns: dict[str, np.ndarray],
+                     lines) -> CohortTable:
+    """The parsed cohort as a ``CohortTable``, once every cell passes the
+    value checks of ``load_cohort_csv``; the first failing cell, in file
+    order, raises ``CohortError`` naming its line and column."""
     if not ids:
         raise CohortError("empty cohort file")
-    # columns of ``values``: behaviors, total, valid_days, covariates, outcome
-    values = np.array(values)
-    d = len(BEHAVIOR_LABELS)
-    bad = ~np.isfinite(values[:, :d + 1])
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise CohortError(
-            f"{path} line {lines[i]}: {CSV_HEADER[1 + j]} is "
-            f"{'empty or NaN' if np.isnan(values[i, j]) else 'infinite'}")
-    cols = np.ascontiguousarray(values.T)
-    covariates = dict(zip(COVARIATE_COLUMNS, cols[d + 2:-1]))
-    return CohortTable(ids, values[:, :d].copy(), cols[d], covariates,
-                       cols[-1], np.array(valid_days))
+    failed = [(int(bad.argmax()), j) for j, name in enumerate(CSV_HEADER[1:])
+              if (bad := _bad_cells(name, columns[name])).any()]
+    if failed:
+        i, j = min(failed)
+        name = CSV_HEADER[1 + j]
+        value = columns[name][i]
+        problem = ("negative" if value < 0 and np.isfinite(value)
+                   else "empty or NaN" if np.isnan(value) else "infinite")
+        raise CohortError(f"{path} line {lines[i]}: {name} is {problem}")
+    behaviors = np.column_stack([columns[f"{b}_min"] for b in BEHAVIOR_LABELS])
+    total, *covariates, outcome = np.array(
+        [columns[name] for name in _VALUE_COLUMNS])
+    return CohortTable(ids, behaviors, total,
+                       dict(zip(COVARIATE_COLUMNS, covariates)), outcome,
+                       columns["valid_days"].copy())

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,10 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class DayRecord:
+class DayRecord(NamedTuple):
+    """One day of one person: an immutable tuple of the day-CSV columns,
+    so building one is a tuple allocation."""
+
     person_id: str
     date: str
     sit_min: float
@@ -76,6 +79,9 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     finite.  The first failed check is the row's error.
     """
     fromiso, inf = datetime.fromisoformat, math.inf
+    # one str per distinct person id and date, shared by the rows that
+    # repeat it: 20k persons x 7 days hold 20k ids, not 140k
+    share = {}.setdefault
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -116,8 +122,8 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
             except ValueError as exc:  # IngestError is one
                 errors.append(RowError(lineno, str(exc)))
                 continue
-            records.append(
-                DayRecord(pid, date, sit, stand, step, in_bed, out_bed, wear))
+            records.append(DayRecord(share(pid, pid), share(date, date),
+                                     sit, stand, step, in_bed, out_bed, wear))
     return records, errors
 
 

@@ -204,8 +204,11 @@ def simulate_cohort(spec: SimSpec, n: int, seed: int = 0) -> SimResult:
     }
     y = np.full(n, spec.outcome_intercept)
     y += np.asarray(spec.class_effects)[classes]
-    for name, eff in spec.covariate_effects.items():
-        y += eff * covariates[name]
+    # in column order, not the dict's: a spec read back from JSON has its
+    # keys sorted, and the sum's order changes its last digits
+    for name in COVARIATE_COLUMNS:
+        if name in spec.covariate_effects:
+            y += spec.covariate_effects[name] * covariates[name]
     y += rng.normal(0.0, spec.outcome_noise_sd, n)
 
     if spec.missing_covariate_rate > 0:
@@ -226,26 +229,56 @@ def simulate_cohort(spec: SimSpec, n: int, seed: int = 0) -> SimResult:
     return SimResult(cohort, classes, spec)
 
 
+_DAY_ONE = datetime(2024, 1, 1, 7, 0)  # the first simulated day wakes here
+# the latest a simulated day may end, in minutes from _DAY_ONE (one minute
+# short of datetime.max, which the microsecond rounding cannot cross)
+_MAX_END_MINUTES = (datetime.max - _DAY_ONE) / timedelta(minutes=1) - 1.0
+
+
+def _timedelta_us(minutes: np.ndarray) -> np.ndarray:
+    """``timedelta(minutes=m)`` as whole microseconds, for each m.
+
+    This is CPython's rounding: the whole minutes convert exactly, the
+    fraction's microseconds are truncated, and what is left over rounds half
+    to even on the total.
+    """
+    frac, whole = np.modf(minutes)
+    left, frac_us = np.modf(frac * 60_000_000.0)
+    us = whole.astype(np.int64) * 60_000_000 + frac_us.astype(np.int64)
+    odd_tie = (np.abs(left) == 0.5) & (us % 2 == 1)
+    return us + np.where(odd_tie, np.sign(left),
+                         np.round(left)).astype(np.int64)
+
+
 def simulate_day_records(cohort: CohortTable, seed: int = 0,
                          n_days: int = 7) -> list[DayRecord]:
-    """Expand person means into plausible day records for ingestion tests."""
+    """Expand person means into plausible day records for ingestion tests.
+
+    Each day scales a person's four mean minutes by normal noise (mean 1, SD
+    0.05, four draws per day in person-then-day order), floors them at one
+    minute, and lays the waking minutes from 07:00 and then sleep.
+    """
+    if not np.isfinite(cohort.behaviors).all():
+        raise SimulationError("behavior times must be finite")
     rng = np.random.default_rng(seed)
-    records = []
-    base = datetime(2024, 1, 1, 7, 0)
-    for i, pid in enumerate(cohort.ids):
-        means = cohort.behaviors[i]
-        for day in range(n_days):
-            noise = rng.normal(1.0, 0.05, 4)
-            sit, stand, step, sleep = np.maximum(means * noise, 1.0)
-            wake_start = base + timedelta(days=day)
-            in_bed = wake_start + timedelta(minutes=float(sit + stand + step))
-            out_bed = in_bed + timedelta(minutes=float(sleep))
-            records.append(DayRecord(
-                person_id=pid,
-                date=wake_start.date().isoformat(),
-                sit_min=float(sit), stand_min=float(stand),
-                step_min=float(step),
-                in_bed=in_bed, out_bed=out_bed,
-                wear_min=float(sit + stand + step),
-            ))
-    return records
+    noise = rng.normal(1.0, 0.05, (cohort.n * n_days, 4))
+    minutes = np.maximum(np.repeat(cohort.behaviors, n_days, axis=0) * noise,
+                         1.0)
+    sit, stand, step, sleep = minutes.T
+    wear = sit + stand + step
+    # datetime64 reaches far past datetime.max, where tolist() gives ints
+    last_end = (wear + sleep).max(initial=0.0) + 1440.0 * (n_days - 1)
+    if last_end > _MAX_END_MINUTES:
+        raise SimulationError("behavior times too long for day records")
+    wake_start = (np.datetime64(_DAY_ONE, "us")
+                  + np.tile(np.arange(n_days) * 86_400_000_000, cohort.n))
+    in_bed = wake_start + _timedelta_us(wear)
+    out_bed = in_bed + _timedelta_us(sleep)
+    dates = [(_DAY_ONE + timedelta(days=day)).date().isoformat()
+             for day in range(n_days)]
+    return list(map(
+        DayRecord,
+        [pid for pid in cohort.ids for _ in range(n_days)],
+        dates * cohort.n,
+        sit.tolist(), stand.tolist(), step.tolist(),
+        in_bed.tolist(), out_bed.tolist(), wear.tolist()))

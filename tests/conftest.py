@@ -1,8 +1,34 @@
-"""Shared synthetic-cohort builders for the test suite."""
+"""Shared synthetic-cohort builders and test settings for the suite."""
+
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from daycycle.cohort import BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable
+
+# No example database, so a test writes nothing outside its tmp_path.  Each
+# test's own settings (max_examples, derandomize) still apply.
+settings.register_profile("daycycle", database=None)
+settings.load_profile("daycycle")
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """Hypothesis also caches the constants it finds in the code, while the
+    tests are collected, under its storage directory (``.hypothesis`` in the
+    working directory by default): keep it in a temporary one."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def make_cohort(n=300, seed=0, behavior_effects=None, outcome_fn=None,

@@ -296,6 +296,52 @@ def test_blank_behavior_cell_exits_2_before_writing(tmp_path, cohort_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column,cell,problem", [
+    ("sit_min", "-12.5", "sit_min is negative"),
+    ("total_min", "-1440.0", "total_min is negative"),
+    ("bmi", "inf", "bmi is infinite"),
+    ("casi_irt", "-inf", "casi_irt is infinite"),
+    ("valid_days", "-3", "valid_days is negative"),
+    ("valid_days", "12345678901234567890123",
+     "valid_days does not fit in int64"),
+], ids=["negative-minutes", "negative-total", "infinite-covariate",
+        "infinite-outcome", "negative-valid-days", "valid-days-past-int64"])
+def test_unusable_cohort_value_exits_2_before_writing(tmp_path, cohort_csv,
+                                                      lpa_out, capsys,
+                                                      column, cell, problem):
+    from daycycle.cohort import CSV_HEADER
+    path = _edited_cohort(
+        cohort_csv, tmp_path, 11,
+        lambda s: _set_field(s.rstrip("\n"), CSV_HEADER.index(column),
+                             cell) + "\n")
+    out = tmp_path / "out"
+    model = lpa_out / "lpa_model.json"
+    for args in (["describe", path], ["lpa", path, "--classes", "1:2"],
+                 ["ism", path], ["coda", path], ["step3", model, path],
+                 ["plot", path, "--kind", "ternary"]):
+        assert run(args + ["-o", out]) == 2, args
+        err = capsys.readouterr().err
+        assert err == f"data error: {path} line 11: {problem}\n", args
+    assert not out.exists()
+
+
+def test_cell_over_the_csv_size_limit_exits_2(tmp_path, cohort_csv, capsys):
+    def oversized(line):
+        fields = line.split(",")
+        fields[0] = f'"{fields[0]}"'  # a quote sends the text to csv
+        fields[1] = "1" * 200_000
+        return ",".join(fields)
+
+    path = _edited_cohort(cohort_csv, tmp_path, 5, oversized)
+    out = tmp_path / "out"
+    for cmd in ("describe", "lpa", "ism"):
+        assert run([cmd, path, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path} line 5: field larger than field "
+                       "limit (131072)\n")
+    assert not out.exists()
+
+
 def test_unusable_model_artifact_exits_2(tmp_path, cohort_csv,
                                                 lpa_out, capsys):
     data = json.loads((lpa_out / "lpa_model.json").read_text())
@@ -545,9 +591,10 @@ def test_simulate_accepts_the_default_spec_as_json(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(default_sim_spec().to_json())
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(["simulate", "--spec", spec, "--n", "50", "-o", a]) == 0
-    assert run(["simulate", "--n", "50", "-o", b]) == 0
-    # the JSON sorts the covariate effects, which reorders the outcome's
-    # sum; the behaviors are the same draws
-    assert np.array_equal(load_cohort_csv(a).behaviors,
-                          load_cohort_csv(b).behaviors)
+    # the JSON sorts the covariate effects; the outcome sums them in column
+    # order all the same
+    for seed in ("0", "3"):
+        assert run(["simulate", "--spec", spec, "--n", "500", "--seed", seed,
+                    "-o", a]) == 0
+        assert run(["simulate", "--n", "500", "--seed", seed, "-o", b]) == 0
+        assert a.read_bytes() == b.read_bytes()

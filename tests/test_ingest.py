@@ -410,6 +410,12 @@ def test_save_cohort_csv_matches_row_by_row_writer(tmp_path, monkeypatch):
     ("sleep_min", "nan", "sleep_min is empty or NaN"),
     ("total_min", "inf", "total_min is infinite"),
     ("sit_min", "-inf", "sit_min is infinite"),
+    ("sit_min", "-1.5", "sit_min is negative"),
+    ("total_min", "-1440", "total_min is negative"),
+    ("bmi", "inf", "bmi is infinite"),
+    ("female", "-Infinity", "female is infinite"),
+    ("valid_days", "-3", "valid_days is negative"),
+    ("valid_days", "9223372036854775808", "valid_days does not fit in int64"),
 ])
 def test_load_cohort_csv_rejects_missing_behavior_cells(tmp_path, column,
                                                         cell, message):
@@ -434,6 +440,12 @@ def test_load_cohort_csv_reads_blank_covariates_and_outcome_as_nan(tmp_path):
     back = load_cohort_csv(path)
     assert math.isnan(back.covariates["cesd"][3])
     assert math.isnan(back.outcome[4])
+    # so do NaN cells
+    text = path.read_text().replace(",,", ",nan,", 1).replace(",\n", ",NaN\n")
+    path.write_text(text)
+    again = load_cohort_csv(path)
+    assert math.isnan(again.covariates["cesd"][3])
+    assert math.isnan(again.outcome[4])
 
 
 def test_compositions_of_labels_match_per_point_subcomposition():
@@ -555,3 +567,96 @@ def test_load_day_csv_rejects_mixed_timestamps(tmp_path):
     message = "in_bed and out_bed mix naive and UTC-offset timestamps"
     assert errors == [RowError(2, message), RowError(3, message)]
     assert len(records) == 1 and records[0].sleep_min == 420.0
+
+
+# --- DayRecord's contract as a NamedTuple ---
+
+def test_day_record_contract():
+    in_bed = datetime(2020, 1, 1, 22, 0)
+    out_bed = datetime(2020, 1, 2, 6, 30)
+    fields = ("p1", "2020-01-01", 600.0, 200.0, 80.0, in_bed, out_bed, 880.0)
+    by_position = DayRecord(*fields)
+    by_keyword = DayRecord(person_id="p1", date="2020-01-01", sit_min=600.0,
+                           stand_min=200.0, step_min=80.0, in_bed=in_bed,
+                           out_bed=out_bed, wear_min=880.0)
+    assert DayRecord._fields == DAY_CSV_HEADER
+    assert by_position == by_keyword == fields
+    assert hash(by_position) == hash(by_keyword) == hash(fields)
+    assert len({by_position, by_keyword}) == 1
+    assert by_position != by_position._replace(wear_min=599.0)
+    assert by_position.sleep_min == 510.0
+    assert by_position.total_min == 600.0 + 200.0 + 80.0 + 510.0
+    assert by_position.valid
+    assert not by_position._replace(wear_min=599.0).valid
+    for name in DayRecord._fields + ("sleep_min", "valid"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, 0.0)
+    with pytest.raises(TypeError):
+        DayRecord(*fields[:7])
+
+
+# --- the vectorised day-record simulator against the loop it replaced ---
+
+def reference_simulate_day_records(cohort, seed=0, n_days=7):
+    """One noise draw of four per person-day, then datetime arithmetic."""
+    rng = np.random.default_rng(seed)
+    records = []
+    base = datetime(2024, 1, 1, 7, 0)
+    for i, pid in enumerate(cohort.ids):
+        means = cohort.behaviors[i]
+        for day in range(n_days):
+            noise = rng.normal(1.0, 0.05, 4)
+            sit, stand, step, sleep = np.maximum(means * noise, 1.0)
+            wake_start = base + timedelta(days=day)
+            in_bed = wake_start + timedelta(minutes=float(sit + stand + step))
+            out_bed = in_bed + timedelta(minutes=float(sleep))
+            records.append(DayRecord(
+                person_id=pid,
+                date=wake_start.date().isoformat(),
+                sit_min=float(sit), stand_min=float(stand),
+                step_min=float(step),
+                in_bed=in_bed, out_bed=out_bed,
+                wear_min=float(sit + stand + step),
+            ))
+    return records
+
+
+@pytest.mark.parametrize("n_days", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_simulate_day_records_match_the_loop(seed, n_days):
+    cohort = simulate_cohort(default_sim_spec(), 200, seed=30 + seed).cohort
+    cohort.behaviors[3] = 0.0  # every minute floored at 1.0
+    cohort.behaviors[4, 2] = 0.0
+    got = simulate_day_records(cohort, seed=seed, n_days=n_days)
+    want = reference_simulate_day_records(cohort, seed=seed, n_days=n_days)
+    assert got == want
+    assert [tuple(map(type, r)) for r in got] == [
+        tuple(map(type, r)) for r in want]
+    assert got[3 * n_days].sit_min == 1.0
+
+
+def test_timedelta_microseconds_round_as_datetime_does():
+    """Including exact ties of the leftover half microsecond, which round to
+    the even total."""
+    from daycycle.simulate import _timedelta_us
+    rng = np.random.default_rng(31)
+    minutes = np.concatenate([
+        rng.uniform(0.0, 2000.0, 5000), rng.uniform(-2000.0, 0.0, 500),
+        np.arange(1, 4000) * 2.0 ** -33, 1.0 + np.arange(1, 4000) * 2.0 ** -27,
+        [0.0, 1.0, 1439.999999999, 0.5 / 60e6, 1.5 / 60e6, -2.5 / 60e6]])
+    frac_us = np.modf(np.modf(minutes)[0] * 60e6)[0]
+    assert (np.abs(frac_us) == 0.5).sum() >= 3  # ties are in the sample
+    want = [timedelta(minutes=m) // timedelta(microseconds=1)
+            for m in minutes.tolist()]
+    assert _timedelta_us(minutes).tolist() == want
+
+
+@pytest.mark.parametrize("minutes,problem", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (1e10, "too long"),
+])
+def test_simulate_day_records_rejects_unusable_minutes(minutes, problem):
+    cohort = simulate_cohort(default_sim_spec(), 5, seed=32).cohort
+    cohort.behaviors[2, 3] = minutes
+    with pytest.raises(SimulationError, match=problem):
+        simulate_day_records(cohort)
