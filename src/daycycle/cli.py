@@ -16,7 +16,6 @@ import sys
 import tempfile
 
 import numpy as np
-from scipy import stats
 
 from . import coda, ingest, ism, lpa, plotting, simulate, step3
 from .cohort import (
@@ -31,7 +30,7 @@ from .cohort import (
 )
 from .composition import CompositionError
 from .ingest import IngestError
-from .linmod import LinmodError, RankDeficientError
+from .linmod import LinmodError, RankDeficientError, normal_sf
 from .lpa import ConvergenceError, LpaError
 from .simulate import SimulationError
 from .step3 import Step3Error
@@ -232,7 +231,7 @@ def cmd_coda(args) -> int:
     cfit, curve, svg = _realloc_curve(load_cohort_csv(args.input), args.pivot,
                                       args.covariates, deltas)
     piv = coda.pivot_coefficients(cfit)
-    p_values = 2 * stats.norm.sf(np.abs(piv.estimate / piv.se))
+    p_values = 2 * normal_sf(np.abs(piv.estimate / piv.se))
     fields = ["pivot", "estimate", "ci_low", "ci_high", "p_value"]
     table_rows = list(zip(cfit.basis.labels, piv.estimate, piv.ci_low,
                           piv.ci_high, p_values))

@@ -76,7 +76,8 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     Each row is checked in this order: field count, the four minute cells as
     numbers, none negative, both timestamps as ISO-8601, ``out_bed`` after
     ``in_bed`` (both naive or both with a UTC offset), then the minute cells
-    finite.  The first failed check is the row's error.
+    finite.  The first failed check is the row's error.  A bad header, or a
+    cell over the csv module's field size limit, raises ``IngestError``.
     """
     fromiso, inf = datetime.fromisoformat, math.inf
     # one str per distinct person id and date, shared by the rows that
@@ -84,46 +85,50 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     share = {}.setdefault
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DAY_CSV_HEADER:
-            raise IngestError(
-                f"bad header in {path}: expected {','.join(DAY_CSV_HEADER)}"
-            )
-        records: list[DayRecord] = []
-        errors: list[RowError] = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                pid, date, sit, stand, step, in_bed, out_bed, wear = row
-            except ValueError:
-                errors.append(RowError(lineno, "wrong field count"))
-                continue
-            try:
-                sit, stand, step, wear = (
-                    float(sit), float(stand), float(step), float(wear))
-                if sit < 0 or stand < 0 or step < 0 or wear < 0:
-                    raise IngestError(
-                        "negative " + _first_minute_column(
-                            lambda v: v < 0, sit, stand, step, wear))
-                in_bed, out_bed = fromiso(in_bed), fromiso(out_bed)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != DAY_CSV_HEADER:
+                raise IngestError(f"bad header in {path}: expected "
+                                  f"{','.join(DAY_CSV_HEADER)}")
+            records: list[DayRecord] = []
+            errors: list[RowError] = []
+            for lineno, row in enumerate(reader, start=2):
                 try:
-                    if out_bed <= in_bed:
-                        raise IngestError("out_bed must follow in_bed")
-                except TypeError:
-                    raise IngestError(
-                        "in_bed and out_bed mix naive and UTC-offset "
-                        "timestamps") from None
-                # NaN and +inf pass the checks above; -inf is negative
-                if not (sit < inf and stand < inf and step < inf
-                        and wear < inf):
-                    raise IngestError(
-                        "non-finite " + _first_minute_column(
-                            lambda v: not math.isfinite(v),
-                            sit, stand, step, wear))
-            except ValueError as exc:  # IngestError is one
-                errors.append(RowError(lineno, str(exc)))
-                continue
-            records.append(DayRecord(share(pid, pid), share(date, date),
-                                     sit, stand, step, in_bed, out_bed, wear))
+                    pid, date, sit, stand, step, in_bed, out_bed, wear = row
+                except ValueError:
+                    errors.append(RowError(lineno, "wrong field count"))
+                    continue
+                try:
+                    sit, stand, step, wear = (
+                        float(sit), float(stand), float(step), float(wear))
+                    if sit < 0 or stand < 0 or step < 0 or wear < 0:
+                        raise IngestError(
+                            "negative " + _first_minute_column(
+                                lambda v: v < 0, sit, stand, step, wear))
+                    in_bed, out_bed = fromiso(in_bed), fromiso(out_bed)
+                    try:
+                        if out_bed <= in_bed:
+                            raise IngestError("out_bed must follow in_bed")
+                    except TypeError:
+                        raise IngestError(
+                            "in_bed and out_bed mix naive and UTC-offset "
+                            "timestamps") from None
+                    # NaN and +inf pass the checks above; -inf is negative
+                    if not (sit < inf and stand < inf and step < inf
+                            and wear < inf):
+                        raise IngestError(
+                            "non-finite " + _first_minute_column(
+                                lambda v: not math.isfinite(v),
+                                sit, stand, step, wear))
+                except ValueError as exc:  # IngestError is one
+                    errors.append(RowError(lineno, str(exc)))
+                    continue
+                records.append(DayRecord(
+                    share(pid, pid), share(date, date),
+                    sit, stand, step, in_bed, out_bed, wear))
+        except csv.Error as exc:  # a cell over the csv module's size limit
+            raise IngestError(
+                f"{path} line {reader.line_num}: {exc}") from None
     return records, errors
 
 

@@ -1,6 +1,10 @@
 """Shared linear-model machinery: OLS, sandwich covariance, Wald tests,
 contrasts, natural cubic splines, GCV, and the James unequal-covariance test
-of multivariate means."""
+of multivariate means.
+
+The tail probabilities (``chi2_sf``, ``normal_sf``) import ``scipy.special``
+on their first call, so a process that computes no p-value never loads
+scipy."""
 
 from __future__ import annotations
 
@@ -8,9 +12,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-Z95 = stats.norm.ppf(0.975)
+Z95 = 1.959963984540054  # scipy.special.ndtri(0.975), the normal 97.5% point
+
+
+def chi2_sf(x, df):
+    """Chi-square upper tail P(X > x) on ``df`` degrees of freedom, equal to
+    ``scipy.stats.chi2.sf``: 1 for x below 0 and NaN for df <= 0, where
+    ``chdtrc`` alone gives NaN and 0."""
+    from scipy.special import chdtrc
+
+    x, df = np.asarray(x, dtype=float), np.asarray(df, dtype=float)
+    return np.where(df > 0, chdtrc(df, np.maximum(x, 0.0)), np.nan)[()]
+
+
+def normal_sf(x):
+    """Standard normal upper tail P(Z > x), equal to
+    ``scipy.stats.norm.sf``."""
+    from scipy.special import ndtr
+
+    return ndtr(-np.asarray(x, dtype=float))
 
 
 class RankDeficientError(ValueError):
@@ -142,7 +163,7 @@ def wald_test(fit: FitResult, C: np.ndarray, use_robust: bool = True) -> WaldTes
     except np.linalg.LinAlgError:
         raise LinmodError("singular contrast covariance") from None
     df = C.shape[0]
-    return WaldTest(stat, df, float(stats.chi2.sf(stat, df)))
+    return WaldTest(stat, df, float(chi2_sf(stat, df)))
 
 
 def linear_combination(fit: FitResult, weights: np.ndarray,
@@ -259,4 +280,4 @@ def james_test(groups: list[np.ndarray]) -> WaldTest:
         c = (-A + math.sqrt(A * A + 4 * B * J)) / (2 * B)
     else:
         c = J / A
-    return WaldTest(J, r, float(stats.chi2.sf(c, r)))
+    return WaldTest(J, r, float(chi2_sf(c, r)))

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
-from .linmod import Z95, WaldTest
+from .linmod import Z95, WaldTest, chi2_sf
 
 
 class Step3Error(ValueError):
@@ -98,7 +97,7 @@ def _weighted_cluster_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray,
 def _joint_wald(b: np.ndarray, V: np.ndarray) -> WaldTest:
     """Chi-square Wald test of b = 0 given its covariance V."""
     stat = float(b @ np.linalg.solve(V, b))
-    return WaldTest(stat, b.size, float(stats.chi2.sf(stat, b.size)))
+    return WaldTest(stat, b.size, float(chi2_sf(stat, b.size)))
 
 
 def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
@@ -201,6 +200,8 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     With an identity error matrix this is the ordinary multinomial logit on
     the assignments.
     """
+    from scipy import optimize  # only this fit uses it: load it here
+
     assignments = np.asarray(assignments, dtype=int)
     Z = np.column_stack([np.asarray(covariates, dtype=float),
                          np.ones(assignments.shape[0])])

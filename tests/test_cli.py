@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daycycle
 from daycycle.cli import main
 from daycycle.cohort import load_cohort_csv, save_cohort_csv
 
@@ -598,3 +603,76 @@ def test_simulate_accepts_the_default_spec_as_json(tmp_path):
                     "-o", a]) == 0
         assert run(["simulate", "--n", "500", "--seed", seed, "-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# --- which scipy modules a CLI process loads ---
+
+_SCIPY_PROBE = """
+import json, sys
+
+import numpy as np
+
+from daycycle.cli import main
+
+
+def run(*args):
+    assert main([str(a) for a in args]) == 0, args
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+out = sys.argv[1]
+cohort = out + "/cohort.csv"
+run("simulate", "--n", "200", "--seed", "3", "-o", cohort)
+run("describe", cohort, "-o", out)
+run("lpa", cohort, "-o", out, "--classes", "2:2", "--starts", "2",
+    "--max-iter", "30", "--blrt", "--blrt-boot", "19", "--blrt-starts", "1")
+for kind in ("ternary", "realloc", "profiles"):
+    run("plot", cohort, "-o", out, "--kind", kind,
+        "--model", out + "/lpa_model.json")
+no_p_values = scipy_modules()
+run("ism", cohort, "-o", out)
+run("coda", cohort, "-o", out)
+run("step3", out + "/lpa_model.json", cohort, "-o", out, "--method", "bch")
+p_values = scipy_modules()
+
+from daycycle.step3 import step3_covariate
+
+rng = np.random.default_rng(0)
+x = rng.normal(size=(300, 1))
+fit = step3_covariate((x[:, 0] > 0).astype(int), np.eye(2), x)
+print(json.dumps({"no_p_values": no_p_values, "p_values": p_values,
+                  "covariate_p": fit.wald.p_value,
+                  "after_covariate": scipy_modules()}))
+"""
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(daycycle.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_cli_loads_scipy_only_for_p_values(tmp_path):
+    """``simulate``, ``describe``, ``lpa`` and ``plot`` load no scipy module;
+    the subcommands that report p-values load ``scipy.special`` and nothing
+    of ``scipy.stats`` or ``scipy.optimize``, which only ``step3_covariate``
+    loads."""
+    proc = _python("-c", _SCIPY_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["no_p_values"] == []
+    assert "scipy.special" in loaded["p_values"]
+    assert not [m for m in loaded["p_values"]
+                if m.startswith(("scipy.stats", "scipy.optimize"))]
+    assert 0.0 <= loaded["covariate_p"] <= 1.0
+    assert "scipy.optimize" in loaded["after_covariate"]
+
+
+def test_python_dash_m_daycycle_runs_the_cli():
+    proc = _python("-m", "daycycle", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: daycycle")

@@ -569,6 +569,19 @@ def test_load_day_csv_rejects_mixed_timestamps(tmp_path):
     assert len(records) == 1 and records[0].sleep_min == 420.0
 
 
+def test_load_day_csv_names_the_line_of_an_oversized_cell(tmp_path):
+    path = tmp_path / "days.csv"
+    header = ",".join(DAY_CSV_HEADER)
+    texts = {3: [header, _day_row(), _day_row(sit="1" * 200_000), _day_row()],
+             1: [header + "w" * 200_000]}
+    for line, rows in texts.items():
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestError) as exc:
+            load_day_csv(path)
+        assert str(exc.value) == (f"{path} line {line}: field larger than "
+                                  "field limit (131072)")
+
+
 # --- DayRecord's contract as a NamedTuple ---
 
 def test_day_record_contract():

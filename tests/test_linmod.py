@@ -11,11 +11,13 @@ from daycycle.linmod import (
     DesignMatrix,
     LinmodError,
     RankDeficientError,
+    chi2_sf,
     fit_ols,
     gcv_score,
     james_test,
     linear_combination,
     natural_cubic_spline_basis,
+    normal_sf,
     wald_test,
 )
 
@@ -211,3 +213,38 @@ def test_james_test_validation():
         james_test([rng.normal(size=(10, 2)), rng.normal(size=(10, 3))])
     with pytest.raises(LinmodError):
         james_test([rng.normal(size=(2, 3)), rng.normal(size=(10, 3))])
+
+
+# --- tail probabilities without scipy.stats ---
+
+_EDGE_X = [-math.inf, -1.0, -0.0, 0.0, 1e-320, 1.0, 50.0, math.inf, math.nan]
+
+
+def _same(a, b):
+    """Equal to the last bit, NaN equal to NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(
+        np.all((a == b) | (np.isnan(a) & np.isnan(b))))
+
+
+@pytest.mark.parametrize("df", [0, 1, 2, 3, 7, 12, -1, 2.5, math.nan])
+def test_chi2_sf_is_scipy_stats_at_the_edges(df):
+    for x in _EDGE_X:
+        assert _same(chi2_sf(x, df), stats.chi2.sf(x, df)), (x, df)
+    assert _same(chi2_sf(_EDGE_X, df), stats.chi2.sf(_EDGE_X, df))
+
+
+def test_normal_sf_and_z95_are_scipy_stats():
+    for x in _EDGE_X:
+        assert _same(normal_sf(x), stats.norm.sf(x)), x
+    assert _same(normal_sf(_EDGE_X), stats.norm.sf(_EDGE_X))
+    assert Z95 == stats.norm.ppf(0.975)
+
+
+def test_tail_probabilities_match_scipy_stats_on_random_points():
+    rng = np.random.default_rng(0)
+    x = rng.exponential(8.0, 5000)
+    df = rng.integers(1, 30, 5000)
+    assert _same(chi2_sf(x, df), stats.chi2.sf(x, df))
+    z = rng.normal(0.0, 4.0, 5000)
+    assert _same(normal_sf(z), stats.norm.sf(z))
