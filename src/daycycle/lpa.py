@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -182,12 +183,19 @@ class FitStats:
     entropy: float
 
 
-# Starts run in blocks of at most this many start x component x row
-# elements (but at least one start), so a block's (S, K, d, N) work arrays do
-# not grow with the number of starts.  Larger blocks were no faster on an
-# N=1000, K=6 fit and raised peak memory.  Results do not depend on the
-# block size.
-_BLOCK_ELEMENTS = 1 << 14
+# Starts run in blocks whose per-start work arrays (see ``_em_starts``)
+# total at most this many bytes, but at least one start per block, so a
+# block's memory does not grow with the number of starts.  A larger block
+# pays the per-iteration Python overhead once for more starts: an N=1000,
+# K=6 block holds 5 starts.  Twice this budget cut the `lpa` benchmark's
+# pass time by about 8% but raised its peak memory by 1.3 MB (3%; 2-vCPU
+# VM, one BLAS thread).  Results do not depend on the block size.
+_BLOCK_BYTES = 1 << 20
+
+# The Cholesky floor test shifts each covariance by the floor plus this
+# fraction of its trace, so a stack that passes has every eigenvalue above
+# the floor by more than eigh's rounding, and eigh would change nothing.
+_FLOOR_MARGIN = 1e-13
 
 
 def _by_start(fn, mats: np.ndarray):
@@ -215,8 +223,21 @@ def _by_start(fn, mats: np.ndarray):
 def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrize per-start covariances (S, ..., d, d) and clamp their
     eigenvalues at the variance floor; also returns the starts whose
-    eigendecomposition failed."""
+    eigendecomposition failed.
+
+    One Cholesky factorization of the shifted stack shows when every
+    eigenvalue is clear of the floor; only when it fails are the
+    eigenvalues computed and clamped.
+    """
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    d = covs.shape[-1]
+    shift = VARIANCE_FLOOR + _FLOOR_MARGIN * np.abs(
+        np.trace(covs, axis1=-2, axis2=-1))
+    try:
+        np.linalg.cholesky(covs - shift[..., None, None] * np.eye(d))
+        return covs, np.zeros(len(covs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
     (vals, vecs), failed = _by_start(np.linalg.eigh, covs)
     low = vals[..., 0] < VARIANCE_FLOOR
     if low.any():
@@ -226,55 +247,84 @@ def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return covs, failed
 
 
-def _estep(XT: np.ndarray, weights: np.ndarray, means: np.ndarray,
+def _n_features(d: int) -> int:
+    """Feature rows ``[1, x, x_i x_j (i <= j)]`` of d-dimensional data."""
+    return 1 + d + d * (d + 1) // 2
+
+
+def _pairs(d: int):
+    """Feature row and index pair (i, j) of each second moment x_i x_j."""
+    return enumerate(combinations_with_replacement(range(d), 2), d + 1)
+
+
+def _fill_features(out: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Write the rows ``[1, x, x_i x_j (i <= j)]`` of the data ``X`` (N, d)
+    centred at its mean into ``out`` (p, N), as many as ``out`` has: the
+    first d + 1 rows are the E-step's operand, and all of them the M-step's
+    sufficient statistics.  Returns the mean."""
+    d = X.shape[1]
+    centre = X.mean(axis=0)
+    out[0] = 1.0
+    np.subtract(X.T, centre[:, None], out=out[1:d + 1])
+    for row, (i, j) in _pairs(d):
+        if row == len(out):
+            break
+        np.multiply(out[1 + i], out[1 + j], out=out[row])
+    return centre
+
+
+def _estep(X1: np.ndarray, weights: np.ndarray, means: np.ndarray,
            chol: np.ndarray, z: np.ndarray | None = None,
-           logp: np.ndarray | None = None, tmp: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Log responsibilities (S, K, N) and log-likelihoods (S,) of S mixtures
-    given the Cholesky factors (S, K, d, d) of their covariances.
+           resp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (S, K, N) and log-likelihoods (S,) of S mixtures
+    given the Cholesky factors L (S, K, d, d) of their covariances.
 
-    ``XT`` is the transposed data, (d, N) for all mixtures or (S, 1, d, N)
-    for one data set each.  ``z`` (S, K, d, N) and ``tmp`` (S, K, N) are work
-    arrays, and the log responsibilities are written into ``logp``; each is
-    allocated when not given.
+    ``X1`` holds the rows ``[1, x]`` of the centred data, (1, d + 1, N) for
+    all mixtures or (S, d + 1, N) for one data set each, and ``means`` are
+    centred alike.  ``z = sqrt(1/2) [-L^-1 mu | L^-1] @ X1`` is one matrix
+    product per mixture, so the squared Mahalanobis distances keep the
+    ``L^-1 (x - mu)`` form.  ``z`` (S, K, d, N) is a work array and the
+    responsibilities are written into ``resp``; each is allocated when not
+    given.
     """
-    d = chol.shape[-1]
+    S, K, d = means.shape
+    n = X1.shape[-1]
     prec = np.linalg.inv(chol)
-    z = np.matmul(prec, XT, out=z)
-    z -= prec @ means[..., None]
-    np.square(z, out=z)
+    A = np.empty((S, K, d, d + 1))
+    np.matmul(prec, -means[..., None], out=A[..., :1])
+    A[..., 1:] = prec
+    A *= math.sqrt(0.5)
+    if z is None:
+        z = np.empty((S, K, d, n))
+    np.matmul(A.reshape(S, K * d, d + 1), X1, out=z.reshape(S, K * d, n))
+    resp = np.einsum("skdn,skdn->skn", z, z, out=resp)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    logp = np.sum(z, axis=-2, out=logp)
-    logp *= -0.5
-    logp += (np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
-             )[..., None]
-    top = logp.max(axis=1, keepdims=True)
-    tmp = np.exp(np.subtract(logp, top, out=tmp), out=tmp)
-    norm = top + np.log(tmp.sum(axis=1, keepdims=True))
-    logp -= norm
-    return logp, norm[:, 0].sum(axis=-1)
+    const = np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
+    np.subtract(const[..., None], resp, out=resp)  # log w_k f_k(x)
+    top = resp.max(axis=1, keepdims=True)
+    resp -= top
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=1, keepdims=True)
+    resp /= total
+    return resp, (top + np.log(total))[:, 0].sum(axis=-1)
 
 
-def _mstep_batch(X: np.ndarray, XT: np.ndarray, resp: np.ndarray,
-                 nk: np.ndarray, structure: str,
-                 centered: np.ndarray | None = None,
-                 weighted: np.ndarray | None = None
+def _mstep_batch(Q: np.ndarray, n: int, structure: str
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, means and floored covariances of S mixtures from their
-    responsibilities (S, K, N) and component masses ``nk`` (S, K); also
-    returns the starts whose covariance floor failed.
-
-    ``X`` is the data (N, d) and ``XT`` its transpose (d, N), or one of each
-    per mixture, (S, N, d) and (S, 1, d, N).  ``centered`` and ``weighted``
-    are (S, K, d, N) work arrays, allocated when not given.
-    """
-    n, d = X.shape[-2:]
-    S, K = nk.shape
+    """Weights, means (centred) and floored covariances of S mixtures from
+    ``Q`` (S, K, p), the responsibility-weighted sums of the centred data's
+    rows ``[1, x, x_i x_j (i <= j)]`` (see ``_fill_features``); also
+    returns the starts whose covariance floor failed."""
+    S, K, p = Q.shape
+    d = (math.isqrt(8 * p + 1) - 3) // 2  # p = _n_features(d)
+    nk = Q[..., 0]
     weights = nk / n
-    means = (resp @ X) / nk[..., None]
-    centered = np.subtract(XT, means[..., None], out=centered)
-    weighted = np.multiply(centered, resp[:, :, None, :], out=weighted)
-    scatter = weighted @ np.swapaxes(centered, -1, -2)
+    sx = Q[..., 1:d + 1]
+    means = sx / nk[..., None]
+    scatter = np.empty((S, K, d, d))
+    for row, (i, j) in _pairs(d):
+        scatter[..., i, j] = scatter[..., j, i] = Q[..., row]
+    scatter -= sx[..., :, None] * means[..., None, :]
     if structure == "free-var-free-cov":
         covs = scatter / nk[..., None, None]
     elif structure == "free-var-zero-cov":
@@ -296,24 +346,33 @@ def _mstep_batch(X: np.ndarray, XT: np.ndarray, resp: np.ndarray,
 def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One start's M-step from its N x K responsibilities."""
-    resp = resp.T[None]
-    nk = resp.sum(axis=-1)
-    if np.any(nk < 1e-8):
+    F = np.empty((1, _n_features(X.shape[1]), len(X)))
+    centre = _fill_features(F[0], X)
+    Q = resp.T[None] @ np.swapaxes(F, -1, -2)
+    if np.any(Q[..., 0] < 1e-8):
         raise ConvergenceError("component weight collapsed")
-    weights, means, covs, failed = _mstep_batch(
-        X, np.ascontiguousarray(X.T), resp, nk, structure)
+    weights, means, covs, failed = _mstep_batch(Q, len(X), structure)
     if failed[0]:
         raise np.linalg.LinAlgError("covariance eigendecomposition failed")
-    return weights[0], means[0], covs[0]
+    return weights[0], means[0] + centre, covs[0]
+
+
+def _responsibilities(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                      covs: np.ndarray) -> tuple[np.ndarray, float]:
+    """One mixture's K x N responsibilities and its log-likelihood."""
+    X1 = np.empty((1, X.shape[1] + 1, len(X)))
+    centre = _fill_features(X1[0], X)
+    resp, ll = _estep(X1, weights[None], (means - centre)[None],
+                      np.linalg.cholesky(covs)[None])
+    return resp[0], float(ll[0])
 
 
 def _log_resp(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
               covs: np.ndarray) -> tuple[np.ndarray, float]:
     """One mixture's N x K log responsibilities and its log-likelihood."""
-    chol = np.linalg.cholesky(covs)
-    logr, ll = _estep(np.ascontiguousarray(X.T), weights[None], means[None],
-                      chol[None])
-    return logr[0].T, float(ll[0])
+    resp, ll = _responsibilities(X, weights, means, covs)
+    with np.errstate(divide="ignore"):
+        return np.log(resp).T, ll
 
 
 def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
@@ -323,7 +382,12 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     Start j runs on the data set ``Xs[sets[j]]`` of the stack ``Xs``
     (B, N, d) from seed ``seeds[j]``, with the pooled covariance
     ``pooled[sets[j]]`` as its initial covariances.  With B = 1 every start
-    reads the one data set in place.
+    reads one copy of the data.  The data are centred at their mean (EM is
+    shift-equivariant, and centred raw moments sum without cancellation at
+    large offsets); each iteration is one matrix product per start for the
+    E-step and one for the M-step's sufficient statistics.  (Not one product
+    over the whole block: BLAS may round a product differently as its row
+    count changes, and results must not depend on the block size.)
 
     Returns per start: log-likelihood, weights, means, covariances,
     iteration count, converged flag, and a degenerate flag.  A start is
@@ -343,49 +407,48 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     conv_out = np.zeros(S, dtype=bool)
     degenerate = np.ones(S, dtype=bool)
 
+    # The feature rows of each start's centred data set, one copy for all
+    # starts when B = 1; the starts still running fill their leading rows,
+    # in the order of ``idx``.
+    shared = B == 1
+    F = np.empty((1 if shared else S, _n_features(d), n))
+    centre = np.stack([_fill_features(F[r], Xs[b])
+                       for r, b in enumerate(sets[:len(F)])])
+    shift = np.broadcast_to(centre, (S, d))  # by start, never compacted
+
     def record(j, ll, weights, means, covs, it, converged):
-        ll_out[j], w_out[j], m_out[j], c_out[j] = ll, weights, means, covs
+        ll_out[j], w_out[j], c_out[j] = ll, weights, covs
+        m_out[j] = means + shift[j][:, None]
         it_out[j], conv_out[j], degenerate[j] = it, converged, False
+
+    def compact(keep):
+        """Move the data of the kept starts to the front; returns how many
+        starts are kept."""
+        m = int(keep.sum())
+        if not shared:
+            F[:m] = F[:keep.size][keep]
+        return m
 
     # Random-point start: K distinct observations as means, pooled spread as
     # the common covariance.  (Random soft responsibilities put every
     # component at the grand mean, a symmetric saddle EM can stall on.)
     means = np.stack([Xs[b][np.random.default_rng(s).choice(n, size=K,
                                                              replace=False)]
-                      for b, s in zip(sets, seeds)])
+                      for b, s in zip(sets, seeds)]) - shift[:, None]
     covs = np.repeat(pooled[sets][:, None], K, axis=1)
     weights = np.full((S, K), 1.0 / K)
-    shared = B == 1
-    if shared:
-        X = Xs[0]
-        XT = np.ascontiguousarray(X.T)
-    else:
-        X = Xs[sets]
-        # a copy even where the transpose is contiguous (d = 1): both
-        # arrays are compacted
-        XT = np.swapaxes(X, 1, 2).copy()[:, None]
-    # Work arrays, allocated once: the starts still running fill their
-    # leading rows, in the order of ``idx``.
-    work = np.empty((2, S, K, d, n))
-    logp = np.empty((S, K, n))
+    # Work arrays, allocated once.
+    z = np.empty((S, K, d, n))
     resp = np.empty((S, K, n))
-
-    def compact(keep, *arrays):
-        """Move the rows of the kept starts to the front of the per-start
-        arrays; returns how many starts are kept."""
-        m = int(keep.sum())
-        for a in (arrays if shared else (*arrays, X, XT)):
-            a[:m] = a[:keep.size][keep]
-        return m
 
     prev = np.full(S, -np.inf)
     idx = np.arange(S)  # start of each running row
     m = S
     for it in range(1, max_iter + 1):
-        Xm, XTm = (X, XT) if shared else (X[:m], XT[:m])
+        Fm = F if shared else F[:m]
         chol, bad = _by_start(np.linalg.cholesky, covs)
-        _, ll = _estep(XTm, weights, means, chol, work[0, :m], logp[:m],
-                       resp[:m])
+        _, ll = _estep(Fm[:, :d + 1], weights, means, chol, z[:m], resp[:m])
+        Q = resp[:m] @ np.swapaxes(Fm, -1, -2)
         # prev is -inf before a start's first E-step, which gets no slack
         # (0 * inf would warn at tol=0) and no convergence test
         started = prev > -np.inf
@@ -393,30 +456,25 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
         slack = np.maximum(1.0, np.abs(ref))
         bad |= ~np.isfinite(ll) | (ll < prev - 1e-8 * slack)
         done = ~bad & started & (np.abs(ll - ref) <= tol * slack)
-        go = ~(bad | done)
-        if not go.all():
+        keep = ~(bad | done | np.any(Q[..., 0] < 1e-8, axis=1))
+        if not keep.all():
             record(idx[done], ll[done], weights[done], means[done],
                    covs[done], it, True)
-            idx, ll = idx[go], ll[go]
-            m = compact(go, logp)
+            idx, ll, Q = idx[keep], ll[keep], Q[keep]
+            m = compact(keep)
         prev = ll
-        np.exp(logp[:m], out=resp[:m])
-        nk = resp[:m].sum(axis=-1)
-        ok = ~np.any(nk < 1e-8, axis=1)
-        if not ok.all():
-            idx, prev, nk = idx[ok], prev[ok], nk[ok]
-            m = compact(ok, resp)
-        Xm, XTm = (X, XT) if shared else (X[:m], XT[:m])
-        weights, means, covs, bad = _mstep_batch(
-            Xm, XTm, resp[:m], nk, structure, work[0, :m], work[1, :m])
-        if bad.any():
-            ok = ~bad
-            idx, prev = idx[ok], prev[ok]
-            weights, means, covs = weights[ok], means[ok], covs[ok]
-            m = compact(ok)
         if not m:
             break
-    record(idx, prev, weights, means, covs, max_iter, False)
+        weights, means, covs, bad = _mstep_batch(Q, n, structure)
+        if bad.any():
+            keep = ~bad
+            idx, prev = idx[keep], prev[keep]
+            weights, means, covs = weights[keep], means[keep], covs[keep]
+            m = compact(keep)
+            if not m:
+                break
+    if m:
+        record(idx, prev, weights, means, covs, max_iter, False)
     return ll_out, w_out, m_out, c_out, it_out, conv_out, degenerate
 
 
@@ -436,26 +494,39 @@ def _em_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
                structure: str, starts: int, max_iter: int, tol: float,
                seed: int):
     """``starts`` EM starts on each data set ``Xs[b]``, b in ``sets``, run by
-    ``_em_block`` in blocks of bounded size.  Start s of set b has seed
-    ``seed + b * starts + s``.  Returns ``_em_block``'s per-start arrays,
-    set by set."""
+    ``_em_block`` in blocks of at most ``_BLOCK_BYTES`` of work arrays.
+    Start s of set b has seed ``seed + b * starts + s``.  Returns
+    ``_em_block``'s per-start arrays, set by set."""
+    B, n, d = Xs.shape
     rep = np.repeat(sets, starts)
     seeds = [seed + b * starts + s for b in sets.tolist()
              for s in range(starts)]
-    block = max(1, _BLOCK_ELEMENTS // (K * Xs.shape[1]))
+    # a start's work arrays: its E-step products and responsibilities, and
+    # its own feature rows unless the starts share one data set
+    start_bytes = 8 * n * (K * (d + 1) + (0 if B == 1 else _n_features(d)))
+    block = max(1, _BLOCK_BYTES // start_bytes)
     parts = [_em_block(Xs, rep[i:i + block], pooled, K, structure,
                        seeds[i:i + block], max_iter, tol)
              for i in range(0, len(seeds), block)]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _check_fit(n: int, d: int, K: int, structure: str, starts: int,
+def _check_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        bad = int((~np.isfinite(X)).any(axis=1).sum())
+        raise LpaError(f"{bad} of {len(X)} data rows hold a non-finite "
+                       "value")
+
+
+def _check_fit(X: np.ndarray, K: int, structure: str, starts: int,
                max_iter: int) -> None:
+    n, d = X.shape
     if min(K, starts, max_iter) < 1:
         raise LpaError("K, starts and max_iter must be at least 1")
     p = param_count(K, d, structure)
     if n <= p:
         raise LpaError(f"need N > {p} free parameters; got N={n}")
+    _check_finite(X)
 
 
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
@@ -476,7 +547,7 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     if X.ndim == 1:
         X = X[:, None]
     n, d = X.shape
-    _check_fit(n, d, K, structure, starts, max_iter)
+    _check_fit(X, K, structure, starts, max_iter)
     if labels is None:
         labels = tuple(f"ind{j}" for j in range(d))
 
@@ -512,8 +583,8 @@ def posterior(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.d:
         raise LpaError(f"data have {X.shape[1]} indicators; the model has "
                        f"{model.d} ({', '.join(model.labels)})")
-    logr, _ = _log_resp(X, model.weights, model.means, model.covs)
-    return np.exp(logr)
+    _check_finite(X)
+    return _responsibilities(X, model.weights, model.means, model.covs)[0].T
 
 
 def modal_assignment(posteriors: np.ndarray) -> np.ndarray:
@@ -589,7 +660,7 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     if X.ndim == 1:
         X = X[:, None]
     n, d = X.shape
-    _check_fit(n, d, K, structure, starts_boot, max_iter)
+    _check_fit(X, K, structure, starts_boot, max_iter)
     for model, k in ((null_model, K - 1), (alt_model, K)):
         if model is not None and (model.K, model.structure) != (k, structure):
             raise LpaError(f"BLRT needs a {structure} model with K={k}")

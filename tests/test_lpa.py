@@ -497,9 +497,8 @@ def _matches(model, ref, rtol):
     return True
 
 
-@pytest.mark.parametrize("block_elements", [1, 10**9])
-def test_results_do_not_depend_on_the_block_size(monkeypatch,
-                                                 block_elements):
+@pytest.mark.parametrize("block_bytes", [1, 10**9])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes):
     cases = [(three_class_data(n=300, seed=16), 3, "free-var-free-cov"),
              (three_class_data(n=300, seed=16), 2, "equal-var-zero-cov"),
              (collinear_data(), 2, "free-var-free-cov")]
@@ -509,7 +508,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch,
                   (collinear_data(40), 4, {"max_failure_fraction": 1.0})]
     default_blrt = [blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
                          **kw) for X, K, kw in blrt_cases]
-    monkeypatch.setattr(lpa, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(lpa, "_BLOCK_BYTES", block_bytes)
     for (X, K, st), (want, want_post) in zip(cases, default):
         got, got_post = fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
         assert got.to_json() == want.to_json()
@@ -618,3 +617,100 @@ def test_batched_blrt_counts_failed_replicates_as_the_reference():
     for impl in (blrt, _ref_blrt):
         with pytest.raises(ConvergenceError, match="6/19"):
             impl(X, 4, max_failure_fraction=fraction - 1e-3, **kw)
+
+
+# --- the EM kernel's numerics: centred sufficient statistics, and the
+# Cholesky floor test against the eigh floor that it replaced ---
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+def test_fits_are_shift_equivariant(c):
+    """EM runs on the data centred at their mean, so the fit of X + c is
+    the fit of X moved by c.  (A raw-moment M-step on uncentred data loses
+    about log10(c^2 / variance) digits to cancellation and fails here.)"""
+    X = three_class_data(n=300, seed=18)
+    cases = [(X, 3, "free-var-free-cov"), (X, 2, "equal-var-zero-cov"),
+             (X, 4, "free-var-zero-cov"), (X[:, :1], 2, "equal-var-free-cov")]
+    for X, K, structure in cases:
+        kw = dict(starts=6, max_iter=80, seed=1)
+        want, want_post = fit_mixture(X, K, structure, **kw)
+        got, got_post = fit_mixture(X + c, K, structure, **kw)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-10)
+        for a, b in ((got.means - c, want.means), (got.covs, want.covs),
+                     (got.weights, want.weights), (got_post, want_post)):
+            np.testing.assert_allclose(a, b, rtol=1e-9,
+                                       atol=1e-9 * np.abs(b).max())
+        assert (got.n_iter, got.converged, got.n_replicated,
+                got.n_degenerate_starts) == (
+            want.n_iter, want.converged, want.n_replicated,
+            want.n_degenerate_starts)
+
+
+def _ref_floor_covs(covs):
+    """The floor before the Cholesky test: eigenvalues of every start."""
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    (vals, vecs), failed = _by_start(np.linalg.eigh, covs)
+    low = vals[..., 0] < VARIANCE_FLOOR
+    if low.any():
+        v = vecs[low]
+        covs[low] = (v * np.maximum(vals[low], VARIANCE_FLOOR)[..., None, :]
+                     ) @ np.swapaxes(v, -1, -2)
+    return covs, failed
+
+
+def _random_covs(rng, shape, d, smallest, scale=1.0):
+    """Covariances (*shape, d, d) with random eigenvectors, the smallest
+    eigenvalues ``smallest`` (shape) and the others in [0.01, 1] * scale."""
+    q, _ = np.linalg.qr(rng.normal(size=(*shape, d, d)))
+    vals = rng.uniform(0.01, 1.0, size=(*shape, d)) * scale
+    vals[..., 0] = smallest
+    return (q * vals[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cholesky_floor_test_matches_the_eigh_floor(monkeypatch, d):
+    """Equal covariances and flags, also where the smallest eigenvalue is
+    within rounding of the floor, where a plain Cholesky test of
+    ``cov - floor * I`` can pass although eigh puts it below the floor."""
+    rng = np.random.default_rng(30 + d)
+    eps = np.finfo(float).eps
+    for trial in range(60):
+        shape = ((7,), (5, 4))[trial % 2]
+        scale = (1.0, 1e4, 1e8)[trial % 3]
+        n = math.prod(shape)
+        kinds = [
+            VARIANCE_FLOOR * (1 + rng.choice([-1e-9, 0.0, 1e-9], n)),
+            VARIANCE_FLOOR + rng.uniform(-20, 20, n) * eps * scale,
+            -rng.uniform(1e-9, 1.0, n),
+            rng.uniform(1e-3, 1.0, n),
+        ]
+        smallest = np.choose(rng.integers(len(kinds), size=n), kinds)
+        covs = _random_covs(rng, shape, d, smallest.reshape(shape), scale)
+        if trial % 5 == 0:
+            covs[rng.integers(shape[0])] = np.nan
+        got, got_failed = lpa._floor_covs(covs.copy())
+        want, want_failed = _ref_floor_covs(covs.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_failed, want_failed)
+    # a stack clear of the floor takes no eigendecomposition
+    covs = _random_covs(rng, (5, 4), d, rng.uniform(1e-3, 1.0, (5, 4)))
+    want = _ref_floor_covs(covs.copy())
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    got = lpa._floor_covs(covs.copy())
+    assert np.array_equal(got[0], want[0]) and not got[1].any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_a_data_error(value):
+    """A non-finite cell made every start fail (ConvergenceError, a numeric
+    failure) and gave NaN posterior rows; it is an LpaError naming the
+    rows."""
+    X = three_class_data(n=240, seed=21)
+    X[[3, 70, 70], [0, 0, 1]] = value
+    calls = [lambda: fit_mixture(X, 2, starts=2),
+             lambda: blrt(X, 2, n_boot=19, starts=2, starts_boot=1),
+             lambda: selection_table(X, [1], starts=2),
+             lambda: posterior(reference_model(), X)]
+    for call in calls:
+        with pytest.raises(LpaError, match="2 of 240 data rows") as err:
+            call()
+        assert not isinstance(err.value, ConvergenceError)
