@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -95,6 +96,12 @@ def _check_dir(path: str, what: str) -> None:
         raise UsageError(f"{what} {path!r}: {head} is not a directory")
 
 
+def _check_finite(flag: str, value: float | None) -> None:
+    """A usage error for a numeric flag set to nan or an infinity."""
+    if value is not None and not math.isfinite(value):
+        raise UsageError(f"{flag} must be a finite number; got {value}")
+
+
 def _out_dir(args) -> str:
     """The output directory, checked before any input is read."""
     out = args.out or os.environ.get("DAYCYCLE_OUT", ".")
@@ -173,14 +180,21 @@ def _table_csv(tab: ism.SubstitutionTable) -> str:
 
 
 def cmd_ism(args) -> int:
+    _check_finite("--minutes", args.minutes)
+    _check_finite("--subgroup-step-cut", args.subgroup_step_cut)
     out = _out_dir(args)
     cohort = _load(args)
     subgroups = {"overall": None}
     if args.subgroup_step_cut is not None:
         cut = args.subgroup_step_cut
         step = cohort.behavior("step")
-        subgroups[f"step_gt_{cut:g}"] = step > cut
-        subgroups[f"step_le_{cut:g}"] = step <= cut
+        above, below = step > cut, step <= cut
+        subgroups[f"step_gt_{cut:g}"] = above
+        subgroups[f"step_le_{cut:g}"] = below
+        if not (above.any() and below.any()):
+            raise UsageError(
+                f"--subgroup-step-cut {cut:g} leaves a subgroup empty: step "
+                f"minutes/day run from {step.min():g} to {step.max():g}")
     tables = {name: ism.substitution_table(cohort, args.covariates,
                                            minutes=args.minutes, subgroup=mask)
               for name, mask in subgroups.items()}
@@ -207,8 +221,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, by = (float(v) for v in spec.split(":"))
     except ValueError:
         raise UsageError(f"bad --delta-grid {spec!r}; expected lo:hi:step")
-    if by <= 0 or hi < lo:
-        raise UsageError("delta grid needs lo <= hi and step > 0")
+    if not math.isfinite(lo + hi + by) or by <= 0 or hi < lo:
+        raise UsageError("delta grid needs finite lo <= hi and step > 0")
     return np.arange(lo, hi + by / 2, by)
 
 
@@ -227,6 +241,7 @@ def _realloc_curve(cohort: CohortTable, pivot: str, covariates,
 
 def cmd_coda(args) -> int:
     deltas = _parse_grid(args.delta_grid)
+    _check_finite("--pairwise-minutes", args.pairwise_minutes)
     out = _out_dir(args)
     cfit, curve, svg = _realloc_curve(load_cohort_csv(args.input), args.pivot,
                                       args.covariates, deltas)
@@ -387,8 +402,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_plot(args) -> int:
     labels = tuple(args.behaviors)
-    if args.kind == "ternary" and len(labels) != 3:
-        raise UsageError("--behaviors needs exactly 3 labels")
+    if args.kind == "ternary" and (len(labels) != 3 or len(set(labels)) < 3):
+        raise UsageError("--behaviors needs exactly 3 distinct labels")
     if args.kind == "profiles" and not args.model:
         raise UsageError("--kind profiles requires --model")
     out = _out_dir(args)

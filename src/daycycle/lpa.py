@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -19,6 +20,7 @@ STRUCTURES = (
 )
 
 VARIANCE_FLOOR = 1e-6
+EM_TOL = 1e-8  # default relative log-likelihood change that stops EM
 ARTIFACT_VERSION = 1
 MIN_BLRT_BOOT = 19  # the fewest replicates whose p-value can reach 0.05
 
@@ -183,13 +185,18 @@ class FitStats:
     entropy: float
 
 
-# Starts run in blocks whose per-start work arrays (see ``_em_starts``)
+# Starts run in blocks whose per-start work arrays (see ``_plan_starts``)
 # total at most this many bytes, but at least one start per block, so a
 # block's memory does not grow with the number of starts.  A larger block
 # pays the per-iteration Python overhead once for more starts: an N=1000,
 # K=6 block holds 5 starts.  Twice this budget cut the `lpa` benchmark's
 # pass time by about 8% but raised its peak memory by 1.3 MB (3%; 2-vCPU
-# VM, one BLAS thread).  Results do not depend on the block size.
+# VM, one BLAS thread).  Results do not depend on the block size.  The
+# budget is per worker process (see ``_run_blocks``), so the work arrays of
+# a call take up to workers x budget across its processes.  Blocks are not
+# cut smaller to give more workers a block each: capping them at
+# ceil(starts / workers) did not make the `lpa` benchmark's pass faster
+# (0.27-0.30 s against 0.25-0.28 s, three 20-s runs each).
 _BLOCK_BYTES = 1 << 20
 
 # The Cholesky floor test shifts each covariance by the floor plus this
@@ -490,13 +497,15 @@ def _pooled_covs(Xs: np.ndarray, structure: str
     return _floor_covs(pooled)
 
 
-def _em_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
-               structure: str, starts: int, max_iter: int, tol: float,
-               seed: int):
-    """``starts`` EM starts on each data set ``Xs[b]``, b in ``sets``, run by
-    ``_em_block`` in blocks of at most ``_BLOCK_BYTES`` of work arrays.
-    Start s of set b has seed ``seed + b * starts + s``.  Returns
-    ``_em_block``'s per-start arrays, set by set."""
+def _plan_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray,
+                 K: int, structure: str, starts: int, max_iter: int,
+                 tol: float, seed: int) -> list[tuple]:
+    """``starts`` EM starts on each data set ``Xs[b]``, b in ``sets``
+    (ascending), cut into blocks of at most ``_BLOCK_BYTES`` of work arrays:
+    one tuple of ``_em_block`` arguments per block, the starts set by set.
+    Start s of set b has seed ``seed + b * starts + s``.  A block carries
+    only the slice of ``Xs`` and ``pooled`` from its first set to its
+    last."""
     B, n, d = Xs.shape
     rep = np.repeat(sets, starts)
     seeds = [seed + b * starts + s for b in sets.tolist()
@@ -505,10 +514,121 @@ def _em_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     # its own feature rows unless the starts share one data set
     start_bytes = 8 * n * (K * (d + 1) + (0 if B == 1 else _n_features(d)))
     block = max(1, _BLOCK_BYTES // start_bytes)
-    parts = [_em_block(Xs, rep[i:i + block], pooled, K, structure,
-                       seeds[i:i + block], max_iter, tol)
-             for i in range(0, len(seeds), block)]
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    units = []
+    for i in range(0, len(seeds), block):
+        part = rep[i:i + block]
+        lo, hi = part[0], part[-1] + 1
+        units.append((Xs[lo:hi], part - lo, pooled[lo:hi], K, structure,
+                      seeds[i:i + block], max_iter, tol))
+    return units
+
+
+def _stack_starts(results: list[tuple]) -> tuple[np.ndarray, ...]:
+    """The per-start arrays of the ``_em_block`` results of a plan."""
+    return tuple(np.concatenate(a) for a in zip(*results))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _serve_blocks(conn, parent_ends: list, units: list[tuple]) -> None:
+    """A worker process: for each index i that arrives on ``conn``, until
+    None does, send back (i, the result of ``_em_block`` on ``units[i]``, or
+    the exception it raised).  It first closes the copies of the parent's
+    pipe ends that it inherited, so that when the parent dies, ``recv``
+    raises EOFError and the worker ends."""
+    for end in parent_ends:
+        end.close()
+    for i in iter(conn.recv, None):
+        try:
+            result = _em_block(*units[i])
+        except Exception as exc:
+            result = exc
+        conn.send((i, result))
+
+
+def _run_blocks(units: list[tuple]) -> list[tuple]:
+    """``_em_block`` over the blocks of a plan; results in plan order.
+
+    The blocks run in this process when there is one, when the process may
+    use one CPU, or when it cannot fork (or is itself a daemonic worker,
+    which may not have children).  Otherwise min(CPUs, blocks) forked
+    worker processes run them, costliest first (K x starts x N), one block
+    at a time to whichever worker is free.  Workers read the blocks from
+    the memory they inherit and send back only results.  All of them have
+    exited, or on an exception been terminated, and are joined before this
+    returns.  An exception raised in a worker is raised here, with its
+    type.  A block's result depends only on its arguments (``_em_block``
+    compares no start with another), so results do not depend on the
+    worker count.
+    """
+    workers = min(_cpus(), len(units))
+    if workers > 1:
+        import multiprocessing  # here only: it costs the CLI start-up time
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            workers = 1
+    if workers <= 1:
+        return [_em_block(*u) for u in units]
+    # Fork, not spawn: a spawned worker imports numpy and this package
+    # again, for every call.  Not multiprocessing.Pool: with its three
+    # threads in this process, the `lpa` benchmark's peak memory rose by
+    # 3.4-4.5% instead of 1.2-1.5% (2-vCPU VM).
+    from multiprocessing.connection import wait
+    ctx = multiprocessing.get_context("fork")
+    order = iter(sorted(range(len(units)), reverse=True,
+                        key=lambda i: units[i][3] * len(units[i][5])
+                        * units[i][0].shape[1]))
+    results = [None] * len(units)
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
+            proc = ctx.Process(target=_serve_blocks, daemon=True,
+                               args=(child_conn, conns, units))
+            proc.start()
+            procs.append(proc)
+            child_conn.close()
+            conn.send(next(order))
+        busy = list(conns)
+        while busy:
+            for conn in wait(busy):
+                i, result = conn.recv()
+                if isinstance(result, Exception):
+                    raise result
+                results[i] = result
+                i = next(order, None)
+                conn.send(i)
+                if i is None:
+                    busy.remove(conn)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+    return results
+
+
+def _run_plans(plans: list[list[tuple]]) -> list[list[tuple]]:
+    """The blocks of several plans run as one ``_run_blocks``, so that they
+    share its workers; the results plan by plan."""
+    done = iter(_run_blocks([u for plan in plans for u in plan]))
+    return [list(islice(done, len(plan))) for plan in plans]
+
+
+def _as_matrix(data: np.ndarray) -> np.ndarray:
+    """The data as a float N x d matrix; a vector is one indicator."""
+    X = np.asarray(data, dtype=float)
+    return X[:, None] if X.ndim == 1 else X
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -529,34 +649,55 @@ def _check_fit(X: np.ndarray, K: int, structure: str, starts: int,
     _check_finite(X)
 
 
+def _check_blrt(X: np.ndarray, K: int, structure: str, n_boot: int,
+                starts_boot: int, max_iter: int) -> None:
+    if K < 2:
+        raise LpaError("BLRT compares K-1 vs K; need K >= 2")
+    if n_boot < MIN_BLRT_BOOT:
+        raise LpaError(f"need at least {MIN_BLRT_BOOT} bootstrap replicates")
+    _check_fit(X, K, structure, starts_boot, max_iter)
+
+
+def _plan_fit(X: np.ndarray, K: int, structure: str, starts: int,
+              max_iter: int, tol: float, seed: int) -> list[tuple]:
+    """The blocks of ``fit_mixture``'s starts on the checked data ``X``."""
+    pooled, failed = _pooled_covs(X[None], structure)
+    if failed[0]:
+        raise ConvergenceError("all EM starts failed")
+    return _plan_starts(X[None], np.zeros(1, dtype=int), pooled, K,
+                        structure, starts, max_iter, tol, seed)
+
+
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
-                starts: int = 160, max_iter: int = 250, tol: float = 1e-8,
+                starts: int = 160, max_iter: int = 250, tol: float = EM_TOL,
                 seed: int = 0, labels: tuple[str, ...] | None = None,
-                order_indicator: int = 0
+                order_indicator: int = 0, _done: list[tuple] | None = None
                 ) -> tuple[MixtureModel, np.ndarray]:
     """Best-of-``starts`` EM fit; returns the model and its posterior matrix.
 
     Each start takes K distinct random observations as its means (drawn
     from seed + start index, so runs are reproducible and starts are
     independent) and the pooled covariance for every component.  The starts
-    run as one batched EM, in blocks of bounded size; each keeps its own
-    convergence test and degenerate-start checks.  Components are relabeled
-    in ascending order of the ordering indicator's mean.
+    run as batched EM, in blocks of bounded size spread over the CPUs (see
+    ``_run_blocks``); each keeps its own convergence test and
+    degenerate-start checks.  Components are relabeled in ascending order of
+    the ordering indicator's mean.
+
+    ``_done`` holds the results of the blocks that ``_plan_fit`` plans for
+    these arguments when the caller has run them (``selection_table`` runs
+    those of all its fits at once).
     """
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_matrix(data)
     n, d = X.shape
     _check_fit(X, K, structure, starts, max_iter)
     if labels is None:
         labels = tuple(f"ind{j}" for j in range(d))
 
-    pooled, failed = _pooled_covs(X[None], structure)
-    if failed[0]:
-        raise ConvergenceError("all EM starts failed")
-    ll, weights, means, covs, n_iter, converged, degenerate = _em_starts(
-        X[None], np.zeros(1, dtype=int), pooled, K, structure, starts,
-        max_iter, tol, seed)
+    if _done is None:
+        _done = _run_blocks(_plan_fit(X, K, structure, starts, max_iter, tol,
+                                      seed))
+    ll, weights, means, covs, n_iter, converged, degenerate = _stack_starts(
+        _done)
     if degenerate.all():
         raise ConvergenceError("all EM starts failed")
     kept = np.flatnonzero(~degenerate)
@@ -577,9 +718,7 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
 
 def posterior(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     """Bayes-rule class probabilities; rows sum to one."""
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_matrix(data)
     if X.shape[1] != model.d:
         raise LpaError(f"data have {X.shape[1]} indicators; the model has "
                        f"{model.d} ({', '.join(model.labels)})")
@@ -627,12 +766,28 @@ def classification_error_matrix(posteriors: np.ndarray,
     return D
 
 
+def _plan_boot(X: np.ndarray, K: int, structure: str,
+               null_model: MixtureModel, n_boot: int, starts_boot: int,
+               max_iter: int, tol: float, seed: int):
+    """Draw ``blrt``'s replicates and plan their refits.  Returns the
+    replicates whose pooled floor failed (a mask), the others (``sets``)
+    and the blocks of their K-1 refits and of their K refits."""
+    rng = np.random.default_rng(seed + 10_000)
+    Xs = np.stack([null_model.sample(len(X), rng) for _ in range(n_boot)])
+    pooled, failed = _pooled_covs(Xs, structure)
+    sets = np.flatnonzero(~failed)
+    plans = [_plan_starts(Xs, sets, pooled, k, structure, starts_boot,
+                          max_iter, tol, seed + 20_000) for k in (K - 1, K)]
+    return failed, sets, plans
+
+
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
          n_boot: int = 500, starts: int = 20, starts_boot: int = 20,
-         max_iter: int = 250, tol: float = 1e-8, seed: int = 0,
+         max_iter: int = 250, tol: float = EM_TOL, seed: int = 0,
          max_failure_fraction: float = 0.2,
          null_model: MixtureModel | None = None,
-         alt_model: MixtureModel | None = None) -> dict:
+         alt_model: MixtureModel | None = None,
+         _boot: tuple | None = None) -> dict:
     """Parametric bootstrap likelihood ratio test of K-1 vs K components.
 
     Simulates ``n_boot`` replicates from the fitted K-1 model, refits both
@@ -643,24 +798,22 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     passed as ``null_model``/``alt_model``.
 
     All replicates are drawn first, from ``default_rng(seed + 10_000)``.
-    Then the K-1 refits of every replicate run as one batched EM, and the K
-    refits as another; start s of replicate b has seed
+    Then the K-1 and the K refits of every replicate run as one batched EM
+    (see ``_run_blocks``); start s of replicate b has seed
     ``seed + 20_000 + b * starts_boot + s`` in both, and each replicate's
     statistic uses the best non-degenerate start of each order.  A replicate
     fails when the variance floor of its pooled covariance fails, or when
     all its K-1 starts or all its K starts are degenerate; more than
     ``max_failure_fraction`` of ``n_boot`` failing raises
     ``ConvergenceError``.
+
+    ``_boot`` holds the failed mask and the sets that ``_plan_boot`` returns
+    for these arguments and the results of its two plans, when the caller
+    has drawn and run them (``selection_table`` runs the refits of all its
+    BLRTs at once).
     """
-    if K < 2:
-        raise LpaError("BLRT compares K-1 vs K; need K >= 2")
-    if n_boot < MIN_BLRT_BOOT:
-        raise LpaError(f"need at least {MIN_BLRT_BOOT} bootstrap replicates")
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, d = X.shape
-    _check_fit(X, K, structure, starts_boot, max_iter)
+    X = _as_matrix(data)
+    _check_blrt(X, K, structure, n_boot, starts_boot, max_iter)
     for model, k in ((null_model, K - 1), (alt_model, K)):
         if model is not None and (model.K, model.structure) != (k, structure):
             raise LpaError(f"BLRT needs a {structure} model with K={k}")
@@ -671,26 +824,25 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
         alt_model, _ = fit_mixture(X, K, structure, starts=starts,
                                    max_iter=max_iter, tol=tol, seed=seed)
     observed = 2.0 * (alt_model.loglik - null_model.loglik)
-    rng = np.random.default_rng(seed + 10_000)
-    Xs = np.stack([null_model.sample(n, rng) for _ in range(n_boot)])
-    pooled, failed = _pooled_covs(Xs, structure)
+    if _boot is None:
+        failed, sets, plans = _plan_boot(X, K, structure, null_model, n_boot,
+                                         starts_boot, max_iter, tol, seed)
+        done = _run_plans(plans)
+    else:
+        failed, sets, done = _boot
     best = np.zeros((2, n_boot))  # best log-likelihood at K-1 and at K
-    for row, k in enumerate((K - 1, K)):
-        sets = np.flatnonzero(~failed)
-        if not sets.size:
-            break
-        ll, *_, degenerate = _em_starts(Xs, sets, pooled, k, structure,
-                                        starts_boot, max_iter, tol,
-                                        seed + 20_000)
-        degenerate = degenerate.reshape(sets.size, starts_boot)
-        best[row, sets] = np.where(degenerate, -np.inf,
-                                   ll.reshape(degenerate.shape)).max(axis=1)
-        failed[sets] = degenerate.all(axis=1)
+    if sets.size:
+        for row, results in enumerate(done):
+            ll, *_, degenerate = _stack_starts(results)
+            degenerate = degenerate.reshape(sets.size, starts_boot)
+            best[row, sets] = np.where(degenerate, -np.inf, ll.reshape(
+                degenerate.shape)).max(axis=1)
+            failed[sets] |= degenerate.all(axis=1)
     failures = int(failed.sum())
     if failures > max_failure_fraction * n_boot:
         raise ConvergenceError(
             f"{failures}/{n_boot} bootstrap refits failed")
-    boot_stats = 2.0 * (best[1] - best[0])[~failed]
+    boot_stats = 2.0 * (best[1, ~failed] - best[0, ~failed])
     n_used = boot_stats.size
     p = (1 + int((boot_stats >= observed).sum())) / (n_used + 1)
     return {
@@ -749,26 +901,42 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
     Returns the rows plus a dict of fitted models keyed by K.  The BLRT of
     K-1 vs K reuses the table's K fit, and its K-1 fit when the table has
     one; a row records its p-value and how many of its replicates failed.
+
+    Every K is checked before any EM runs.  Then the starts of all the fits
+    run as one ``_run_blocks``, and the bootstrap refits of all the BLRTs as
+    another, so that they share its workers; each row is built from its K's
+    results, as a table of one K at a time would be.
     """
+    X = _as_matrix(data)
+    ks = list(k_range)
+    tested = [K for K in ks if run_blrt and K >= 2]
+    for K in ks:
+        _check_fit(X, K, structure, starts, max_iter)
+    for K in tested:
+        _check_blrt(X, K, structure, n_boot, starts_boot, max_iter)
+    # a BLRT whose K-1 is not in the table fits its null model here too
+    fits = list(dict.fromkeys(ks + [K - 1 for K in tested]))
+    done = _run_plans([_plan_fit(X, K, structure, starts, max_iter, EM_TOL,
+                                 seed) for K in fits])
+    models = {K: fit_mixture(X, K, structure, starts=starts,
+                             max_iter=max_iter, seed=seed, labels=labels,
+                             _done=results)
+              for K, results in zip(fits, done)}
+    boots = [_plan_boot(X, K, structure, models[K - 1][0], n_boot,
+                        starts_boot, max_iter, EM_TOL, seed) for K in tested]
+    done = iter(_run_plans([plan for *_, plans in boots for plan in plans]))
+    tests = {K: blrt(X, K, structure, n_boot=n_boot, starts=starts,
+                     starts_boot=starts_boot, max_iter=max_iter, seed=seed,
+                     null_model=models[K - 1][0], alt_model=models[K][0],
+                     _boot=(failed, sets, list(islice(done, 2))))
+             for K, (failed, sets, _) in zip(tested, boots)}
     rows = []
-    models = {}
-    X = np.asarray(data, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    for K in k_range:
-        model, post = fit_mixture(X, K, structure, starts=starts,
-                                  max_iter=max_iter, seed=seed, labels=labels)
-        assign = modal_assignment(post)
-        sizes = np.bincount(assign, minlength=K)
-        stats = fit_stats(model, post)
-        test = {}
-        if run_blrt and K >= 2:
-            null = models.get(K - 1, (None,))[0]
-            test = blrt(X, K, structure, n_boot=n_boot, starts=starts,
-                        starts_boot=starts_boot, max_iter=max_iter,
-                        seed=seed, null_model=null, alt_model=model)
+    for K in ks:
+        model, post = models[K]
+        sizes = np.bincount(modal_assignment(post), minlength=K)
+        test = tests.get(K, {})
         rows.append(SelectionRow(
-            K=K, loglik=model.loglik, stats=stats,
+            K=K, loglik=model.loglik, stats=fit_stats(model, post),
             n_min=int(sizes.min()),
             n_min_pct=round(100.0 * sizes.min() / model.n, 1),
             n_replicated=model.n_replicated, converged=model.converged,
@@ -777,5 +945,4 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
             blrt_p=test.get("p_value"),
             blrt_n_boot_failed=test.get("n_boot_failed"),
         ))
-        models[K] = (model, post)
-    return rows, models
+    return rows, {K: models[K] for K in ks}

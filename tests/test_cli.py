@@ -429,8 +429,17 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     ["lpa", "{csv}", "--classes", "1:2", "--blrt", "--blrt-boot", "5"],
     ["lpa", "{csv}", "--classes", "1:2", "--blrt", "--blrt-starts", "0"],
     ["plot", "{csv}", "--kind", "profiles"],
+    ["ism", "{csv}", "--minutes", "nan"],
+    ["ism", "{csv}", "--subgroup-step-cut", "nan"],
+    ["ism", "{csv}", "--subgroup-step-cut", "inf"],
+    ["coda", "{csv}", "--pairwise", "--pairwise-minutes", "nan"],
+    ["coda", "{csv}", "--delta-grid", "nan:30:5"],
+    ["plot", "{csv}", "--kind", "ternary", "--behaviors", "sit", "sit",
+     "stand"],
 ], ids=["ism-dropped", "lpa-starts", "lpa-max-iter", "lpa-blrt-boot",
-        "lpa-blrt-starts", "plot-profiles-no-model"])
+        "lpa-blrt-starts", "plot-profiles-no-model", "ism-minutes-nan",
+        "ism-cut-nan", "ism-cut-inf", "coda-pairwise-minutes-nan",
+        "coda-delta-grid-nan", "plot-ternary-repeated-label"])
 def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
                                                         capsys, args):
     out = tmp_path / "out"
@@ -440,6 +449,16 @@ def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
         assert run(argv + ["-o", out]) == 1
         assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cut", ["-5", "1e9"])
+def test_ism_cut_that_leaves_a_subgroup_empty_exits_1(tmp_path, cohort_csv,
+                                                      capsys, cut):
+    out = tmp_path / "out"
+    assert run(["ism", cohort_csv, "-o", out, "--subgroup-step-cut",
+                cut]) == 1
+    assert "leaves a subgroup empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,problem", [
@@ -676,3 +695,12 @@ def test_python_dash_m_daycycle_runs_the_cli():
     proc = _python("-m", "daycycle", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: daycycle")
+
+
+def test_cli_import_loads_no_multiprocessing():
+    """The EM worker pool's modules load only when a call runs its blocks
+    in parallel, so the CLI's start-up does not pay for them."""
+    proc = _python("-c", "import daycycle.cli, sys; "
+                   "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

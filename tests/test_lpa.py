@@ -1,6 +1,7 @@
 """Gaussian mixture profiles: EM, fit statistics, BLRT, and artifacts."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -497,8 +498,13 @@ def _matches(model, ref, rtol):
     return True
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("block_bytes", [1, 10**9])
-def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes):
+def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes,
+                                                 workers):
+    """Nor on the number of worker processes, which is the number of CPUs
+    that ``_cpus`` reports, at most one per block."""
+    monkeypatch.setattr(lpa, "_cpus", lambda: 1)
     cases = [(three_class_data(n=300, seed=16), 3, "free-var-free-cov"),
              (three_class_data(n=300, seed=16), 2, "equal-var-zero-cov"),
              (collinear_data(), 2, "free-var-free-cov")]
@@ -508,7 +514,13 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes):
                   (collinear_data(40), 4, {"max_failure_fraction": 1.0})]
     default_blrt = [blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
                          **kw) for X, K, kw in blrt_cases]
+    # two BLRTs, one of them with a null model that is not in the table
+    table = (three_class_data(n=240, seed=16), range(2, 4))
+    table_kw = dict(starts=4, max_iter=60, seed=2, run_blrt=True, n_boot=19,
+                    starts_boot=2)
+    want_rows, want_models = selection_table(*table, **table_kw)
     monkeypatch.setattr(lpa, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(lpa, "_cpus", lambda: workers)
     for (X, K, st), (want, want_post) in zip(cases, default):
         got, got_post = fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
         assert got.to_json() == want.to_json()
@@ -516,6 +528,37 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes):
     for (X, K, kw), want in zip(blrt_cases, default_blrt):
         assert blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
                     **kw) == want
+    rows, models = selection_table(*table, **table_kw)
+    assert rows == want_rows
+    assert all(row.blrt_p is not None for row in rows)
+    assert list(models) == list(want_models)
+    for K, (model, post) in models.items():
+        assert model.to_json() == want_models[K][0].to_json()
+        assert np.array_equal(post, want_models[K][1])
+
+
+def test_a_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
+    """One block that raises in a worker process raises in the caller, with
+    its type; no worker outlives a call that returns or one that raises."""
+    import multiprocessing
+    X = three_class_data(n=300, seed=16)
+    monkeypatch.setattr(lpa, "_cpus", lambda: 2)
+    monkeypatch.setattr(lpa, "_BLOCK_BYTES", 1)  # one start per block
+    fit_mixture(X, 2, starts=4, max_iter=20)
+    assert multiprocessing.active_children() == []
+    em_block = lpa._em_block
+
+    def em_block_failing_at_seed_3(Xs, sets, pooled, K, structure, seeds,
+                                   *rest):
+        if seeds == [3]:
+            raise np.linalg.LinAlgError(f"seed 3 failed in {os.getpid()}")
+        return em_block(Xs, sets, pooled, K, structure, seeds, *rest)
+
+    monkeypatch.setattr(lpa, "_em_block", em_block_failing_at_seed_3)
+    with pytest.raises(np.linalg.LinAlgError, match="seed 3 failed") as exc:
+        fit_mixture(X, 2, starts=4, max_iter=20)
+    assert str(os.getpid()) not in str(exc.value)  # raised in a worker
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_batched_cholesky_flags_only_the_failing_start():
