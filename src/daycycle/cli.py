@@ -1,8 +1,9 @@
 """Command-line surface for the analysis pipelines.
 
-Every subcommand is deterministic given (input bytes, flags, seed); outputs
-are written atomically.  Exit codes: 0 success, 1 usage error, 2 data or
-validation error, 3 numerical failure.
+Every subcommand is deterministic given (input bytes, flags, seed).  Its
+``cmd_*`` returns every output as ``{path: text}`` and only ``main`` writes
+them, atomically, so a failed run writes nothing.  Exit codes: 0 success, 1
+usage error, 2 data or validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ DATA_ERRORS = (CohortError, IngestError, CompositionError, LpaError,
 NUMERIC_ERRORS = (RankDeficientError, ConvergenceError, np.linalg.LinAlgError,
                   FloatingPointError)
 
+# 10^5 points span a day either way in 0.03-minute steps; at about 66 us and
+# 130 output bytes per point, a finer grid only exhausts time and memory.
+MAX_GRID_POINTS = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -75,7 +80,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list) -> str:
+def _csv_text(header: list[str], rows) -> str:
     """CSV text in which every cell that is not a string is a number (or
     None) written by ``format_number``."""
     buf = io.StringIO()
@@ -84,6 +89,12 @@ def _csv_text(header: list[str], rows: list) -> str:
     w.writerows([c if isinstance(c, str) else format_number(c) for c in row]
                 for row in rows)
     return buf.getvalue()
+
+
+def _records(stem: str, fields: list[str], rows: list) -> dict[str, str]:
+    """One table as ``stem.json`` (a list of records) and ``stem.csv``."""
+    return {f"{stem}.json": _json_text([dict(zip(fields, r)) for r in rows]),
+            f"{stem}.csv": _csv_text(fields, rows)}
 
 
 def _check_dir(path: str, what: str) -> None:
@@ -102,11 +113,12 @@ def _check_finite(flag: str, value: float | None) -> None:
         raise UsageError(f"{flag} must be a finite number; got {value}")
 
 
-def _out_dir(args) -> str:
-    """The output directory, checked before any input is read."""
+def _out_path(args):
+    """The path of a named output in the output directory, which is checked
+    here, before any input is read."""
     out = args.out or os.environ.get("DAYCYCLE_OUT", ".")
     _check_dir(out, "-o" if args.out else "$DAYCYCLE_OUT")
-    return out
+    return lambda name: os.path.join(out, name)
 
 
 def _read_text(path: str, error: type[Exception]) -> str:
@@ -138,12 +150,13 @@ def _add_common(p, covariates=True):
         p.add_argument("--covariates", nargs="*", default=list(COVARIATE_COLUMNS))
 
 
-def cmd_describe(args) -> int:
-    out = os.path.join(_out_dir(args), "describe")
+def cmd_describe(args) -> dict[str, str]:
+    out = _out_path(args)
     cohort = load_cohort_csv(args.input)
     report = ingest.describe(cohort)
+    files = {}
     if args.format in ("json", "both"):
-        atomic_write(out + ".json", _json_text(report))
+        files[out("describe.json")] = _json_text(report)
     if args.format in ("csv", "both"):
         med, lo, hi = report["total_min_median_iqr"]
         rows = [["n", report["n"]]]
@@ -154,8 +167,8 @@ def cmd_describe(args) -> int:
             rows += [[f"{name}_{key}", value]
                      for name, fields in group.items()
                      for key, value in fields.items()]
-        atomic_write(out + ".csv", _csv_text(["field", "value"], rows))
-    return EXIT_OK
+        files[out("describe.csv")] = _csv_text(["field", "value"], rows)
+    return files
 
 
 def _table_cells(tab: ism.SubstitutionTable):
@@ -174,15 +187,13 @@ def _table_payload(tab: ism.SubstitutionTable) -> dict:
             "cells": cells}
 
 
-def _table_csv(tab: ism.SubstitutionTable) -> str:
-    return _csv_text(["from", "to", "estimate", "ci_low", "ci_high"],
-                     list(_table_cells(tab)))
-
-
-def cmd_ism(args) -> int:
+def cmd_ism(args) -> dict[str, str]:
     _check_finite("--minutes", args.minutes)
+    if abs(args.minutes) > coda.DEFAULT_DAY_MINUTES:
+        raise UsageError(f"--minutes must lie within one day (+-"
+                         f"{coda.DEFAULT_DAY_MINUTES:g}); got {args.minutes:g}")
     _check_finite("--subgroup-step-cut", args.subgroup_step_cut)
-    out = _out_dir(args)
+    out = _out_path(args)
     cohort = _load(args)
     subgroups = {"overall": None}
     if args.subgroup_step_cut is not None:
@@ -198,22 +209,22 @@ def cmd_ism(args) -> int:
     tables = {name: ism.substitution_table(cohort, args.covariates,
                                            minutes=args.minutes, subgroup=mask)
               for name, mask in subgroups.items()}
-    payload = {name: _table_payload(t) for name, t in tables.items()}
-    atomic_write(os.path.join(out, "ism_table.json"), _json_text(payload))
+    files = {out("ism_table.json"): _json_text(
+        {name: _table_payload(t) for name, t in tables.items()})}
     for name, t in tables.items():
-        atomic_write(os.path.join(out, f"ism_table_{name}.csv"), _table_csv(t))
+        files[out(f"ism_table_{name}.csv")] = _csv_text(
+            ["from", "to", "estimate", "ci_low", "ci_high"], _table_cells(t))
     if args.flexible:
         flex = ism.fit_flexible_ism(cohort, args.covariates,
                                     dropped=args.dropped)
-        rep = {
+        files[out("ism_flexible.json")] = _json_text({
             "dropped": flex.dropped,
             "selected_knots": flex.n_knots,
             "gcv_by_knots": {str(k): v for k, v in flex.gcv_by_knots.items()},
             "behavior_wald_p": {b: t.p_value
                                 for b, t in flex.behavior_tests.items()},
-        }
-        atomic_write(os.path.join(out, "ism_flexible.json"), _json_text(rep))
-    return EXIT_OK
+        })
+    return files
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -223,6 +234,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad --delta-grid {spec!r}; expected lo:hi:step")
     if not math.isfinite(lo + hi + by) or by <= 0 or hi < lo:
         raise UsageError("delta grid needs finite lo <= hi and step > 0")
+    # np.arange's point count, before it allocates; inf on overflow
+    if (hi + by / 2 - lo) / by > MAX_GRID_POINTS:
+        raise UsageError(f"delta grid {spec!r} has more than "
+                         f"{MAX_GRID_POINTS} points")
     return np.arange(lo, hi + by / 2, by)
 
 
@@ -239,10 +254,10 @@ def _realloc_curve(cohort: CohortTable, pivot: str, covariates,
     return cfit, curve, svg
 
 
-def cmd_coda(args) -> int:
+def cmd_coda(args) -> dict[str, str]:
     deltas = _parse_grid(args.delta_grid)
     _check_finite("--pairwise-minutes", args.pairwise_minutes)
-    out = _out_dir(args)
+    out = _out_path(args)
     cfit, curve, svg = _realloc_curve(load_cohort_csv(args.input), args.pivot,
                                       args.covariates, deltas)
     piv = coda.pivot_coefficients(cfit)
@@ -250,29 +265,22 @@ def cmd_coda(args) -> int:
     fields = ["pivot", "estimate", "ci_low", "ci_high", "p_value"]
     table_rows = list(zip(cfit.basis.labels, piv.estimate, piv.ci_low,
                           piv.ci_high, p_values))
-    pairwise = []
-    if args.pairwise:
-        for other in cfit.basis.labels:
-            if other == args.pivot:
-                continue
-            e = coda.pairwise_reallocation(cfit, other, args.pivot,
-                                           args.pairwise_minutes)
-            pairwise.append([other, args.pivot, e.estimate, e.ci_low,
-                             e.ci_high])
-
-    atomic_write(os.path.join(out, "coda_pivots.json"),
-                 _json_text([dict(zip(fields, r)) for r in table_rows]))
-    atomic_write(os.path.join(out, "coda_pivots.csv"),
-                 _csv_text(fields, table_rows))
-    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.csv"), _csv_text(
+    files = _records(out("coda_pivots"), fields, table_rows)
+    files[out(f"coda_curve_{args.pivot}.csv")] = _csv_text(
         ["delta_min", "estimate", "ci_low", "ci_high"],
-        list(zip(curve.delta_minutes, curve.estimate, curve.ci_low,
-                 curve.ci_high))))
-    atomic_write(os.path.join(out, f"coda_curve_{args.pivot}.svg"), svg)
+        zip(curve.delta_minutes, curve.estimate, curve.ci_low, curve.ci_high))
+    files[out(f"coda_curve_{args.pivot}.svg")] = svg
     if args.pairwise:
-        atomic_write(os.path.join(out, "coda_pairwise.csv"), _csv_text(
-            ["from", "to", "estimate", "ci_low", "ci_high"], pairwise))
-    return EXIT_OK
+        pairwise = []
+        for other in cfit.basis.labels:
+            if other != args.pivot:
+                e = coda.pairwise_reallocation(cfit, other, args.pivot,
+                                               args.pairwise_minutes)
+                pairwise.append([other, args.pivot, e.estimate, e.ci_low,
+                                 e.ci_high])
+        files[out("coda_pairwise.csv")] = _csv_text(
+            ["from", "to", "estimate", "ci_low", "ci_high"], pairwise)
+    return files
 
 
 def _lpa_matrix(cohort: CohortTable, scale: str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -296,7 +304,7 @@ def _classify(model_path: str, cohort: CohortTable, scale: str):
     return model, post, lpa.modal_assignment(post)
 
 
-def cmd_lpa(args) -> int:
+def cmd_lpa(args) -> dict[str, str]:
     try:
         lo, hi = (int(v) for v in args.classes.split(":"))
     except ValueError:
@@ -309,7 +317,7 @@ def cmd_lpa(args) -> int:
         raise UsageError(f"--blrt-boot must be at least {lpa.MIN_BLRT_BOOT}")
     if args.blrt and args.blrt_starts < 1:
         raise UsageError("--blrt-starts must be at least 1")
-    out = _out_dir(args)
+    out = _out_path(args)
     cohort = load_cohort_csv(args.input)
     data, labels = _lpa_matrix(cohort, args.scale)
     rows, models = lpa.selection_table(
@@ -317,44 +325,35 @@ def cmd_lpa(args) -> int:
         starts=args.starts, max_iter=args.max_iter, seed=args.seed,
         labels=labels, run_blrt=args.blrt, n_boot=args.blrt_boot,
         starts_boot=args.blrt_starts)
-    table = []
-    for r in rows:
-        table.append({
-            "K": r.K, "loglik": r.loglik,
-            "AIC": r.stats.aic, "BIC": r.stats.bic, "CAIC": r.stats.caic,
-            "SABIC": r.stats.sabic, "ICL_BIC": r.stats.icl_bic,
-            "entropy": r.stats.entropy,
-            "n_min": r.n_min, "n_min_pct": r.n_min_pct,
-            "n_replicated": r.n_replicated, "blrt_p": r.blrt_p,
-            "blrt_n_boot_failed": r.blrt_n_boot_failed,
-            "converged": r.converged, "n_iter": r.n_iter,
-            "n_degenerate_starts": r.n_degenerate_starts,
-        })
-    atomic_write(os.path.join(out, "lpa_selection.json"), _json_text(table))
-    atomic_write(os.path.join(out, "lpa_selection.csv"), _csv_text(
-        list(table[0]), [list(t.values()) for t in table]))
-    best_k = min(table, key=lambda t: t["BIC"])["K"]
+    fields = ["K", "loglik", "AIC", "BIC", "CAIC", "SABIC", "ICL_BIC",
+              "entropy", "n_min", "n_min_pct", "n_replicated", "blrt_p",
+              "blrt_n_boot_failed", "converged", "n_iter",
+              "n_degenerate_starts"]
+    table = [(r.K, r.loglik, r.stats.aic, r.stats.bic, r.stats.caic,
+              r.stats.sabic, r.stats.icl_bic, r.stats.entropy, r.n_min,
+              r.n_min_pct, r.n_replicated, r.blrt_p, r.blrt_n_boot_failed,
+              r.converged, r.n_iter, r.n_degenerate_starts) for r in rows]
+    files = _records(out("lpa_selection"), fields, table)
+    best_k = min(rows, key=lambda r: r.stats.bic).K
     model, post = models[best_k]
-    atomic_write(os.path.join(out, "lpa_model.json"), model.to_json())
+    files[out("lpa_model.json")] = model.to_json()
     assign = lpa.modal_assignment(post)
     D = lpa.classification_error_matrix(post, assign)
-    atomic_write(os.path.join(out, "lpa_error_matrix.json"),
-                 _json_text({"selected_K": best_k, "D": D.tolist()}))
-    sleep_stats = lpa.derived_sleep_stats(model)
-    profile = {
+    files[out("lpa_error_matrix.json")] = _json_text(
+        {"selected_K": best_k, "D": D.tolist()})
+    files[out("lpa_profiles.json")] = _json_text({
         "selected_K": best_k,
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "covs": model.covs.tolist(),
         "indicator_labels": list(model.labels),
-        "derived_remainder": sleep_stats,
-    }
-    atomic_write(os.path.join(out, "lpa_profiles.json"), _json_text(profile))
-    return EXIT_OK
+        "derived_remainder": lpa.derived_sleep_stats(model),
+    })
+    return files
 
 
-def cmd_step3(args) -> int:
-    out = _out_dir(args)
+def cmd_step3(args) -> dict[str, str]:
+    out = _out_path(args)
     cohort = _load(args)
     _, post, assign = _classify(args.model, cohort, args.scale)
     covs = cohort.covariate_matrix(args.covariates)
@@ -372,19 +371,17 @@ def cmd_step3(args) -> int:
                              "df": res.overall.df,
                              "p_value": res.overall.p_value},
         }
-    atomic_write(os.path.join(out, "step3_report.json"), _json_text(results))
     ref = results["naive"]["reference"]
     rows = [[f"class_{k}_vs_{ref}"] + [r[field][i] for r in results.values()
                                        for field in ("coef", "robust_se")]
             for i, k in enumerate(results["naive"]["classes"])]
     header = ["contrast"] + [f"{method}_{field}" for method in results
                              for field in ("estimate", "robust_se")]
-    atomic_write(os.path.join(out, "step3_report.csv"),
-                 _csv_text(header, rows))
-    return EXIT_OK
+    return {out("step3_report.json"): _json_text(results),
+            out("step3_report.csv"): _csv_text(header, rows)}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict[str, str]:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if os.path.isdir(args.output):
@@ -396,27 +393,27 @@ def cmd_simulate(args) -> int:
     else:
         spec = simulate.default_sim_spec()
     result = simulate.simulate_cohort(spec, args.n, seed=args.seed)
-    atomic_write(args.output, cohort_csv_text(result.cohort))
-    return EXIT_OK
+    return {args.output: cohort_csv_text(result.cohort)}
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> dict[str, str]:
     labels = tuple(args.behaviors)
     if args.kind == "ternary" and (len(labels) != 3 or len(set(labels)) < 3):
         raise UsageError("--behaviors needs exactly 3 distinct labels")
     if args.kind == "profiles" and not args.model:
         raise UsageError("--kind profiles requires --model")
-    out = _out_dir(args)
+    if args.kind == "realloc":
+        deltas = _parse_grid(args.delta_grid)
+    out = _out_path(args)
     cohort = load_cohort_csv(args.input)
     if args.kind == "ternary":
         svg = plotting.ternary_svg(cohort.compositions(labels=labels),
                                    cohort.outcome, title="-".join(labels))
-        atomic_write(os.path.join(out, "ternary.svg"), svg)
+        name = "ternary.svg"
     elif args.kind == "realloc":
-        deltas = _parse_grid(args.delta_grid)
         _, _, svg = _realloc_curve(cohort, args.pivot, COVARIATE_COLUMNS,
                                    deltas)
-        atomic_write(os.path.join(out, f"realloc_{args.pivot}.svg"), svg)
+        name = f"realloc_{args.pivot}.svg"
     else:
         model, _, assign = _classify(args.model, cohort, args.scale)
         groups = {}
@@ -428,8 +425,8 @@ def cmd_plot(args) -> int:
             groups[f"profile_{k + 1}"] = {
                 b: cohort.behavior(b)[mask] / 60.0 for b in BEHAVIOR_LABELS}
         svg = plotting.profile_boxplot_svg(groups, title="24HAC profiles")
-        atomic_write(os.path.join(out, "profiles.svg"), svg)
-    return EXIT_OK
+        name = "profiles.svg"
+    return {out(name): svg}
 
 
 def build_parser() -> _Parser:
@@ -508,7 +505,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        for path, text in args.func(args).items():
+            atomic_write(path, text)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -436,10 +436,16 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     ["coda", "{csv}", "--delta-grid", "nan:30:5"],
     ["plot", "{csv}", "--kind", "ternary", "--behaviors", "sit", "sit",
      "stand"],
+    ["plot", "{csv}", "--kind", "realloc", "--delta-grid", "nan:30:5"],
+    ["coda", "{csv}", "--delta-grid", "0:1e9:1e-9"],
+    ["plot", "{csv}", "--kind", "realloc", "--delta-grid", "0:1e9:1e-9"],
+    ["ism", "{csv}", "--minutes", "1e308"],
 ], ids=["ism-dropped", "lpa-starts", "lpa-max-iter", "lpa-blrt-boot",
         "lpa-blrt-starts", "plot-profiles-no-model", "ism-minutes-nan",
         "ism-cut-nan", "ism-cut-inf", "coda-pairwise-minutes-nan",
-        "coda-delta-grid-nan", "plot-ternary-repeated-label"])
+        "coda-delta-grid-nan", "plot-ternary-repeated-label",
+        "plot-delta-grid-nan", "coda-delta-grid-too-fine",
+        "plot-delta-grid-too-fine", "ism-minutes-over-a-day"])
 def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
                                                         capsys, args):
     out = tmp_path / "out"
@@ -449,6 +455,16 @@ def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
         assert run(argv + ["-o", out]) == 1
         assert "usage error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    # the flexible fit fails after the linear tables are computed
+    path = tmp_path / "small.csv"
+    assert run(["simulate", "--n", "20", "--seed", "3", "-o", path]) == 0
+    out = tmp_path / "out"
+    assert run(["ism", path, "--flexible", "-o", out]) == 2
+    assert "need N > p" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cut", ["-5", "1e9"])
