@@ -283,23 +283,19 @@ def cmd_coda(args) -> dict[str, str]:
     return files
 
 
-def _lpa_matrix(cohort: CohortTable, scale: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Indicator matrix for LPA: sit/stand/step, sleep dropped."""
+def _lpa_matrix(cohort: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Indicator matrix for LPA: sit/stand/step as proportions of the day,
+    sleep dropped."""
     labels = ("sit", "stand", "step")
-    cols = [cohort.behavior(b) for b in labels]
-    mat = np.column_stack(cols)
-    if scale == "proportion":
-        mat = mat / cohort.total[:, None]
-    else:
-        mat = mat / 60.0
-    return mat, labels
+    mat = np.column_stack([cohort.behavior(b) for b in labels])
+    return mat / cohort.total[:, None], labels
 
 
-def _classify(model_path: str, cohort: CohortTable, scale: str):
+def _classify(model_path: str, cohort: CohortTable):
     """The mixture model artifact at ``model_path``, and each person's
     posterior class probabilities and modal class under it."""
     model = lpa.MixtureModel.from_json(_read_text(model_path, LpaError))
-    data, _ = _lpa_matrix(cohort, scale)
+    data, _ = _lpa_matrix(cohort)
     post = lpa.posterior(model, data)
     return model, post, lpa.modal_assignment(post)
 
@@ -319,7 +315,7 @@ def cmd_lpa(args) -> dict[str, str]:
         raise UsageError("--blrt-starts must be at least 1")
     out = _out_path(args)
     cohort = load_cohort_csv(args.input)
-    data, labels = _lpa_matrix(cohort, args.scale)
+    data, labels = _lpa_matrix(cohort)
     rows, models = lpa.selection_table(
         data, range(lo, hi + 1), structure=args.covariance,
         starts=args.starts, max_iter=args.max_iter, seed=args.seed,
@@ -355,7 +351,7 @@ def cmd_lpa(args) -> dict[str, str]:
 def cmd_step3(args) -> dict[str, str]:
     out = _out_path(args)
     cohort = _load(args)
-    _, post, assign = _classify(args.model, cohort, args.scale)
+    _, post, assign = _classify(args.model, cohort)
     covs = cohort.covariate_matrix(args.covariates)
     results = {}
     for method in dict.fromkeys(("naive", args.method)):
@@ -415,7 +411,7 @@ def cmd_plot(args) -> dict[str, str]:
                                    deltas)
         name = f"realloc_{args.pivot}.svg"
     else:
-        model, _, assign = _classify(args.model, cohort, args.scale)
+        model, _, assign = _classify(args.model, cohort)
         groups = {}
         # model classes are already ordered by mean sitting time
         for k in range(model.K):
@@ -465,8 +461,6 @@ def build_parser() -> _Parser:
     l.add_argument("--max-iter", type=int, default=250)
     l.add_argument("--covariance", default="free-var-free-cov",
                    choices=lpa.STRUCTURES)
-    l.add_argument("--scale", default="proportion",
-                   choices=("proportion", "hours"))
     l.add_argument("--blrt", action="store_true")
     l.add_argument("--blrt-boot", type=int, default=100)
     l.add_argument("--blrt-starts", type=int, default=10)
@@ -476,8 +470,6 @@ def build_parser() -> _Parser:
     s.add_argument("model", help="mixture model artifact (JSON)")
     _add_common(s)
     s.add_argument("--method", choices=("bch", "naive"), default="bch")
-    s.add_argument("--scale", default="proportion",
-                   choices=("proportion", "hours"))
     s.set_defaults(func=cmd_step3)
 
     m = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
@@ -495,8 +487,6 @@ def build_parser() -> _Parser:
     g.add_argument("--pivot", default="step", choices=BEHAVIOR_LABELS)
     g.add_argument("--delta-grid", default="-30:30:5")
     g.add_argument("--model", default=None)
-    g.add_argument("--scale", default="proportion",
-                   choices=("proportion", "hours"))
     g.set_defaults(func=cmd_plot)
     return p
 

@@ -42,10 +42,6 @@ class CodaFit:
     def n_coords(self) -> int:
         return self.basis.D - 1
 
-    def coef_coords(self) -> np.ndarray:
-        """The ilr-coordinate coefficients (positions 1..D-1 after intercept)."""
-        return self.fit.coef[1:1 + self.n_coords]
-
 
 def fit_coda(cohort: CohortTable, pivot: str, covariates: list[str],
              baseline: Composition | None = None,
@@ -172,15 +168,8 @@ def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
     moved[..., i_from] -= deltas
     moved[..., i_to] += deltas
     moved /= moved.sum(axis=-1, keepdims=True)
-    z = ilr_array(moved.reshape(-1, len(labels)), cfit.basis)
-    z0 = ilr_array(cfit.baseline.array()[None, :], cfit.basis)[0]
-    for name, zz in (("baseline", z0), ("reallocated", z)):
-        if np.any(zz < cfit.coord_min) or np.any(zz > cfit.coord_max):
-            warnings.warn(
-                f"{name} composition lies outside the observed coordinate "
-                "range; the contrast extrapolates", stacklevel=2)
-    w = np.zeros(deltas.shape + (cfit.fit.p,))
-    w[..., 1:1 + cfit.n_coords] = (z - z0).reshape(deltas.shape + (-1,))
+    w = _ilr_contrast(cfit, cfit.baseline.array(), moved,
+                      ("baseline", "reallocated"))
     w[deltas == 0] = 0.0
     return linear_combination(cfit.fit, w, use_robust=use_robust)
 
@@ -202,17 +191,31 @@ def composition_contrast(cfit: CodaFit, xa: Composition, xb: Composition,
     via the ilr-coordinate coefficients."""
     if xa.labels != cfit.basis.labels or xb.labels != cfit.basis.labels:
         raise CodaError("composition labels do not match the fitted basis")
-    za = ilr_array(xa.array()[None, :], cfit.basis)[0]
-    zb = ilr_array(xb.array()[None, :], cfit.basis)[0]
-    if warn_extrapolation:
-        for name, z in (("first", za), ("second", zb)):
+    w = _ilr_contrast(cfit, xa.array(), xb.array(), ("first", "second"),
+                      warn_extrapolation)
+    return linear_combination(cfit.fit, w, use_robust=use_robust)
+
+
+def _ilr_contrast(cfit: CodaFit, xa: np.ndarray, xb: np.ndarray,
+                  names: tuple[str, str], warn: bool = True) -> np.ndarray:
+    """Weights on ``cfit``'s coefficients whose combination is the predicted
+    outcome at the closed parts ``xb`` (one composition, or an array of them
+    along the leading axes) minus that at ``xa``: the ilr coordinate shift
+    ``zb - za``.  Warns, naming each composition by ``names``, when it lies
+    outside the observed coordinate range, where the contrast extrapolates.
+    """
+    d = cfit.basis.D
+    za = ilr_array(xa.reshape(-1, d), cfit.basis)
+    zb = ilr_array(xb.reshape(-1, d), cfit.basis)
+    if warn:
+        for name, z in zip(names, (za, zb)):
             if np.any(z < cfit.coord_min) or np.any(z > cfit.coord_max):
                 warnings.warn(
                     f"{name} composition lies outside the observed coordinate "
-                    "range; the contrast extrapolates", stacklevel=2)
-    w = np.zeros(cfit.fit.p)
-    w[1:1 + cfit.n_coords] = zb - za
-    return linear_combination(cfit.fit, w, use_robust=use_robust)
+                    "range; the contrast extrapolates", stacklevel=3)
+    w = np.zeros(xb.shape[:-1] + (cfit.fit.p,))
+    w[..., 1:1 + cfit.n_coords] = (zb - za).reshape(xb.shape[:-1] + (-1,))
+    return w
 
 
 @dataclass(frozen=True)

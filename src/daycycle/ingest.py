@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cohort import BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable
+from .cohort import BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable, format_number
 
 DAY_CSV_HEADER = (
     "person_id", "date", "sit_min", "stand_min", "step_min",
@@ -76,8 +76,9 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     Each row is checked in this order: field count, the four minute cells as
     numbers, none negative, both timestamps as ISO-8601, ``out_bed`` after
     ``in_bed`` (both naive or both with a UTC offset), then the minute cells
-    finite.  The first failed check is the row's error.  A bad header, or a
-    cell over the csv module's field size limit, raises ``IngestError``.
+    finite.  The first failed check is the row's error.  A bad header, a
+    cell over the csv module's field size limit, or text that is not UTF-8
+    raises ``IngestError``.
     """
     fromiso, inf = datetime.fromisoformat, math.inf
     # one str per distinct person id and date, shared by the rows that
@@ -129,6 +130,9 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
         except csv.Error as exc:  # a cell over the csv module's size limit
             raise IngestError(
                 f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise IngestError(
+                f"{path} is not UTF-8 text ({exc.reason})") from None
     return records, errors
 
 
@@ -141,15 +145,18 @@ def _first_minute_column(failed, *values: float) -> str:
 
 
 def write_day_csv(records: list[DayRecord], path) -> None:
+    """Day records as a day CSV that ``load_day_csv`` reads back to equal
+    records; minute cells are written by ``format_number``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(DAY_CSV_HEADER)
         for r in records:
             w.writerow([
                 r.person_id, r.date,
-                repr(r.sit_min), repr(r.stand_min), repr(r.step_min),
+                format_number(r.sit_min), format_number(r.stand_min),
+                format_number(r.step_min),
                 r.in_bed.isoformat(), r.out_bed.isoformat(),
-                repr(r.wear_min),
+                format_number(r.wear_min),
             ])
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .cohort import CohortTable
 from .linmod import (
-    DesignMatrix,
     Estimate,
     FitResult,
     WaldTest,
@@ -51,17 +50,16 @@ class SubstitutionTable:
     n: int
 
 
-def build_ism_design(cohort: CohortTable, dropped: str,
-                     covariates: list[str]) -> tuple[DesignMatrix, np.ndarray]:
-    """Design per the partition convention: intercept (when total time
-    varies), every behavior except ``dropped`` in minutes/day, total minutes,
-    then covariates."""
+def build_ism_design(cohort: CohortTable, dropped: str, covariates: list[str]
+                     ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Design per the partition convention, as (X, column labels, outcome):
+    intercept (when total time varies), every behavior except ``dropped``
+    in minutes/day, total minutes, then covariates."""
     if dropped not in cohort.behavior_labels:
         raise IsmError(f"unknown behavior {dropped!r}")
     kept = [b for b in cohort.behavior_labels if b != dropped]
-    total_constant = np.ptp(cohort.total) == 0.0
     cols, labels = [], []
-    if total_constant:
+    if np.ptp(cohort.total) == 0.0:
         warnings.warn(
             "total day length is constant: dropping the intercept to avoid "
             "perfect collinearity", stacklevel=2)
@@ -75,15 +73,13 @@ def build_ism_design(cohort: CohortTable, dropped: str,
     labels.append("total")
     cols += list(cohort.covariate_matrix(covariates).T)
     labels += covariates
-    X = DesignMatrix(np.column_stack(cols), tuple(labels),
-                     has_intercept=not total_constant)
-    return X, cohort.outcome
+    return np.column_stack(cols), tuple(labels), cohort.outcome
 
 
 def fit_ism(cohort: CohortTable, dropped: str,
             covariates: list[str]) -> IsmFit:
-    X, y = build_ism_design(cohort, dropped, covariates)
-    return IsmFit(fit_ols(X, y), dropped, cohort.behavior_labels,
+    X, labels, y = build_ism_design(cohort, dropped, covariates)
+    return IsmFit(fit_ols(X, y, labels), dropped, cohort.behavior_labels,
                   tuple(covariates))
 
 

@@ -43,20 +43,6 @@ class LinmodError(ValueError):
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    values: np.ndarray
-    labels: tuple[str, ...]
-    has_intercept: bool = True
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != len(self.labels):
-            raise LinmodError("design shape does not match labels")
-        if not np.isfinite(v).all():
-            raise LinmodError("design contains non-finite entries")
-
-
-@dataclass(frozen=True)
 class FitResult:
     coef: np.ndarray
     cov_model: np.ndarray
@@ -96,22 +82,33 @@ class Estimate:
     ci_high: float
 
 
-def fit_ols(X: DesignMatrix | np.ndarray, y: np.ndarray,
+def fit_ols(X: np.ndarray, y: np.ndarray,
             labels: tuple[str, ...] | None = None,
             hc: str = "HC1") -> FitResult:
     """Ordinary least squares with both model-based and sandwich covariance.
 
-    Raises RankDeficientError when the design is numerically rank deficient
-    (e.g. all behaviors plus an intercept with constant total time).
+    The ISM, spline ISM and CoDA fits all come through here, so this is
+    where their input is checked: LinmodError when X is not 2-D, when
+    ``labels`` does not name its columns, when y does not hold one value per
+    row, or when a cell of X or y is not finite.  Raises RankDeficientError
+    when the design is numerically rank deficient (e.g. all behaviors plus
+    an intercept with constant total time).
     """
-    if isinstance(X, DesignMatrix):
-        labels = X.labels
-        X = X.values
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise LinmodError(f"design must be 2-D; got {X.ndim} dimensions")
     n, p = X.shape
     if labels is None:
         labels = tuple(f"x{j}" for j in range(p))
+    elif len(labels) != p:
+        raise LinmodError(f"{len(labels)} labels for {p} design columns")
+    if y.shape != (n,):
+        raise LinmodError(f"outcome of shape {y.shape} for {n} design rows")
+    if not np.isfinite(X).all():
+        raise LinmodError("design contains non-finite entries")
+    if not np.isfinite(y).all():
+        raise LinmodError("outcome contains non-finite entries")
     if n <= p:
         raise LinmodError(f"need N > p; got N={n}, p={p}")
     u, s, vt = np.linalg.svd(X, full_matrices=False)
@@ -156,14 +153,17 @@ def wald_test(fit: FitResult, C: np.ndarray, use_robust: bool = True) -> WaldTes
     if np.linalg.matrix_rank(C) < C.shape[0]:
         raise LinmodError("contrast matrix is not of full row rank")
     V = fit.cov_robust if use_robust else fit.cov_model
-    cb = C @ fit.coef
-    mid = C @ V @ C.T
     try:
-        stat = float(cb @ np.linalg.solve(mid, cb))
+        return joint_wald(C @ fit.coef, C @ V @ C.T)
     except np.linalg.LinAlgError:
         raise LinmodError("singular contrast covariance") from None
-    df = C.shape[0]
-    return WaldTest(stat, df, float(chi2_sf(stat, df)))
+
+
+def joint_wald(b: np.ndarray, V: np.ndarray) -> WaldTest:
+    """Chi-square Wald test of b = 0 given its covariance V, on b.size
+    degrees of freedom."""
+    stat = float(b @ np.linalg.solve(V, b))
+    return WaldTest(stat, b.size, float(chi2_sf(stat, b.size)))
 
 
 def linear_combination(fit: FitResult, weights: np.ndarray,

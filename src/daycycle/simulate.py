@@ -108,10 +108,6 @@ class SimSpec:
                 raise SimulationError(f"bad spec: covariate_effects[{name!r}]"
                                       " must be a number")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_weights)
-
 
 def _hours_to_spec(means_h, sds_h, corrs) -> tuple[list, list]:
     """Convert hours/day means, SDs, and (sit-stand, sit-step, stand-step)

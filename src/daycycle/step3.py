@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmod import Z95, WaldTest, chi2_sf
+from .linmod import Z95, WaldTest, joint_wald
 
 
 class Step3Error(ValueError):
@@ -94,12 +94,6 @@ def _weighted_cluster_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return coef, cov
 
 
-def _joint_wald(b: np.ndarray, V: np.ndarray) -> WaldTest:
-    """Chi-square Wald test of b = 0 given its covariance V."""
-    stat = float(b @ np.linalg.solve(V, b))
-    return WaldTest(stat, b.size, float(chi2_sf(stat, b.size)))
-
-
 def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
                  outcome: np.ndarray, covariates: np.ndarray | None = None,
                  method: str = "bch", reference: int | None = None,
@@ -136,7 +130,7 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     coef, cov = _weighted_cluster_ols(X, y, w, n)
     se = np.sqrt(np.diag(cov))
     nc = len(classes)
-    overall = _joint_wald(coef[:nc], cov[:nc, :nc])
+    overall = joint_wald(coef[:nc], cov[:nc, :nc])
     return Step3Result(method, reference, classes, coef, se, labels,
                        overall, n)
 
@@ -240,6 +234,6 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
 
     # Joint Wald test over all covariate slopes (intercepts excluded).
     slope_idx = [i * q1 + j for i in range(nf) for j in range(q1 - 1)]
-    wald = _joint_wald(theta[slope_idx], cov[np.ix_(slope_idx, slope_idx)])
+    wald = joint_wald(theta[slope_idx], cov[np.ix_(slope_idx, slope_idx)])
     return CovariateResult(coef, se, reference, wald, bool(res.success),
                            -float(res.fun))

@@ -467,6 +467,33 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_collinear_covariates_exit_3_before_writing(tmp_path, cohort_csv,
+                                                    capsys):
+    out = tmp_path / "out"
+    assert run(["ism", cohort_csv, "-o", out, "--covariates", "bmi",
+                "bmi"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "rank deficient" in err
+    assert not out.exists()
+
+
+def test_no_complete_cases_exits_2_before_writing(tmp_path, cohort_csv,
+                                                  lpa_out, capsys):
+    from daycycle.cohort import CSV_HEADER
+    lines = cohort_csv.read_text().splitlines(keepends=True)
+    path = tmp_path / "no_bmi.csv"
+    path.write_text(lines[0] + "".join(
+        _set_field(line, CSV_HEADER.index("bmi"), "") for line in lines[1:]))
+    out = tmp_path / "out"
+    for args in (["ism", path], ["coda", path],
+                 ["step3", lpa_out / "lpa_model.json", path],
+                 ["plot", path, "--kind", "realloc"]):
+        assert run(args + ["-o", out]) == 2, args
+        assert capsys.readouterr().err == (
+            "data error: no complete cases remain\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cut", ["-5", "1e9"])
 def test_ism_cut_that_leaves_a_subgroup_empty_exits_1(tmp_path, cohort_csv,
                                                       capsys, cut):

@@ -264,6 +264,12 @@ def test_extrapolation_warning():
     extreme = closure_values([0.95, 0.03, 0.01, 0.01], CANONICAL_LABELS)
     with pytest.warns(UserWarning, match="extrapolat"):
         composition_contrast(cfit, cfit.baseline, extreme)
+    # moving 500 of the baseline's ~609 sitting minutes to stepping leaves
+    # the observed range; the warning points at the caller
+    with pytest.warns(UserWarning, match="reallocated composition .* "
+                      "extrapolat") as record:
+        pairwise_reallocation(cfit, "sit", "step", np.array([30.0, 500.0]))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_baseline_defaults_to_compositional_mean():

@@ -59,15 +59,20 @@ def test_wear_boundary_is_inclusive():
 
 def test_load_day_csv_round_trip(tmp_path):
     records = [make_day(date=f"2020-01-0{i}") for i in range(1, 6)]
+    # the same days with numpy-float minutes, as arrays hand them out
+    minutes = ("sit_min", "stand_min", "step_min", "wear_min")
+    as_numpy = [r._replace(**{f: np.float64(getattr(r, f)) for f in minutes})
+                for r in records]
     path = tmp_path / "days.csv"
-    write_day_csv(records, path)
-    back, errors = load_day_csv(path)
-    assert errors == []
-    assert back == records
-    # byte-stable second pass
     path2 = tmp_path / "days2.csv"
-    write_day_csv(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    for days in (records, as_numpy):
+        write_day_csv(days, path)
+        back, errors = load_day_csv(path)
+        assert errors == []
+        assert back == records
+        # byte-stable second pass
+        write_day_csv(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_load_day_csv_header_and_row_errors(tmp_path):
@@ -580,6 +585,17 @@ def test_load_day_csv_names_the_line_of_an_oversized_cell(tmp_path):
             load_day_csv(path)
         assert str(exc.value) == (f"{path} line {line}: field larger than "
                                   "field limit (131072)")
+
+
+def test_load_day_csv_that_is_not_utf8_raises_ingest_error(tmp_path):
+    path = tmp_path / "days.csv"
+    header = ",".join(DAY_CSV_HEADER).encode()
+    for text in (b"\xff" + header + b"\n",
+                 header + b"\n" + _day_row(pid="p\xe9").encode("latin-1")):
+        path.write_bytes(text + b"\n")
+        with pytest.raises(IngestError) as exc:
+            load_day_csv(path)
+        assert str(exc.value).startswith(f"{path} is not UTF-8 text (")
 
 
 # --- DayRecord's contract as a NamedTuple ---

@@ -1,5 +1,7 @@
 """Isotemporal substitution models: design, antisymmetry, and recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from daycycle.ism import (
     substitution_effect,
     substitution_table,
 )
+from daycycle.linmod import LinmodError
 
 COVS = ["female", "bmi"]
 
@@ -24,20 +27,22 @@ TRUE_EFFECTS = {"sit": -0.0004, "stand": 0.0006, "step": 0.0020,
 
 def test_design_columns_and_order():
     cohort = make_cohort(n=50)
-    X, y = build_ism_design(cohort, dropped="step", covariates=COVS)
-    assert X.labels == ("intercept", "sit", "stand", "sleep", "total",
-                        "female", "bmi")
-    assert X.values.shape == (50, 7)
+    X, labels, y = build_ism_design(cohort, dropped="step", covariates=COVS)
+    assert labels == ("intercept", "sit", "stand", "sleep", "total",
+                      "female", "bmi")
+    assert X.shape == (50, 7)
     assert y.shape == (50,)
-    assert np.allclose(X.values[:, 0], 1.0)
+    assert np.allclose(X[:, 0], 1.0)
 
 
 def test_constant_total_drops_intercept_with_warning():
     cohort = make_cohort(n=50, constant_total=True)
     with pytest.warns(UserWarning, match="constant"):
-        X, _ = build_ism_design(cohort, dropped="step", covariates=[])
-    assert "intercept" not in X.labels
-    assert not X.has_intercept
+        X, labels, _ = build_ism_design(cohort, dropped="step", covariates=[])
+    assert "intercept" not in labels
+    # no intercept column: the behaviors and total only
+    assert labels == ("sit", "stand", "sleep", "total")
+    assert X.shape == (50, 4)
 
 
 def test_unknown_behavior_raises():
@@ -189,3 +194,29 @@ def test_profile_contrast_requires_all_behaviors():
 def test_unknown_covariate_raises_cohort_error(fit):
     with pytest.raises(CohortError, match="'nope'"):
         fit(make_cohort(n=50), ["bmi", "nope"])
+
+
+def _with_nan(cohort, column):
+    """``cohort`` with one NaN cell in ``column`` (the outcome or a
+    covariate)."""
+    if column == "outcome":
+        outcome = cohort.outcome.copy()
+        outcome[5] = np.nan
+        return replace(cohort, outcome=outcome)
+    col = cohort.covariates[column].copy()
+    col[5] = np.nan
+    return replace(cohort, covariates={**cohort.covariates, column: col})
+
+
+@pytest.mark.parametrize("column", ["outcome", "bmi"])
+@pytest.mark.parametrize("fit", [
+    lambda c: fit_ism(c, "step", COVS),
+    lambda c: substitution_table(c, COVS),
+    lambda c: fit_flexible_ism(c, COVS, dropped="step"),
+    lambda c: fit_coda(c, "step", COVS),
+], ids=["fit_ism", "substitution_table", "fit_flexible_ism", "fit_coda"])
+def test_non_finite_cell_raises_linmod_error(fit, column):
+    """A NaN outcome or covariate is a data error in every least-squares
+    fit, not NaN coefficients or a failed SVD."""
+    with pytest.raises(LinmodError, match="non-finite"):
+        fit(_with_nan(make_cohort(n=80, seed=4), column))

@@ -8,7 +8,6 @@ from scipy import stats
 
 from daycycle.linmod import (
     Z95,
-    DesignMatrix,
     LinmodError,
     RankDeficientError,
     chi2_sf,
@@ -69,12 +68,23 @@ def test_rank_deficient_design_raises():
 
 
 def test_design_matrix_validation():
-    with pytest.raises(LinmodError):
-        DesignMatrix(np.ones((3, 2)), ("only",))
-    with pytest.raises(LinmodError):
-        DesignMatrix(np.array([[1.0, np.nan]]), ("a", "b"))
     X, y, _ = _toy_fit(n=30)
-    fit = fit_ols(DesignMatrix(X, ("i", "a", "b")), y)
+    with pytest.raises(LinmodError, match="labels"):
+        fit_ols(X, y, ("only",))
+    bad = X.copy()
+    bad[4, 2] = np.nan
+    with pytest.raises(LinmodError, match="design contains non-finite"):
+        fit_ols(bad, y, ("i", "a", "b"))
+    with pytest.raises(LinmodError, match="2-D"):
+        fit_ols(X[:, 1], y)
+    with pytest.raises(LinmodError, match="30 design rows"):
+        fit_ols(X, y[:-1])
+    for cell in (np.nan, np.inf):
+        bad = y.copy()
+        bad[7] = cell
+        with pytest.raises(LinmodError, match="outcome contains non-finite"):
+            fit_ols(X, bad)
+    fit = fit_ols(X, y, ("i", "a", "b"))
     assert fit.labels == ("i", "a", "b")
 
 
