@@ -36,43 +36,33 @@ class CodaFit:
     covariate_names: tuple[str, ...]
     coord_min: np.ndarray  # observed per-coordinate ilr ranges,
     coord_max: np.ndarray  # used as the extrapolation guard
-    day_minutes: float = DEFAULT_DAY_MINUTES
 
     @property
     def n_coords(self) -> int:
         return self.basis.D - 1
 
 
-def fit_coda(cohort: CohortTable, pivot: str, covariates: list[str],
-             baseline: Composition | None = None,
-             day_minutes: float = DEFAULT_DAY_MINUTES,
-             zero_floor: float = 1.0) -> CodaFit:
+def fit_coda(cohort: CohortTable, pivot: str,
+             covariates: list[str]) -> CodaFit:
     """OLS of the outcome on pivot-basis ilr coordinates plus covariates.
 
-    The baseline composition for reallocation predictions defaults to the
-    cohort compositional mean.
+    The baseline composition for reallocation predictions is the cohort
+    compositional mean.
     """
     basis = pivot_basis(pivot, cohort.behavior_labels)
-    parts = cohort.composition_array(zero_floor)
+    parts = cohort.composition_array()
     Z = ilr_array(parts, basis)
-    if baseline is None:
-        baseline = comp.compositional_mean(parts, cohort.behavior_labels)
-    elif baseline.labels != cohort.behavior_labels:
-        raise CodaError("baseline labels do not match the cohort")
-    cols = [np.ones(cohort.n)]
-    labels = ["intercept"]
-    for k in range(Z.shape[1]):
-        cols.append(Z[:, k])
-        labels.append(f"z{k + 1}")
-    cols += list(cohort.covariate_matrix(covariates).T)
-    labels += covariates
-    fit = fit_ols(np.column_stack(cols), cohort.outcome, tuple(labels))
+    baseline = comp.compositional_mean(parts, cohort.behavior_labels)
+    X = np.column_stack([np.ones(cohort.n), Z,
+                         cohort.covariate_matrix(covariates)])
+    labels = ("intercept", *(f"z{k + 1}" for k in range(Z.shape[1])),
+              *covariates)
+    fit = fit_ols(X, cohort.outcome, labels)
     return CodaFit(fit, basis, pivot, baseline, tuple(covariates),
-                   Z.min(axis=0), Z.max(axis=0), day_minutes)
+                   Z.min(axis=0), Z.max(axis=0))
 
 
-def one_vs_remaining_effect(cfit: CodaFit, r: float | np.ndarray,
-                            use_robust: bool = False) -> Estimate:
+def one_vs_remaining_effect(cfit: CodaFit, r: float | np.ndarray) -> Estimate:
     """Closed-form effect of scaling the pivot behavior by (1 + r) while
     shrinking every other behavior by a common factor (1 - s).
 
@@ -90,7 +80,7 @@ def one_vs_remaining_effect(cfit: CodaFit, r: float | np.ndarray,
     w = np.zeros(r.shape + (cfit.fit.p,))
     # pivot coordinate is z1
     w[..., 1] = math.sqrt((d - 1) / d) * np.log((1.0 + r) / (1.0 - s))
-    return linear_combination(cfit.fit, w, use_robust=use_robust)
+    return linear_combination(cfit.fit, w)
 
 
 def pivot_coefficients(cfit: CodaFit) -> Estimate:
@@ -132,31 +122,31 @@ class ReallocationCurve:
 
 
 def reallocation_curve_proportional(cfit: CodaFit, behavior: str,
-                                    deltas: np.ndarray,
-                                    use_robust: bool = False) -> ReallocationCurve:
+                                    deltas: np.ndarray) -> ReallocationCurve:
     """One-vs-remaining effect over a grid of signed minute reallocations."""
     if behavior != cfit.pivot:
         raise CodaError(
             f"fit pivot is {cfit.pivot!r}; refit with pivot={behavior!r}")
-    base_min = cfit.baseline.part(behavior) * cfit.day_minutes
+    base_min = cfit.baseline.part(behavior) * DEFAULT_DAY_MINUTES
     deltas = np.asarray(deltas, dtype=float)
-    e = one_vs_remaining_effect(cfit, deltas / base_min,
-                                use_robust=use_robust)
+    e = one_vs_remaining_effect(cfit, deltas / base_min)
     return ReallocationCurve(behavior, "one-vs-remaining", deltas,
                              e.estimate, e.ci_low, e.ci_high)
 
 
 def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
-                          delta_minutes: float | np.ndarray,
-                          use_robust: bool = False) -> Estimate:
+                          delta_minutes: float | np.ndarray) -> Estimate:
     """Effect of moving ``delta_minutes`` from one behavior to another,
     starting from the baseline composition.  ``delta_minutes`` may be an
     array, which gives array fields; a zero move has exactly zero effect."""
     if from_ == to:
         raise CodaError("source and destination behavior must differ")
     deltas = np.asarray(delta_minutes, dtype=float)
-    minutes = cfit.baseline.array() * cfit.day_minutes
+    minutes = cfit.baseline.array() * DEFAULT_DAY_MINUTES
     labels = cfit.baseline.labels
+    for lab in (from_, to):
+        if lab not in labels:
+            raise CodaError(f"unknown behavior {lab!r}")
     i_from, i_to = labels.index(from_), labels.index(to)
     if np.any(deltas >= minutes[i_from]):
         raise CodaError(
@@ -171,21 +161,19 @@ def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
     w = _ilr_contrast(cfit, cfit.baseline.array(), moved,
                       ("baseline", "reallocated"))
     w[deltas == 0] = 0.0
-    return linear_combination(cfit.fit, w, use_robust=use_robust)
+    return linear_combination(cfit.fit, w)
 
 
 def pairwise_reallocation_curve(cfit: CodaFit, from_: str, to: str,
-                                deltas: np.ndarray,
-                                use_robust: bool = False) -> ReallocationCurve:
+                                deltas: np.ndarray) -> ReallocationCurve:
     """``pairwise_reallocation`` over a grid of deltas."""
     deltas = np.asarray(deltas, dtype=float)
-    e = pairwise_reallocation(cfit, from_, to, deltas, use_robust=use_robust)
+    e = pairwise_reallocation(cfit, from_, to, deltas)
     return ReallocationCurve(f"{from_}->{to}", "pairwise", deltas,
                              e.estimate, e.ci_low, e.ci_high)
 
 
 def composition_contrast(cfit: CodaFit, xa: Composition, xb: Composition,
-                         use_robust: bool = False,
                          warn_extrapolation: bool = True) -> Estimate:
     """Predicted outcome difference between two compositions (xb minus xa),
     via the ilr-coordinate coefficients."""
@@ -193,7 +181,7 @@ def composition_contrast(cfit: CodaFit, xa: Composition, xb: Composition,
         raise CodaError("composition labels do not match the fitted basis")
     w = _ilr_contrast(cfit, xa.array(), xb.array(), ("first", "second"),
                       warn_extrapolation)
-    return linear_combination(cfit.fit, w, use_robust=use_robust)
+    return linear_combination(cfit.fit, w)
 
 
 def _ilr_contrast(cfit: CodaFit, xa: np.ndarray, xb: np.ndarray,
@@ -226,13 +214,13 @@ class GroupMeansResult:
     p_value: float
 
 
-def compare_group_means(cohort: CohortTable, grouping: np.ndarray,
-                        zero_floor: float = 1.0) -> GroupMeansResult:
+def compare_group_means(cohort: CohortTable,
+                        grouping: np.ndarray) -> GroupMeansResult:
     """Per-group compositional means plus the James test of equal means of
     the ilr-transformed data."""
     grouping = np.asarray(grouping)
     basis = pivot_basis(cohort.behavior_labels[0], cohort.behavior_labels)
-    parts = cohort.composition_array(zero_floor)
+    parts = cohort.composition_array()
     Z = ilr_array(parts, basis)
     means: dict[str, Composition] = {}
     sizes: dict[str, int] = {}

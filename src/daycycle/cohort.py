@@ -44,6 +44,9 @@ CSV_HEADER = (
 )
 
 
+ZERO_FLOOR_MINUTES = 1.0  # put in place of a zero behavior time
+
+
 class CohortError(ValueError):
     pass
 
@@ -57,8 +60,7 @@ class CohortTable:
     outcome: np.ndarray
     valid_days: np.ndarray
     behavior_labels: tuple[str, ...] = BEHAVIOR_LABELS
-    _composition_arrays: dict[float, np.ndarray] = field(
-        default_factory=dict, repr=False)  # keyed by zero floor
+    _composition_array: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -87,14 +89,14 @@ class CohortTable:
             cols.append(self.covariates[name])
         return np.column_stack(cols) if cols else np.empty((self.n, 0))
 
-    def composition_array(self, zero_floor: float = 1.0) -> np.ndarray:
+    def composition_array(self) -> np.ndarray:
         """The closed N x D composition matrix, one person per row.
 
         Rows with a zero minute count go through ``replace_zeros`` with the
-        fixed ``zero_floor`` first; then every row is divided by its total.
-        The result is cached per floor and read-only.
+        fixed floor of ``ZERO_FLOOR_MINUTES`` first; then every row is
+        divided by its total.  The result is cached and read-only.
         """
-        if zero_floor not in self._composition_arrays:
+        if self._composition_array is None:
             minutes = self.behaviors
             if not np.isfinite(minutes).all():
                 raise CompositionError("behavior times must be finite")
@@ -106,15 +108,14 @@ class CohortTable:
                 minutes = minutes.astype(float)
                 for i in zero_rows:
                     raw = RawTimeVector(tuple(minutes[i]), self.behavior_labels)
-                    minutes[i] = replace_zeros(raw, "fixed-floor",
-                                               floor=zero_floor).minutes
+                    minutes[i] = replace_zeros(
+                        raw, "fixed-floor", floor=ZERO_FLOOR_MINUTES).minutes
             parts = minutes / minutes.sum(axis=1, keepdims=True)
             parts.flags.writeable = False
-            self._composition_arrays[zero_floor] = parts
-        return self._composition_arrays[zero_floor]
+            self._composition_array = parts
+        return self._composition_array
 
-    def compositions(self, zero_floor: float = 1.0,
-                     labels: tuple[str, ...] | None = None
+    def compositions(self, labels: tuple[str, ...] | None = None
                      ) -> list[Composition]:
         """The rows of ``composition_array`` as ``Composition`` points.
 
@@ -122,7 +123,7 @@ class CohortTable:
         parts, in that order: the columns are picked from the array and
         closed with one row-sum division.
         """
-        parts = self.composition_array(zero_floor)
+        parts = self.composition_array()
         if labels is None:
             labels = self.behavior_labels
         else:

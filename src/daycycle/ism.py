@@ -84,8 +84,7 @@ def fit_ism(cohort: CohortTable, dropped: str,
 
 
 def substitution_effect(cohort: CohortTable, covariates: list[str],
-                        from_: str, to: str, minutes: float = 30.0,
-                        use_robust: bool = False) -> Estimate:
+                        from_: str, to: str, minutes: float = 30.0) -> Estimate:
     """Effect of reallocating ``minutes``/day from one behavior to another.
 
     Fits the model dropping the destination behavior, so the source
@@ -102,13 +101,12 @@ def substitution_effect(cohort: CohortTable, covariates: list[str],
     ismfit = fit_ism(cohort, dropped=to, covariates=covariates)
     w = np.zeros(ismfit.fit.p)
     w[ismfit.fit.index(from_)] = -minutes
-    return linear_combination(ismfit.fit, w, use_robust=use_robust)
+    return linear_combination(ismfit.fit, w)
 
 
 def substitution_table(cohort: CohortTable, covariates: list[str],
                        minutes: float = 30.0,
-                       subgroup: np.ndarray | None = None,
-                       use_robust: bool = False) -> SubstitutionTable:
+                       subgroup: np.ndarray | None = None) -> SubstitutionTable:
     """All pairwise reallocation effects from one partition-model fit.
 
     When the behaviors sum to total time, the model dropping any behavior is
@@ -131,8 +129,7 @@ def substitution_table(cohort: CohortTable, covariates: list[str],
     for k, b in enumerate(labels[:-1]):
         gamma[k, fit.index(b)] = 1.0
     i, j = np.triu_indices(d, k=1)
-    e = linear_combination(fit, minutes * (gamma[j] - gamma[i]),
-                           use_robust=use_robust)
+    e = linear_combination(fit, minutes * (gamma[j] - gamma[i]))
     est, lo, hi = (np.full((d, d), np.nan) for _ in range(3))
     est[i, j], lo[i, j], hi[i, j] = e.estimate, e.ci_low, e.ci_high
     est[j, i], lo[j, i], hi[j, i] = -e.estimate, -e.ci_high, -e.ci_low
@@ -184,14 +181,12 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
             best = (score, n_knots, fit, spans)
     _, n_knots, fit, spans = best
     # each behavior's test selects its spline coefficients
-    tests = {b: wald_test(fit, np.eye(fit.p)[spans[b]], use_robust=False)
-             for b in kept}
+    tests = {b: wald_test(fit, np.eye(fit.p)[spans[b]]) for b in kept}
     return FlexibleIsmFit(fit, dropped, n_knots, scores, tests)
 
 
 def profile_contrast(ismfit: IsmFit, profile_a: dict[str, float],
-                     profile_b: dict[str, float],
-                     use_robust: bool = False) -> Estimate:
+                     profile_b: dict[str, float]) -> Estimate:
     """Expected outcome difference between two time-use profiles (B minus A),
     with covariates held equal (they cancel in the difference).
 
@@ -215,4 +210,4 @@ def profile_contrast(ismfit: IsmFit, profile_a: dict[str, float],
     w[fit.index("total")] = tot_b - tot_a
     if not np.any(w):
         return Estimate(0.0, 0.0, 0.0, 0.0)
-    return linear_combination(fit, w, use_robust=use_robust)
+    return linear_combination(fit, w)

@@ -2,6 +2,9 @@
 contrasts, natural cubic splines, GCV, and the James unequal-covariance test
 of multivariate means.
 
+A fit carries the model-based covariance, which every contrast and Wald test
+uses, and the HC1 sandwich, which ``FitResult.se(label, robust=True)`` reads.
+
 The tail probabilities (``chi2_sf``, ``normal_sf``) import ``scipy.special``
 on their first call, so a process that computes no p-value never loads
 scipy."""
@@ -83,9 +86,8 @@ class Estimate:
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray,
-            labels: tuple[str, ...] | None = None,
-            hc: str = "HC1") -> FitResult:
-    """Ordinary least squares with both model-based and sandwich covariance.
+            labels: tuple[str, ...] | None = None) -> FitResult:
+    """Ordinary least squares with model-based and HC1 sandwich covariance.
 
     The ISM, spline ISM and CoDA fits all come through here, so this is
     where their input is checked: LinmodError when X is not 2-D, when
@@ -124,26 +126,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
     sigma2 = rss / (n - p)
     xtx_inv = vt.T @ np.diag(1.0 / s**2) @ vt
     cov_model = sigma2 * xtx_inv
-    cov_robust = _sandwich(X, resid, xtx_inv, hc)
+    meat = (X * resid[:, None] ** 2).T @ X
+    cov_robust = xtx_inv @ meat @ xtx_inv * (n / (n - p))
     # Gaussian MLE log-likelihood, for AIC-style comparisons.
     loglik = -0.5 * n * (math.log(2 * math.pi * rss / n) + 1.0)
     return FitResult(coef, cov_model, cov_robust, sigma2, loglik, n, p,
                      tuple(labels), resid, fitted)
 
 
-def _sandwich(X: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray,
-              hc: str) -> np.ndarray:
-    n, p = X.shape
-    meat = (X * resid[:, None] ** 2).T @ X
-    cov = xtx_inv @ meat @ xtx_inv
-    if hc == "HC1":
-        cov = cov * (n / (n - p))
-    elif hc != "HC0":
-        raise LinmodError(f"unknown sandwich flavor {hc!r}")
-    return cov
-
-
-def wald_test(fit: FitResult, C: np.ndarray, use_robust: bool = True) -> WaldTest:
+def wald_test(fit: FitResult, C: np.ndarray) -> WaldTest:
     """Chi-square Wald test of C @ beta = 0 on rank(C) degrees of freedom."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[1] != fit.p:
@@ -152,9 +143,8 @@ def wald_test(fit: FitResult, C: np.ndarray, use_robust: bool = True) -> WaldTes
         raise LinmodError("more contrast rows than coefficients")
     if np.linalg.matrix_rank(C) < C.shape[0]:
         raise LinmodError("contrast matrix is not of full row rank")
-    V = fit.cov_robust if use_robust else fit.cov_model
     try:
-        return joint_wald(C @ fit.coef, C @ V @ C.T)
+        return joint_wald(C @ fit.coef, C @ fit.cov_model @ C.T)
     except np.linalg.LinAlgError:
         raise LinmodError("singular contrast covariance") from None
 
@@ -166,8 +156,7 @@ def joint_wald(b: np.ndarray, V: np.ndarray) -> WaldTest:
     return WaldTest(stat, b.size, float(chi2_sf(stat, b.size)))
 
 
-def linear_combination(fit: FitResult, weights: np.ndarray,
-                       use_robust: bool = False) -> Estimate:
+def linear_combination(fit: FitResult, weights: np.ndarray) -> Estimate:
     """Estimate and normal-based 95% CI for a linear combination of coefficients.
 
     ``weights`` is one length-p vector (the fields are floats) or an (m, p)
@@ -176,10 +165,9 @@ def linear_combination(fit: FitResult, weights: np.ndarray,
     w = np.asarray(weights, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != fit.p:
         raise LinmodError("weight length does not match coefficient count")
-    V = fit.cov_robust if use_robust else fit.cov_model
     # "+ 0.0" turns the -0.0 an all-zero weight row can give into 0.0.
     est = w @ fit.coef + 0.0
-    se = np.sqrt(np.sum((w @ V) * w, axis=-1))
+    se = np.sqrt(np.sum((w @ fit.cov_model) * w, axis=-1))
     if w.ndim == 1:
         est, se = float(est), float(se)
     return Estimate(est, se, est - Z95 * se, est + Z95 * se)

@@ -671,7 +671,7 @@ def _plan_fit(X: np.ndarray, K: int, structure: str, starts: int,
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                 starts: int = 160, max_iter: int = 250, tol: float = EM_TOL,
                 seed: int = 0, labels: tuple[str, ...] | None = None,
-                order_indicator: int = 0, _done: list[tuple] | None = None
+                _done: list[tuple] | None = None
                 ) -> tuple[MixtureModel, np.ndarray]:
     """Best-of-``starts`` EM fit; returns the model and its posterior matrix.
 
@@ -681,7 +681,7 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     run as batched EM, in blocks of bounded size spread over the CPUs (see
     ``_run_blocks``); each keeps its own convergence test and
     degenerate-start checks.  Components are relabeled in ascending order of
-    the ordering indicator's mean.
+    the first indicator's mean (the model's ``order_indicator``, 0).
 
     ``_done`` holds the results of the blocks that ``_plan_fit`` plans for
     these arguments when the caller has run them (``selection_table`` runs
@@ -704,12 +704,12 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     best = kept[np.argmax(ll[kept])]
     n_replicated = int(np.sum(np.abs(ll[kept] - ll[best]) <= 1e-4))
 
-    order = np.argsort(means[best][:, order_indicator], kind="stable")
+    order = np.argsort(means[best][:, 0], kind="stable")
     model = MixtureModel(
         weights=weights[best][order], means=means[best][order],
         covs=covs[best][order], structure=structure, loglik=float(ll[best]),
-        n=n, labels=labels, order_indicator=order_indicator,
-        n_iter=int(n_iter[best]), converged=bool(converged[best]),
+        n=n, labels=labels, n_iter=int(n_iter[best]),
+        converged=bool(converged[best]),
         n_starts=starts, n_replicated=n_replicated,
         n_degenerate_starts=int(degenerate.sum()),
     )

@@ -79,8 +79,7 @@ def ternary_svg(compositions: list[Composition], values: np.ndarray | None = Non
 
 
 def curve_svg(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              title: str = "", x_label: str = "minutes reallocated",
-              y_label: str = "predicted outcome difference") -> str:
+              title: str = "") -> str:
     """Line plot with a shaded pointwise 95% confidence band and a zero line."""
     x = np.asarray(x, dtype=float)
     ymin = min(float(lo.min()), 0.0)
@@ -111,10 +110,10 @@ def curve_svg(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     body.append(f'<polyline points="{line}" fill="none" stroke="#224488" '
                 'stroke-width="1.5"/>')
     body.append(f'<text x="{_f(_W / 2)}" y="{_f(_H - 12)}" text-anchor="middle" '
-                f'font-size="12">{x_label}</text>')
+                f'font-size="12">minutes reallocated</text>')
     body.append(f'<text x="14" y="{_f(_H / 2)}" text-anchor="middle" '
                 f'font-size="12" transform="rotate(-90 14 {_f(_H / 2)})">'
-                f'{y_label}</text>')
+                'predicted outcome difference</text>')
     return _svg(body)
 
 

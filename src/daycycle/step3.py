@@ -41,8 +41,33 @@ class Step3Result:
         return float(self.coef[i]), float(self.robust_se[i])
 
 
+def _checked(name: str, a, shape: tuple) -> np.ndarray:
+    """``a`` as a float array of ``shape`` (-1: any length there) with only
+    finite cells; Step3Error naming it otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != len(shape) or any(w not in (-1, g)
+                                   for g, w in zip(a.shape, shape)):
+        raise Step3Error(f"{name} has shape {a.shape}; expected {shape}")
+    if not np.isfinite(a).all():
+        raise Step3Error(f"{name} contains non-finite entries")
+    return a
+
+
+def _checked_classes(assignments, n: int, K: int,
+                     reference: int | None) -> np.ndarray:
+    """``assignments`` as ints, once they are ``n`` class indices in [0, K)
+    and ``reference`` (if given) is one too; Step3Error otherwise."""
+    a = np.asarray(assignments)
+    if (a.shape != (n,) or a.dtype.kind not in "iu"
+            or np.any((a < 0) | (a >= K))):
+        raise Step3Error(f"assignments must be {n} class indices in [0, {K})")
+    if reference is not None and not 0 <= reference < K:
+        raise Step3Error(f"reference {reference} is not in [0, {K})")
+    return a.astype(int)
+
+
 def _expanded_design(assignments: np.ndarray, weights_matrix: np.ndarray,
-                     covariates: np.ndarray | None, reference: int
+                     covariates: np.ndarray, reference: int
                      ) -> tuple[np.ndarray, np.ndarray,
                                 tuple[int, ...], tuple[str, ...]]:
     """Pseudo-observation design: one row per (latent class, subject), in
@@ -55,12 +80,11 @@ def _expanded_design(assignments: np.ndarray, weights_matrix: np.ndarray,
     n = assignments.shape[0]
     K = weights_matrix.shape[0]
     classes = tuple(k for k in range(K) if k != reference)
-    q = 0 if covariates is None else covariates.shape[1]
+    q = covariates.shape[1]
     # filled in place: stacking repeated and tiled blocks doubles peak memory
     X = np.ones((K, n, len(classes) + q + 1))
     X[:, :, :len(classes)] = np.eye(K)[:, None, classes]
-    if q:
-        X[:, :, len(classes):-1] = covariates
+    X[:, :, len(classes):-1] = covariates
     w = weights_matrix[assignments].T.ravel()
     labels = (tuple(f"class_{k}" for k in classes)
               + tuple(f"x{j}" for j in range(q)) + ("intercept",))
@@ -104,13 +128,21 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     classification-error matrix defaults to the one estimated from the
     posteriors and assignments; its inverse supplies the pseudo-observation
     weights (which can be negative and are kept as such).
+
+    Inputs of the wrong shape, non-finite cells, and an assignment or
+    ``reference`` outside [0, K) raise Step3Error before any fit.
     """
     from .lpa import classification_error_matrix
 
-    posteriors = np.asarray(posteriors, dtype=float)
-    assignments = np.asarray(assignments, dtype=int)
-    outcome = np.asarray(outcome, dtype=float)
+    posteriors = _checked("posteriors", posteriors, (-1, -1))
     n, K = posteriors.shape
+    assignments = _checked_classes(assignments, n, K, reference)
+    outcome = _checked("outcome", outcome, (n,))
+    if covariates is None:
+        covariates = np.empty((n, 0))
+    covariates = _checked("covariates", covariates, (n, -1))
+    if error_matrix is not None:
+        error_matrix = _checked("error matrix", error_matrix, (K, K))
     if reference is None:
         reference = int(np.bincount(assignments, minlength=K).argmax())
     if method == "naive":
@@ -192,16 +224,18 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
 
     Per-subject likelihood: sum_k P(class k | x_i) * D[k, assigned_i].
     With an identity error matrix this is the ordinary multinomial logit on
-    the assignments.
+    the assignments.  Rejects the inputs that ``step3_distal`` rejects, and
+    an error matrix that is not square.
     """
     from scipy import optimize  # only this fit uses it: load it here
 
-    assignments = np.asarray(assignments, dtype=int)
-    Z = np.column_stack([np.asarray(covariates, dtype=float),
-                         np.ones(assignments.shape[0])])
-    n, q1 = Z.shape
-    D = np.asarray(error_matrix, dtype=float)
-    K = D.shape[0]
+    K = len(np.atleast_1d(error_matrix))  # D must be K x K
+    D = _checked("error matrix", error_matrix, (K, K))
+    n = np.size(assignments)
+    assignments = _checked_classes(assignments, n, K, reference)
+    covariates = _checked("covariates", covariates, (n, -1))
+    Z = np.column_stack([covariates, np.ones(n)])
+    q1 = Z.shape[1]
     if np.linalg.matrix_rank(D) < K:
         raise Step3Error("classification-error matrix is singular")
     free = [k for k in range(K) if k != reference]

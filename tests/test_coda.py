@@ -6,6 +6,7 @@ import pytest
 from conftest import make_cohort
 from daycycle import composition as comp
 from daycycle.coda import (
+    DEFAULT_DAY_MINUTES,
     CodaError,
     compare_group_means,
     composition_contrast,
@@ -186,35 +187,31 @@ def test_pairwise_curve_shapes():
     assert curve.estimate[2] == 0.0
 
 
-def _pairwise_reference(cfit, from_, to, delta, use_robust):
+def _pairwise_reference(cfit, from_, to, delta):
     """One reallocation as an explicit contrast between the baseline and the
     moved composition, closed on its own."""
     if delta == 0:
         return Estimate(0.0, 0.0, 0.0, 0.0)
     labels = cfit.baseline.labels
-    moved = cfit.baseline.array() * cfit.day_minutes
+    moved = cfit.baseline.array() * DEFAULT_DAY_MINUTES
     moved[labels.index(from_)] -= delta
     moved[labels.index(to)] += delta
     return composition_contrast(cfit, cfit.baseline,
-                                closure_values(moved, labels),
-                                use_robust=use_robust)
+                                closure_values(moved, labels))
 
 
-@pytest.mark.parametrize("use_robust", [False, True])
-def test_pairwise_curve_matches_per_delta_calls(use_robust):
+def test_pairwise_curve_matches_per_delta_calls():
     cohort, _ = ilr_truth_cohort(n=600, seed=18)
     cfit = fit_coda(cohort, "sleep", COVS)
     deltas = np.arange(-60.0, 61.0, 7.5)
     assert 0.0 in deltas
     for from_, to in (("sit", "step"), ("sleep", "stand"), ("step", "sit")):
-        curve = pairwise_reallocation_curve(cfit, from_, to, deltas,
-                                            use_robust=use_robust)
+        curve = pairwise_reallocation_curve(cfit, from_, to, deltas)
         assert curve.behavior == f"{from_}->{to}"
         assert np.array_equal(curve.delta_minutes, deltas)
         for i, d in enumerate(deltas):
-            e = pairwise_reallocation(cfit, from_, to, d,
-                                      use_robust=use_robust)
-            ref = _pairwise_reference(cfit, from_, to, d, use_robust)
+            e = pairwise_reallocation(cfit, from_, to, d)
+            ref = _pairwise_reference(cfit, from_, to, d)
             # a single delta takes the same arithmetic as the per-delta
             # contrast, bit for bit
             assert e == ref and isinstance(e.estimate, float)
@@ -227,10 +224,20 @@ def test_pairwise_curve_matches_per_delta_calls(use_robust):
         assert curve.ci_low[zero][0] == 0.0 and curve.ci_high[zero][0] == 0.0
 
 
+@pytest.mark.parametrize("from_,to", [("nap", "step"), ("sit", "nap")])
+def test_pairwise_reallocation_names_an_unknown_behavior(from_, to):
+    cohort, _ = ilr_truth_cohort(n=300, seed=19)
+    cfit = fit_coda(cohort, "step", COVS)
+    with pytest.raises(CodaError, match="unknown behavior 'nap'"):
+        pairwise_reallocation(cfit, from_, to, 10.0)
+    with pytest.raises(CodaError, match="unknown behavior 'nap'"):
+        pairwise_reallocation_curve(cfit, from_, to, np.array([5.0, 10.0]))
+
+
 def test_pairwise_curve_range_checks():
     cohort, _ = ilr_truth_cohort(n=300, seed=19)
     cfit = fit_coda(cohort, "step", COVS)
-    step_min = cfit.baseline.part("step") * cfit.day_minutes
+    step_min = cfit.baseline.part("step") * DEFAULT_DAY_MINUTES
     with pytest.raises(CodaError):
         pairwise_reallocation_curve(cfit, "sit", "sit", np.array([10.0]))
     with pytest.raises(CodaError, match="out of 'step'"):

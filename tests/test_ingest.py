@@ -268,53 +268,40 @@ def test_cohort_table_validation():
         )
 
 
-def test_composition_cache_is_keyed_on_zero_floor():
-    from conftest import make_cohort
-    cohort = make_cohort(n=40, seed=3)
-    cohort.behaviors[0, 2] = 0.0
-    fresh = cohort.subset(np.ones(cohort.n, dtype=bool))
-    floor1 = cohort.composition_array(1.0)
-    floor30 = cohort.composition_array(30.0)
-    assert np.array_equal(floor30, fresh.composition_array(30.0))
-    assert not np.array_equal(floor30[0], floor1[0])
-    assert np.array_equal(floor1, cohort.composition_array(1.0))
-
-
 # --- the array path against the per-row arithmetic it replaced ---
 
-def reference_composition_array(behaviors, labels, zero_floor):
-    """One RawTimeVector per row, floored if it has a zero, then closed."""
+def reference_composition_array(behaviors, labels):
+    """One RawTimeVector per row, floored at 1 minute if it has a zero, then
+    closed."""
     from daycycle.composition import RawTimeVector, closure, replace_zeros
     rows = []
     for row in behaviors:
         raw = RawTimeVector(tuple(row), labels)
         if any(m == 0 for m in raw.minutes):
-            raw = replace_zeros(raw, "fixed-floor", floor=zero_floor)
+            raw = replace_zeros(raw, "fixed-floor", floor=1.0)
         rows.append(closure(raw).parts)
     return np.array(rows)
 
 
-@pytest.mark.parametrize("zero_floor", [1.0, 30.0])
-def test_composition_array_matches_per_row_closure(zero_floor):
+def test_composition_array_matches_per_row_closure():
     from conftest import make_cohort
     cohort = make_cohort(n=500, seed=21)
     cohort.behaviors[3, 2] = 0.0
     cohort.behaviors[10, [0, 2]] = 0.0
     cohort.behaviors[11, 1:] = 0.0
-    parts = cohort.composition_array(zero_floor)
+    parts = cohort.composition_array()
     assert np.array_equal(parts, reference_composition_array(
-        cohort.behaviors, cohort.behavior_labels, zero_floor))
+        cohort.behaviors, cohort.behavior_labels))
     assert not parts.flags.writeable
-    comps = cohort.compositions(zero_floor)
+    comps = cohort.compositions()
     assert [c.parts for c in comps] == [tuple(row) for row in parts.tolist()]
     assert all(c.labels == cohort.behavior_labels for c in comps)
     # whole minutes: the floored rows must not be truncated back to integers
     cohort = cohort.subset(np.ones(cohort.n, dtype=bool))
     cohort.behaviors = np.round(cohort.behaviors).astype(int)
-    assert np.array_equal(cohort.composition_array(zero_floor),
+    assert np.array_equal(cohort.composition_array(),
                           reference_composition_array(
-                              cohort.behaviors, cohort.behavior_labels,
-                              zero_floor))
+                              cohort.behaviors, cohort.behavior_labels))
 
 
 @pytest.mark.parametrize("row", [
@@ -463,12 +450,10 @@ def test_compositions_of_labels_match_per_point_subcomposition():
     cohort.behaviors[11, 1:] = 0.0
     for labels in [("sit", "stand", "step"), ("sleep", "sit", "step"),
                    ("step", "stand"), cohort.behavior_labels]:
-        for zero_floor in (1.0, 30.0):
-            want = [c.subcomposition(labels)
-                    for c in cohort.compositions(zero_floor)]
-            got = cohort.compositions(zero_floor, labels=list(labels))
-            assert [c.parts for c in got] == [c.parts for c in want]
-            assert all(c.labels == labels for c in got)
+        want = [c.subcomposition(labels) for c in cohort.compositions()]
+        got = cohort.compositions(labels=list(labels))
+        assert [c.parts for c in got] == [c.parts for c in want]
+        assert all(c.labels == labels for c in got)
 
 
 def test_compositions_reject_an_unknown_label():

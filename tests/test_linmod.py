@@ -90,13 +90,12 @@ def test_design_matrix_validation():
 
 def test_hc1_is_hc0_times_small_sample_factor():
     X, y, _ = _toy_fit(n=60)
-    f1 = fit_ols(X, y, hc="HC1")
-    f0 = fit_ols(X, y, hc="HC0")
-    n, p = f1.n, f1.p
-    assert np.allclose(f1.cov_robust, f0.cov_robust * n / (n - p),
+    fit = fit_ols(X, y)
+    n, p = X.shape
+    bread = np.linalg.inv(X.T @ X)
+    meat = X.T @ (X * fit.residuals[:, None] ** 2)
+    assert np.allclose(fit.cov_robust, bread @ meat @ bread * n / (n - p),
                        atol=1e-14)
-    with pytest.raises(LinmodError):
-        fit_ols(X, y, hc="HC9")
 
 
 def test_sandwich_coverage_under_heteroskedasticity():
@@ -118,7 +117,7 @@ def test_wald_single_coefficient_equals_z_squared():
     X, y, _ = _toy_fit()
     fit = fit_ols(X, y)
     C = np.array([[0.0, 1.0, 0.0]])
-    wt = wald_test(fit, C, use_robust=False)
+    wt = wald_test(fit, C)
     z = fit.coef[1] / fit.se("x1")
     assert wt.statistic == pytest.approx(z * z, rel=1e-12)
     assert wt.df == 1

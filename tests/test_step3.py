@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from daycycle import step3
 from daycycle.linmod import fit_ols
 from daycycle.step3 import (
     Step3Error,
@@ -55,7 +56,7 @@ def test_naive_matches_dummy_regression():
     res = step3_distal(post, assign, y, method="naive", reference=0)
     n = len(y)
     X = np.column_stack([(assign == 1).astype(float), np.ones(n)])
-    fit = fit_ols(X, y, ("class_1", "intercept"), hc="HC1")
+    fit = fit_ols(X, y, ("class_1", "intercept"))
     est, se = res.class_effect(1)
     assert est == pytest.approx(fit.coef[0], abs=1e-10)
     assert se == pytest.approx(fit.se("class_1", robust=True), abs=1e-10)
@@ -113,6 +114,78 @@ def test_distal_method_validation():
     with pytest.raises(Step3Error):
         step3_distal(post, assign, y, method="bch",
                      error_matrix=np.ones((2, 2)))
+
+
+def step3_inputs():
+    """Valid N=200, K=3 inputs for both step-3 entry points."""
+    rng = np.random.default_rng(40)
+    post = rng.dirichlet(np.ones(3), size=200)
+    return {"posteriors": post, "assignments": post.argmax(axis=1),
+            "outcome": rng.normal(size=200),
+            "covariates": rng.normal(size=(200, 2)),
+            "error_matrix": np.full((3, 3), 0.1) + 0.7 * np.eye(3),
+            "reference": 0}
+
+
+def replaced(a, index, value):
+    a = np.array(a)
+    a[index] = value
+    return a
+
+
+BAD_STEP3_INPUTS = {
+    "reference-5": ("reference", lambda r: 5, "reference 5"),
+    "reference-minus-1": ("reference", lambda r: -1, "reference -1"),
+    "assignment-7": ("assignments", lambda a: replaced(a, 0, 7),
+                     "class indices"),
+    "assignment-minus-1": ("assignments", lambda a: replaced(a, 0, -1),
+                           "class indices"),
+    "assignments-float": ("assignments", lambda a: a.astype(float),
+                          "class indices"),
+    "assignments-short": ("assignments", lambda a: a[:-1], "assignments"),
+    "covariate-inf": ("covariates", lambda c: replaced(c, (4, 1), np.inf),
+                      "covariates contains non-finite"),
+    "covariates-short": ("covariates", lambda c: c[:-1], "covariates"),
+    "error-matrix-3x2": ("error_matrix", lambda d: d[:, :2],
+                         "error matrix has shape"),
+    "posterior-nan": ("posteriors", lambda p: replaced(p, (4, 1), np.nan),
+                      "posteriors contains non-finite"),
+    "outcome-nan": ("outcome", lambda y: replaced(y, 4, np.nan),
+                    "outcome contains non-finite"),
+    "outcome-short": ("outcome", lambda y: y[:-1], "outcome has shape"),
+}
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("a fit ran on rejected input")
+
+
+@pytest.mark.parametrize("case", BAD_STEP3_INPUTS)
+def test_distal_rejects_bad_input_before_fitting(case, monkeypatch):
+    entry, change, match = BAD_STEP3_INPUTS[case]
+    monkeypatch.setattr(step3, "_weighted_cluster_ols", no_fit)
+    x = step3_inputs()
+    x[entry] = change(x[entry])
+    with pytest.raises(Step3Error, match=match):
+        step3_distal(x["posteriors"], x["assignments"], x["outcome"],
+                     x["covariates"], method="bch", reference=x["reference"],
+                     error_matrix=x["error_matrix"])
+
+
+# step3_covariate has no posteriors or outcome, and takes N from the
+# assignments, so a short assignment vector shows as a covariates shape error
+@pytest.mark.parametrize("case", [c for c, (entry, _, _) in
+                                  BAD_STEP3_INPUTS.items()
+                                  if entry not in ("posteriors", "outcome")
+                                  and c != "assignments-short"])
+def test_covariate_rejects_bad_input_before_fitting(case, monkeypatch):
+    entry, change, match = BAD_STEP3_INPUTS[case]
+    monkeypatch.setattr(step3, "_subject_terms", no_fit)
+    x = step3_inputs()
+    x[entry] = change(x[entry])
+    with pytest.raises(Step3Error, match=match):
+        step3_covariate(x["assignments"], x["error_matrix"], x["covariates"],
+                        reference=x["reference"])
 
 
 def multinomial_data(n=1200, seed=0, beta=(0.8, -0.5)):
