@@ -1,6 +1,7 @@
 """Command-line surface for the analysis pipelines.
 
-Every subcommand is deterministic given (input bytes, flags, seed).  Its
+Every subcommand is deterministic given its input bytes and flags (only
+``lpa`` and ``simulate`` take a ``--seed``).  Its
 ``cmd_*`` returns every output as ``{path: text}`` and only ``main`` writes
 them, atomically, so a failed run writes nothing.  Exit codes: 0 success, 1
 usage error, 2 data or validation error, 3 numerical failure.
@@ -145,7 +146,6 @@ def _add_common(p, covariates=True):
     p.add_argument("input", help="person-level cohort CSV")
     p.add_argument("-o", "--out", default=None,
                    help="output directory (default $DAYCYCLE_OUT or .)")
-    p.add_argument("--seed", type=int, default=0)
     if covariates:
         p.add_argument("--covariates", nargs="*", default=list(COVARIATE_COLUMNS))
 
@@ -456,6 +456,7 @@ def build_parser() -> _Parser:
 
     l = sub.add_parser("lpa", help="latent profile selection and artifacts")
     _add_common(l, covariates=False)
+    l.add_argument("--seed", type=int, default=0)
     l.add_argument("--classes", default="2:6", help="K range lo:hi")
     l.add_argument("--starts", type=int, default=160)
     l.add_argument("--max-iter", type=int, default=250)

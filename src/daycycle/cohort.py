@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class CohortTable:
     outcome: np.ndarray
     valid_days: np.ndarray
     behavior_labels: tuple[str, ...] = BEHAVIOR_LABELS
-    _composition_array: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -94,26 +93,24 @@ class CohortTable:
 
         Rows with a zero minute count go through ``replace_zeros`` with the
         fixed floor of ``ZERO_FLOOR_MINUTES`` first; then every row is
-        divided by its total.  The result is cached and read-only.
+        divided by its total.  The result is read-only.
         """
-        if self._composition_array is None:
-            minutes = self.behaviors
-            if not np.isfinite(minutes).all():
-                raise CompositionError("behavior times must be finite")
-            if (minutes < 0).any():
-                raise CompositionError("minutes must be nonnegative")
-            zero_rows = np.flatnonzero((minutes == 0).any(axis=1))
-            if zero_rows.size:
-                # a float copy: floored rows need fractional minutes
-                minutes = minutes.astype(float)
-                for i in zero_rows:
-                    raw = RawTimeVector(tuple(minutes[i]), self.behavior_labels)
-                    minutes[i] = replace_zeros(
-                        raw, "fixed-floor", floor=ZERO_FLOOR_MINUTES).minutes
-            parts = minutes / minutes.sum(axis=1, keepdims=True)
-            parts.flags.writeable = False
-            self._composition_array = parts
-        return self._composition_array
+        minutes = self.behaviors
+        if not np.isfinite(minutes).all():
+            raise CompositionError("behavior times must be finite")
+        if (minutes < 0).any():
+            raise CompositionError("minutes must be nonnegative")
+        zero_rows = np.flatnonzero((minutes == 0).any(axis=1))
+        if zero_rows.size:
+            # a float copy: floored rows need fractional minutes
+            minutes = minutes.astype(float)
+            for i in zero_rows:
+                raw = RawTimeVector(tuple(minutes[i]), self.behavior_labels)
+                minutes[i] = replace_zeros(
+                    raw, "fixed-floor", floor=ZERO_FLOOR_MINUTES).minutes
+        parts = minutes / minutes.sum(axis=1, keepdims=True)
+        parts.flags.writeable = False
+        return parts
 
     def compositions(self, labels: tuple[str, ...] | None = None
                      ) -> list[Composition]:

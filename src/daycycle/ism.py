@@ -2,12 +2,15 @@
 
 The linear ISM regresses the outcome on total day length and all behaviors
 but one (the behavior being displaced); coefficients are per-minute
-substitution effects.  A spline variant relaxes linearity for each retained
-behavior while keeping total time linear.
+substitution effects.  Every dropped-behavior form re-parameterizes the
+others, so each reallocation effect is read off the fit dropping the last
+behavior.  A spline variant relaxes linearity for each retained behavior
+while keeping total time linear.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -50,30 +53,50 @@ class SubstitutionTable:
     n: int
 
 
+def _ism_designs(cohort: CohortTable, dropped: str, covariates: list[str],
+                 knot_grid: tuple[int | None, ...] = (None,)):
+    """Yield one ISM design per entry of ``knot_grid``, as (X, column labels,
+    {behavior: indices of its columns}).
+
+    Columns: an intercept unless total day length is constant (that warns
+    once, attributed to the first caller outside this module), each behavior
+    except ``dropped`` as its minutes/day (knots ``None``) or its natural
+    cubic spline basis on that many knots, total minutes, the covariates.
+    """
+    if dropped not in cohort.behavior_labels:
+        raise IsmError(f"unknown behavior {dropped!r}")
+    head, head_labels = [np.ones(cohort.n)], ["intercept"]
+    if np.ptp(cohort.total) == 0.0:
+        level = 1
+        while sys._getframe(level).f_globals["__name__"] == __name__:
+            level += 1
+        warnings.warn("total day length is constant: dropping the intercept "
+                      "to avoid perfect collinearity", stacklevel=level + 1)
+        head, head_labels = [], []
+    tail = [cohort.total, *cohort.covariate_matrix(covariates).T]
+    kept = [b for b in cohort.behavior_labels if b != dropped]
+    for n_knots in knot_grid:
+        cols, labels, spans = list(head), list(head_labels), {}
+        for b in kept:
+            if n_knots is None:
+                block, names = cohort.behavior(b)[:, None], [b]
+            else:
+                block = natural_cubic_spline_basis(cohort.behavior(b), n_knots)
+                names = [f"{b}_s{k}" for k in range(block.shape[1])]
+            spans[b] = list(range(len(labels), len(labels) + len(names)))
+            cols += list(block.T)
+            labels += names
+        yield (np.column_stack(cols + tail),
+               tuple(labels + ["total", *covariates]), spans)
+
+
 def build_ism_design(cohort: CohortTable, dropped: str, covariates: list[str]
                      ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Design per the partition convention, as (X, column labels, outcome):
     intercept (when total time varies), every behavior except ``dropped``
     in minutes/day, total minutes, then covariates."""
-    if dropped not in cohort.behavior_labels:
-        raise IsmError(f"unknown behavior {dropped!r}")
-    kept = [b for b in cohort.behavior_labels if b != dropped]
-    cols, labels = [], []
-    if np.ptp(cohort.total) == 0.0:
-        warnings.warn(
-            "total day length is constant: dropping the intercept to avoid "
-            "perfect collinearity", stacklevel=2)
-    else:
-        cols.append(np.ones(cohort.n))
-        labels.append("intercept")
-    for b in kept:
-        cols.append(cohort.behavior(b))
-        labels.append(b)
-    cols.append(cohort.total)
-    labels.append("total")
-    cols += list(cohort.covariate_matrix(covariates).T)
-    labels += covariates
-    return np.column_stack(cols), tuple(labels), cohort.outcome
+    X, labels, _ = next(_ism_designs(cohort, dropped, covariates))
+    return X, labels, cohort.outcome
 
 
 def fit_ism(cohort: CohortTable, dropped: str,
@@ -83,40 +106,13 @@ def fit_ism(cohort: CohortTable, dropped: str,
                   tuple(covariates))
 
 
-def substitution_effect(cohort: CohortTable, covariates: list[str],
-                        from_: str, to: str, minutes: float = 30.0) -> Estimate:
-    """Effect of reallocating ``minutes``/day from one behavior to another.
-
-    Fits the model dropping the destination behavior, so the source
-    coefficient measures displacement of the destination; the reallocation
-    effect is its negation scaled by minutes.
-    """
-    if from_ == to:
-        raise IsmError("source and destination behavior must differ")
-    for lab in (from_, to):
-        if lab not in cohort.behavior_labels:
-            raise IsmError(f"unknown behavior {lab!r}")
-    if minutes == 0:
-        return Estimate(0.0, 0.0, 0.0, 0.0)
-    ismfit = fit_ism(cohort, dropped=to, covariates=covariates)
-    w = np.zeros(ismfit.fit.p)
-    w[ismfit.fit.index(from_)] = -minutes
-    return linear_combination(ismfit.fit, w)
-
-
-def substitution_table(cohort: CohortTable, covariates: list[str],
-                       minutes: float = 30.0,
-                       subgroup: np.ndarray | None = None) -> SubstitutionTable:
-    """All pairwise reallocation effects from one partition-model fit.
-
-    When the behaviors sum to total time, the model dropping any behavior is
-    a re-parameterization of the one dropping the last: with ``gamma`` its
-    behavior coefficients (0 for the dropped one), moving ``minutes`` from
-    behavior i to j changes the outcome by ``minutes * (gamma_j - gamma_i)``.
-    Cells (i, j) with i < j are estimated that way; the mirrored cells are
-    their exact negations.
-    """
-    data = cohort if subgroup is None else cohort.subset(subgroup)
+def _partition_fit(data: CohortTable, covariates: list[str]
+                   ) -> tuple[FitResult, np.ndarray]:
+    """The fit dropping the last behavior, and the D x p ``gamma`` whose row
+    k picks behavior k's coefficient (zero for the dropped one).  As the
+    behaviors must sum to total time, every dropped-behavior model is a
+    re-parameterization of this one: moving ``minutes`` from behavior i to j
+    changes the outcome by ``minutes * (gamma_j - gamma_i) @ coef``."""
     labels = data.behavior_labels
     gap = np.abs(data.total - data.behaviors.sum(axis=1))
     if np.any(gap > 1e-9 * data.total):
@@ -124,16 +120,41 @@ def substitution_table(cohort: CohortTable, covariates: list[str],
             "behavior minutes must sum to the total day length, "
             f"off by up to {gap.max():.3g} min")
     fit = fit_ism(data, dropped=labels[-1], covariates=covariates).fit
-    d = len(labels)
-    gamma = np.zeros((d, fit.p))
+    gamma = np.zeros((len(labels), fit.p))
     for k, b in enumerate(labels[:-1]):
         gamma[k, fit.index(b)] = 1.0
+    return fit, gamma
+
+
+def substitution_effect(cohort: CohortTable, covariates: list[str],
+                        from_: str, to: str, minutes: float = 30.0) -> Estimate:
+    """Effect of reallocating ``minutes``/day from one behavior to another,
+    read off the same partition-model fit as ``substitution_table``."""
+    if from_ == to:
+        raise IsmError("source and destination behavior must differ")
+    for lab in (from_, to):
+        if lab not in cohort.behavior_labels:
+            raise IsmError(f"unknown behavior {lab!r}")
+    fit, gamma = _partition_fit(cohort, covariates)
+    i, j = (cohort.behavior_labels.index(b) for b in (from_, to))
+    return linear_combination(fit, minutes * (gamma[j] - gamma[i]))
+
+
+def substitution_table(cohort: CohortTable, covariates: list[str],
+                       minutes: float = 30.0,
+                       subgroup: np.ndarray | None = None) -> SubstitutionTable:
+    """All pairwise reallocation effects from one partition-model fit: cells
+    (i, j) with i < j as in ``substitution_effect``, the mirrored cells their
+    exact negations."""
+    data = cohort if subgroup is None else cohort.subset(subgroup)
+    fit, gamma = _partition_fit(data, covariates)
+    d = len(data.behavior_labels)
     i, j = np.triu_indices(d, k=1)
     e = linear_combination(fit, minutes * (gamma[j] - gamma[i]))
     est, lo, hi = (np.full((d, d), np.nan) for _ in range(3))
     est[i, j], lo[i, j], hi[i, j] = e.estimate, e.ci_low, e.ci_high
     est[j, i], lo[j, i], hi[j, i] = -e.estimate, -e.ci_high, -e.ci_low
-    return SubstitutionTable(labels, minutes, est, lo, hi, data.n)
+    return SubstitutionTable(data.behavior_labels, minutes, est, lo, hi, data.n)
 
 
 @dataclass(frozen=True)
@@ -153,35 +174,18 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
     joint Wald test over each behavior's spline coefficients."""
     if not knot_grid:
         raise IsmError("knot grid must be nonempty")
-    kept = [b for b in cohort.behavior_labels if b != dropped]
-    if dropped not in cohort.behavior_labels:
-        raise IsmError(f"unknown behavior {dropped!r}")
-    covariate_cols = list(cohort.covariate_matrix(covariates).T)
     best = None
     scores: dict[int, float] = {}
-    for n_knots in knot_grid:
-        cols = [np.ones(cohort.n)]
-        labels = ["intercept"]
-        spans: dict[str, list[int]] = {}
-        for b in kept:
-            basis = natural_cubic_spline_basis(cohort.behavior(b), n_knots)
-            start = len(labels)
-            for k in range(basis.shape[1]):
-                cols.append(basis[:, k])
-                labels.append(f"{b}_s{k}")
-            spans[b] = list(range(start, len(labels)))
-        cols.append(cohort.total)
-        labels.append("total")
-        cols += covariate_cols
-        labels += covariates
-        fit = fit_ols(np.column_stack(cols), cohort.outcome, tuple(labels))
+    designs = _ism_designs(cohort, dropped, covariates, knot_grid)
+    for n_knots, (X, labels, spans) in zip(knot_grid, designs):
+        fit = fit_ols(X, cohort.outcome, labels)
         score = gcv_score(fit)
         scores[n_knots] = score
         if best is None or score < best[0]:
             best = (score, n_knots, fit, spans)
     _, n_knots, fit, spans = best
     # each behavior's test selects its spline coefficients
-    tests = {b: wald_test(fit, np.eye(fit.p)[spans[b]]) for b in kept}
+    tests = {b: wald_test(fit, np.eye(fit.p)[c]) for b, c in spans.items()}
     return FlexibleIsmFit(fit, dropped, n_knots, scores, tests)
 
 
@@ -208,6 +212,4 @@ def profile_contrast(ismfit: IsmFit, profile_a: dict[str, float],
             raise IsmError(f"profile missing behavior {b!r}")
         w[fit.index(b)] = profile_b[b] - profile_a[b]
     w[fit.index("total")] = tot_b - tot_a
-    if not np.any(w):
-        return Estimate(0.0, 0.0, 0.0, 0.0)
     return linear_combination(fit, w)

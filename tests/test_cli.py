@@ -112,6 +112,27 @@ def test_ism_requires_behaviors_summing_to_total(tmp_path, cohort_csv):
     assert not (tmp_path / "out").exists()
 
 
+def test_ism_flexible_fits_a_constant_day_length(tmp_path):
+    """With every day 1440 minutes long, the spline ISM leaves out the
+    intercept as the partition model does, and fits."""
+    from conftest import make_cohort
+    from daycycle.ism import fit_flexible_ism
+    path = tmp_path / "cohort.csv"
+    save_cohort_csv(make_cohort(n=300, seed=2, constant_total=True), path)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="constant"):
+        assert run(["ism", path, "-o", out, "--flexible",
+                    "--covariates", "female", "bmi"]) == 0
+    flex = json.loads((out / "ism_flexible.json").read_text())
+    with pytest.warns(UserWarning, match="constant"):
+        lib = fit_flexible_ism(load_cohort_csv(path), ["female", "bmi"],
+                               dropped="step")
+    assert "intercept" not in lib.fit.labels
+    assert flex["selected_knots"] == lib.n_knots
+    assert flex["behavior_wald_p"] == {b: t.p_value for b, t
+                                       in lib.behavior_tests.items()}
+
+
 @pytest.fixture(scope="module")
 def lpa_out(tmp_path_factory, cohort_csv):
     out = tmp_path_factory.mktemp("lpa")
@@ -440,12 +461,18 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     ["coda", "{csv}", "--delta-grid", "0:1e9:1e-9"],
     ["plot", "{csv}", "--kind", "realloc", "--delta-grid", "0:1e9:1e-9"],
     ["ism", "{csv}", "--minutes", "1e308"],
+    ["describe", "{csv}", "--seed", "1"],
+    ["ism", "{csv}", "--seed", "1"],
+    ["coda", "{csv}", "--seed", "1"],
+    ["step3", "{csv}", "{csv}", "--seed", "1"],
+    ["plot", "{csv}", "--kind", "ternary", "--seed", "1"],
 ], ids=["ism-dropped", "lpa-starts", "lpa-max-iter", "lpa-blrt-boot",
         "lpa-blrt-starts", "plot-profiles-no-model", "ism-minutes-nan",
         "ism-cut-nan", "ism-cut-inf", "coda-pairwise-minutes-nan",
         "coda-delta-grid-nan", "plot-ternary-repeated-label",
         "plot-delta-grid-nan", "coda-delta-grid-too-fine",
-        "plot-delta-grid-too-fine", "ism-minutes-over-a-day"])
+        "plot-delta-grid-too-fine", "ism-minutes-over-a-day",
+        "describe-seed", "ism-seed", "coda-seed", "step3-seed", "plot-seed"])
 def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
                                                         capsys, args):
     out = tmp_path / "out"

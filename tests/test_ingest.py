@@ -304,6 +304,18 @@ def test_composition_array_matches_per_row_closure():
                               cohort.behaviors, cohort.behavior_labels))
 
 
+def test_composition_array_follows_new_behaviors():
+    """Assigning ``behaviors`` after a call changes the next call's array."""
+    from conftest import make_cohort
+    cohort = make_cohort(n=40, seed=3)
+    before = cohort.composition_array()
+    cohort.behaviors = cohort.behaviors * [2, 1, 1, 1]
+    after = cohort.composition_array()
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, reference_composition_array(
+        cohort.behaviors, cohort.behavior_labels))
+
+
 @pytest.mark.parametrize("row", [
     [0.0, 0.0, 0.0, 0.0],
     [600.0, -1.0, 80.0, 480.0],

@@ -17,7 +17,7 @@ from daycycle.ism import (
     substitution_effect,
     substitution_table,
 )
-from daycycle.linmod import LinmodError
+from daycycle.linmod import LinmodError, linear_combination
 
 COVS = ["female", "bmi"]
 
@@ -86,8 +86,9 @@ def test_table_antisymmetry_exact():
 
 def test_table_mirrors_match_independent_fits():
     """Each mirrored cell must agree with an independently fitted model
-    that drops the other behavior (the two parameterizations are algebraic
-    re-codings of one partition model)."""
+    that drops the destination behavior, where moving 30 minutes from ``a``
+    changes the outcome by -30 times ``a``'s coefficient (the two
+    parameterizations are algebraic re-codings of one partition model)."""
     cohort = make_cohort(n=400, seed=8, behavior_effects=TRUE_EFFECTS)
     tab = substitution_table(cohort, COVS, minutes=30.0)
     labels = tab.labels
@@ -95,7 +96,10 @@ def test_table_mirrors_match_independent_fits():
         for j, b in enumerate(labels):
             if i == j:
                 continue
-            direct = substitution_effect(cohort, COVS, a, b, minutes=30.0)
+            fit = fit_ism(cohort, dropped=b, covariates=COVS).fit
+            w = np.zeros(fit.p)
+            w[fit.index(a)] = -30.0
+            direct = linear_combination(fit, w)
             assert tab.estimate[i, j] == pytest.approx(direct.estimate,
                                                        abs=1e-8)
             assert tab.ci_low[i, j] == pytest.approx(direct.ci_low, abs=1e-8)
@@ -106,7 +110,6 @@ def test_dropped_behavior_equivalence():
     models agrees: drop `to` (negate source coef) vs drop `from` (destination
     coef direct)."""
     cohort = make_cohort(n=600, seed=9, behavior_effects=TRUE_EFFECTS)
-    from daycycle.linmod import linear_combination
     minutes = 30.0
     f_to = fit_ism(cohort, dropped="step", covariates=COVS)
     w = np.zeros(f_to.fit.p)
@@ -126,6 +129,8 @@ def test_table_requires_behaviors_summing_to_total():
     cohort.total[7] += 5.0
     with pytest.raises(IsmError, match="sum to the total"):
         substitution_table(cohort, COVS)
+    with pytest.raises(IsmError, match="sum to the total"):
+        substitution_effect(cohort, COVS, "sit", "step")
 
 
 def test_subgroup_uses_subset_rows():
@@ -162,6 +167,19 @@ def test_flexible_ism_gcv_selects_among_grid():
                                key=flex.gcv_by_knots.get)
     with pytest.raises(IsmError):
         fit_flexible_ism(cohort, COVS, dropped="step", knot_grid=())
+
+
+def test_flexible_ism_on_a_constant_total_warns_once_and_fits():
+    """A constant day length leaves out the intercept in the spline design
+    too, so every knot count fits."""
+    cohort = make_cohort(n=300, seed=2, constant_total=True)
+    with pytest.warns(UserWarning, match="constant") as record:
+        flex = fit_flexible_ism(cohort, COVS, dropped="step")
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    assert "intercept" not in flex.fit.labels
+    assert set(flex.gcv_by_knots) == {3, 4, 5}
+    assert flex.n_knots == min(flex.gcv_by_knots, key=flex.gcv_by_knots.get)
 
 
 def test_profile_contrast_matches_substitution():
