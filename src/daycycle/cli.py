@@ -34,7 +34,7 @@ from .cohort import (
 from .composition import CompositionError
 from .ingest import IngestError
 from .linmod import LinmodError, RankDeficientError, normal_sf
-from .lpa import ConvergenceError, LpaError
+from .lpa import ConvergenceError, LpaError, WorkerError
 from .simulate import SimulationError
 from .step3 import Step3Error
 
@@ -46,8 +46,9 @@ EXIT_NUMERIC = 3
 DATA_ERRORS = (CohortError, IngestError, CompositionError, LpaError,
                SimulationError, Step3Error, coda.CodaError, ism.IsmError,
                LinmodError, FileNotFoundError, IsADirectoryError)
-NUMERIC_ERRORS = (RankDeficientError, ConvergenceError, np.linalg.LinAlgError,
-                  FloatingPointError)
+# a dead EM worker: the input was valid, but a fit could not be computed
+NUMERIC_ERRORS = (RankDeficientError, ConvergenceError, WorkerError,
+                  np.linalg.LinAlgError, FloatingPointError)
 
 # 10^5 points span a day either way in 0.03-minute steps; at about 66 us and
 # 130 output bytes per point, a finer grid only exhausts time and memory.
@@ -325,10 +326,11 @@ def cmd_lpa(args) -> dict[str, str]:
               "entropy", "n_min", "n_min_pct", "n_replicated", "blrt_p",
               "blrt_n_boot_failed", "converged", "n_iter",
               "n_degenerate_starts"]
-    table = [(r.K, r.loglik, r.stats.aic, r.stats.bic, r.stats.caic,
+    table = [(r.K, m.loglik, r.stats.aic, r.stats.bic, r.stats.caic,
               r.stats.sabic, r.stats.icl_bic, r.stats.entropy, r.n_min,
-              r.n_min_pct, r.n_replicated, r.blrt_p, r.blrt_n_boot_failed,
-              r.converged, r.n_iter, r.n_degenerate_starts) for r in rows]
+              r.n_min_pct, m.n_replicated, r.blrt_p, r.blrt_n_boot_failed,
+              m.converged, m.n_iter, m.n_degenerate_starts)
+             for r, (m, _) in zip(rows, models.values())]
     files = _records(out("lpa_selection"), fields, table)
     best_k = min(rows, key=lambda r: r.stats.bic).K
     model, post = models[best_k]

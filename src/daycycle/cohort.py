@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class CohortTable:
     covariates: dict[str, np.ndarray]
     outcome: np.ndarray
     valid_days: np.ndarray
-    behavior_labels: tuple[str, ...] = BEHAVIOR_LABELS
+    behavior_labels: ClassVar[tuple[str, ...]] = BEHAVIOR_LABELS
 
     def __post_init__(self):
         n = len(self.ids)
@@ -142,7 +143,6 @@ class CohortTable:
             covariates={k: v[idx] for k, v in self.covariates.items()},
             outcome=self.outcome[idx],
             valid_days=self.valid_days[idx],
-            behavior_labels=self.behavior_labels,
         )
 
 

@@ -58,15 +58,16 @@ def _ism_designs(cohort: CohortTable, dropped: str, covariates: list[str],
     """Yield one ISM design per entry of ``knot_grid``, as (X, column labels,
     {behavior: indices of its columns}).
 
-    Columns: an intercept unless total day length is constant (that warns
-    once, attributed to the first caller outside this module), each behavior
-    except ``dropped`` as its minutes/day (knots ``None``) or its natural
-    cubic spline basis on that many knots, total minutes, the covariates.
+    Columns: an intercept unless total day length is constant to a relative
+    1e-9, as in ``_partition_fit`` (that warns once, attributed to the first
+    caller outside this module), each behavior except ``dropped`` as its
+    minutes/day (knots ``None``) or its natural cubic spline basis on that
+    many knots, total minutes, the covariates.
     """
     if dropped not in cohort.behavior_labels:
         raise IsmError(f"unknown behavior {dropped!r}")
     head, head_labels = [np.ones(cohort.n)], ["intercept"]
-    if np.ptp(cohort.total) == 0.0:
+    if np.ptp(cohort.total) <= 1e-9 * np.abs(cohort.total).max():
         level = 1
         while sys._getframe(level).f_globals["__name__"] == __name__:
             level += 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
@@ -31,6 +31,10 @@ class LpaError(ValueError):
 
 class ConvergenceError(LpaError):
     pass
+
+
+class WorkerError(LpaError):
+    """An EM worker process ended without sending its block's result."""
 
 
 def param_count(K: int, d: int, structure: str) -> int:
@@ -87,23 +91,11 @@ class MixtureModel:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": ARTIFACT_VERSION,
-            "structure": self.structure,
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
-            "loglik": self.loglik,
-            "n": self.n,
-            "labels": list(self.labels),
-            "order_indicator": self.order_indicator,
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "n_starts": self.n_starts,
-            "n_replicated": self.n_replicated,
-            "n_degenerate_starts": self.n_degenerate_starts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """Every field, arrays and tuples as lists, plus ``format_version``."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["format_version"] = ARTIFACT_VERSION
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          default=np.ndarray.tolist) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MixtureModel":
@@ -163,16 +155,11 @@ class MixtureModel:
             raise LpaError(f"unknown covariance structure {structure!r}")
         return cls(
             weights=weights, means=means, covs=covs, structure=structure,
-            loglik=float(entry("loglik", (int, float))),
-            n=entry("n", int),
+            loglik=float(entry("loglik", (int, float))), n=entry("n", int),
             labels=tuple(labels),
-            order_indicator=entry("order_indicator", int),
-            n_iter=entry("n_iter", int),
-            converged=entry("converged", bool),
-            n_starts=entry("n_starts", int),
-            n_replicated=entry("n_replicated", int),
-            n_degenerate_starts=entry("n_degenerate_starts", int),
-        )
+            # each field with a default (order, EM health) must have its type
+            **{f.name: entry(f.name, type(f.default)) for f in fields(cls)
+               if f.default is not MISSING})
 
 
 @dataclass(frozen=True)
@@ -186,17 +173,18 @@ class FitStats:
 
 
 # Starts run in blocks whose per-start work arrays (see ``_plan_starts``)
-# total at most this many bytes, but at least one start per block, so a
-# block's memory does not grow with the number of starts.  A larger block
-# pays the per-iteration Python overhead once for more starts: an N=1000,
-# K=6 block holds 5 starts.  Twice this budget cut the `lpa` benchmark's
-# pass time by about 8% but raised its peak memory by 1.3 MB (3%; 2-vCPU
-# VM, one BLAS thread).  Results do not depend on the block size.  The
-# budget is per worker process (see ``_run_blocks``), so the work arrays of
-# a call take up to workers x budget across its processes.  Blocks are not
-# cut smaller to give more workers a block each: capping them at
-# ceil(starts / workers) did not make the `lpa` benchmark's pass faster
-# (0.27-0.30 s against 0.25-0.28 s, three 20-s runs each).
+# total at most this many bytes per worker process, but at least one start
+# per block, so a block's memory does not grow with the number of starts;
+# results do not depend on the block size.  A larger block pays the
+# per-iteration Python overhead once for more starts (an N=1000, K=6 block
+# holds 5).  On two or more CPUs each ``_run_blocks`` of the `lpa`
+# benchmark has two or more blocks, run in forked workers, so the budget
+# does not reach its `peak_rss_mb` (the parent's).  There, 1, 2 and 4 MiB
+# gave pass times of 0.135-0.143 s and a largest worker peak RSS
+# (``RUSAGE_CHILDREN``) of 31.2, 32.4 and 32.9 MB (2-vCPU VM, one BLAS
+# thread).  Capping blocks at ceil(starts / workers), to give more workers
+# a block each, did not make that pass faster (0.27-0.30 s against
+# 0.25-0.28 s, three 20-s runs each).
 _BLOCK_BYTES = 1 << 20
 
 # The Cholesky floor test shifts each covariance by the floor plus this
@@ -562,9 +550,10 @@ def _run_blocks(units: list[tuple]) -> list[tuple]:
     the memory they inherit and send back only results.  All of them have
     exited, or on an exception been terminated, and are joined before this
     returns.  An exception raised in a worker is raised here, with its
-    type.  A block's result depends only on its arguments (``_em_block``
-    compares no start with another), so results do not depend on the
-    worker count.
+    type; a worker that ends before its last block's result is in (killed,
+    say) raises ``WorkerError`` naming its exit code.  A block's result depends only on
+    its arguments (``_em_block`` compares no start with another), so results
+    do not depend on the worker count.
     """
     workers = min(_cpus(), len(units))
     if workers > 1:
@@ -598,12 +587,20 @@ def _run_blocks(units: list[tuple]) -> list[tuple]:
         busy = list(conns)
         while busy:
             for conn in wait(busy):
-                i, result = conn.recv()
+                try:
+                    i, result = conn.recv()
+                    if not isinstance(result, Exception):
+                        results[i] = result
+                        i = next(order, None)
+                        conn.send(i)
+                except (EOFError, ConnectionError):  # it exited: reap it
+                    proc = procs[conns.index(conn)]
+                    proc.join()
+                    raise WorkerError(f"an EM worker ended with exit code "
+                                      f"{proc.exitcode} before its blocks "
+                                      "were done") from None
                 if isinstance(result, Exception):
                     raise result
-                results[i] = result
-                i = next(order, None)
-                conn.send(i)
                 if i is None:
                     busy.remove(conn)
     except BaseException:
@@ -877,15 +874,12 @@ def derived_sleep_stats(model: MixtureModel) -> dict:
 
 @dataclass(frozen=True)
 class SelectionRow:
+    """What the table adds to a K's fit; the fit's own facts (log-likelihood,
+    EM health) are on its model, ``selection_table``'s ``models[K][0]``."""
     K: int
-    loglik: float
     stats: FitStats
     n_min: int
     n_min_pct: float
-    n_replicated: int
-    converged: bool
-    n_iter: int
-    n_degenerate_starts: int
     blrt_p: float | None = None
     blrt_n_boot_failed: int | None = None
 
@@ -936,12 +930,8 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
         sizes = np.bincount(modal_assignment(post), minlength=K)
         test = tests.get(K, {})
         rows.append(SelectionRow(
-            K=K, loglik=model.loglik, stats=fit_stats(model, post),
-            n_min=int(sizes.min()),
+            K=K, stats=fit_stats(model, post), n_min=int(sizes.min()),
             n_min_pct=round(100.0 * sizes.min() / model.n, 1),
-            n_replicated=model.n_replicated, converged=model.converged,
-            n_iter=model.n_iter,
-            n_degenerate_starts=model.n_degenerate_starts,
             blrt_p=test.get("p_value"),
             blrt_n_boot_failed=test.get("n_boot_failed"),
         ))

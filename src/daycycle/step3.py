@@ -178,7 +178,7 @@ class CovariateResult:
     robust_se: np.ndarray
     reference: int
     wald: WaldTest  # joint test of all covariate slopes
-    converged: bool
+    converged: bool  # the score test at ``coef`` passed (``step3_covariate``)
     loglik: float
 
 
@@ -226,6 +226,11 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     With an identity error matrix this is the ordinary multinomial logit on
     the assignments.  Rejects the inputs that ``step3_distal`` rejects, and
     an error matrix that is not square.
+
+    ``converged`` is a score test at the fit: U' (-H)^-1 U <= 1e-6 for the
+    score U and Hessian H of log L, so a Newton step moves no coefficient
+    by more than 1e-3 of its model-based SE.  (BFGS's own flag can be False
+    from rounding at the optimum.)
     """
     from scipy import optimize  # only this fit uses it: load it here
 
@@ -263,11 +268,13 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     except np.linalg.LinAlgError:
         raise Step3Error("singular Hessian; possible separation") from None
     cov = bread @ meat @ bread
+    score = S.sum(axis=0)
+    converged = bool(0.0 <= score @ bread @ score <= 1e-6)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(nf, q1)
     coef = theta.reshape(nf, q1)
 
     # Joint Wald test over all covariate slopes (intercepts excluded).
     slope_idx = [i * q1 + j for i in range(nf) for j in range(q1 - 1)]
     wald = joint_wald(theta[slope_idx], cov[np.ix_(slope_idx, slope_idx)])
-    return CovariateResult(coef, se, reference, wald, bool(res.success),
+    return CovariateResult(coef, se, reference, wald, converged,
                            -float(res.fun))

@@ -1,5 +1,8 @@
-"""Shared synthetic-cohort builders and test settings for the suite."""
+"""Shared synthetic-cohort builders, fixtures and test settings for the
+suite."""
 
+import multiprocessing
+import os
 import tempfile
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from daycycle import lpa
 from daycycle.cohort import BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable
 
 # No example database, so a test writes nothing outside its tmp_path.  Each
@@ -29,6 +33,35 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.stash[_HYPOTHESIS_HOME].cleanup()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a child process running (an EM worker that
+    outlived its call, say); such children are ended first."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.terminate()
+        proc.join()
+    assert leaked == [], f"{len(leaked)} child process(es) outlived the test"
+
+
+@pytest.fixture
+def em_worker_dying_at_seed_3(monkeypatch):
+    """EM with one start per block in two worker processes, where the worker
+    that runs the start of seed 3 ends with exit code 9."""
+    parent, em_block = os.getpid(), lpa._em_block
+
+    def em_block_dying_at_seed_3(Xs, sets, pooled, K, structure, seeds,
+                                 *rest):
+        if seeds == [3] and os.getpid() != parent:
+            os._exit(9)
+        return em_block(Xs, sets, pooled, K, structure, seeds, *rest)
+
+    monkeypatch.setattr(lpa, "_cpus", lambda: 2)
+    monkeypatch.setattr(lpa, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(lpa, "_em_block", em_block_dying_at_seed_3)
 
 
 def make_cohort(n=300, seed=0, behavior_effects=None, outcome_fn=None,

@@ -504,6 +504,19 @@ def test_collinear_covariates_exit_3_before_writing(tmp_path, cohort_csv,
     assert not out.exists()
 
 
+def test_dead_em_worker_exits_3_before_writing(tmp_path, cohort_csv, capsys,
+                                              em_worker_dying_at_seed_3):
+    import multiprocessing
+    out = tmp_path / "out"
+    assert run(["lpa", cohort_csv, "-o", out, "--classes", "2:2",
+                "--starts", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "exit code 9" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_no_complete_cases_exits_2_before_writing(tmp_path, cohort_csv,
                                                   lpa_out, capsys):
     from daycycle.cohort import CSV_HEADER

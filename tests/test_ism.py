@@ -182,6 +182,28 @@ def test_flexible_ism_on_a_constant_total_warns_once_and_fits():
     assert flex.n_knots == min(flex.gcv_by_knots, key=flex.gcv_by_knots.get)
 
 
+def test_totals_constant_up_to_rounding_drop_the_intercept():
+    """Totals that are 1440 only up to rounding (here, the sums of the
+    behaviors) fit as the exact-1440 cohort does, each fit warning once."""
+    exact = make_cohort(n=300, seed=2, constant_total=True)
+    near = replace(exact, total=exact.behaviors.sum(axis=1))
+    assert 0.0 < np.ptp(near.total) < 1e-9
+    fits = []
+    for cohort in (exact, near):
+        for fit in (lambda: substitution_table(cohort, COVS),
+                    lambda: fit_flexible_ism(cohort, COVS, dropped="step")):
+            with pytest.warns(UserWarning, match="constant") as record:
+                fits.append(fit())
+            assert len(record) == 1
+    table, flex, near_table, near_flex = fits
+    for got, want in ((near_table.estimate, table.estimate),
+                      (near_table.ci_low, table.ci_low),
+                      (near_flex.fit.coef, flex.fit.coef)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert near_flex.fit.labels == flex.fit.labels
+    assert near_flex.n_knots == flex.n_knots
+
+
 def test_profile_contrast_matches_substitution():
     """Two profiles differing by one 30-minute swap reproduce the pairwise
     substitution estimate."""

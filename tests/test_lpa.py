@@ -270,6 +270,16 @@ def test_artifact_json_round_trip():
         MixtureModel.from_json(json.dumps(bad))
 
 
+def test_artifact_keys_are_the_model_fields_and_the_version():
+    import json
+    from dataclasses import fields
+    names = {f.name for f in fields(MixtureModel)}
+    assert set(json.loads(reference_model().to_json())) == (
+        names | {"format_version"})
+    # a selection row carries only what the table adds to its K's model
+    assert not names & {f.name for f in fields(lpa.SelectionRow)}
+
+
 _ARTIFACT_FIELDS = ("structure", "weights", "means", "covs", "loglik", "n",
                     "labels", "order_indicator", "n_iter", "converged",
                     "n_starts", "n_replicated", "n_degenerate_starts")
@@ -341,10 +351,7 @@ def test_selection_table_shape_and_bic():
     for r in rows:
         assert r.n_min >= 1
         assert 0 < r.n_min_pct <= 100
-        model = models[r.K][0]
-        assert (r.converged, r.n_iter, r.n_degenerate_starts) == (
-            model.converged, model.n_iter, model.n_degenerate_starts)
-    lls = [r.loglik for r in rows]
+    lls = [models[r.K][0].loglik for r in rows]
     assert lls == sorted(lls)  # more classes never fit worse here
 
 
@@ -559,6 +566,38 @@ def test_a_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
         fit_mixture(X, 2, starts=4, max_iter=20)
     assert str(os.getpid()) not in str(exc.value)  # raised in a worker
     assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_raises_worker_error_naming_its_exit_code(
+        em_worker_dying_at_seed_3):
+    import multiprocessing
+    with pytest.raises(lpa.WorkerError, match="exit code 9"):
+        fit_mixture(three_class_data(n=300, seed=16), 2, starts=4,
+                    max_iter=20)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_after_a_block_raises_worker_error(monkeypatch):
+    """A worker that ends right after sending a result makes the next send
+    or receive on its pipe fail, whichever comes first; either way the
+    caller gets a WorkerError."""
+    import multiprocessing
+
+    def serve_one_block(conn, parent_ends, units):
+        for end in parent_ends:
+            end.close()
+        i = conn.recv()
+        conn.send((i, lpa._em_block(*units[i])))
+        os._exit(0)
+
+    monkeypatch.setattr(lpa, "_cpus", lambda: 2)
+    monkeypatch.setattr(lpa, "_BLOCK_BYTES", 1)  # one start per block
+    monkeypatch.setattr(lpa, "_serve_blocks", serve_one_block)
+    X = three_class_data(n=300, seed=16)
+    for _ in range(5):
+        with pytest.raises(lpa.WorkerError, match="exit code 0"):
+            fit_mixture(X, 2, starts=6, max_iter=5)
+        assert multiprocessing.active_children() == []
 
 
 def test_failed_batched_cholesky_flags_only_the_failing_start():

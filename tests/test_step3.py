@@ -379,6 +379,28 @@ def test_covariate_matches_reference(K, reference):
     assert np.allclose(res.robust_se, se, rtol=1e-3, atol=0)
 
 
+def test_covariate_converged_means_the_score_is_zero():
+    """BFGS stops on precision loss at the optimum of most of these fits;
+    their scores are still zero to rounding, so each reports converged."""
+    for seed in range(20):
+        X, observed, D = misclassified_logit_data(n=1000, K=4, q=4,
+                                                  seed=seed)
+        assert step3_covariate(observed, D, X).converged, seed
+
+
+def test_covariate_stopped_at_its_start_is_not_converged(monkeypatch):
+    import scipy.optimize
+
+    def stay_at_start(fun, x0, **kw):
+        return scipy.optimize.OptimizeResult(x=x0, fun=fun(x0)[0],
+                                             success=True)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stay_at_start)
+    X, observed, D = misclassified_logit_data(n=1000, K=4, q=4, seed=0)
+    res = step3_covariate(observed, D, X)
+    assert np.all(res.coef == 0.0) and not res.converged
+
+
 @pytest.mark.parametrize("K", [2, 3, 4, 5])
 @pytest.mark.parametrize("method", ["naive", "bch"])
 @pytest.mark.parametrize("q", [0, 3])
