@@ -45,10 +45,11 @@ EXIT_NUMERIC = 3
 
 DATA_ERRORS = (CohortError, IngestError, CompositionError, LpaError,
                SimulationError, Step3Error, coda.CodaError, ism.IsmError,
-               LinmodError, FileNotFoundError, IsADirectoryError)
-# a dead EM worker: the input was valid, but a fit could not be computed
+               LinmodError, OSError)
+# a dead EM worker or a count too large to allocate: the input was valid,
+# but a fit could not be computed
 NUMERIC_ERRORS = (RankDeficientError, ConvergenceError, WorkerError,
-                  np.linalg.LinAlgError, FloatingPointError)
+                  np.linalg.LinAlgError, FloatingPointError, MemoryError)
 
 # 10^5 points span a day either way in 0.03-minute steps; at about 66 us and
 # 130 output bytes per point, a finer grid only exhausts time and memory.
@@ -498,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be non-negative; got {args.seed}")
         for path, text in args.func(args).items():
             atomic_write(path, text)
         return EXIT_OK

@@ -107,8 +107,7 @@ class CohortTable:
             minutes = minutes.astype(float)
             for i in zero_rows:
                 raw = RawTimeVector(tuple(minutes[i]), self.behavior_labels)
-                minutes[i] = replace_zeros(
-                    raw, "fixed-floor", floor=ZERO_FLOOR_MINUTES).minutes
+                minutes[i] = replace_zeros(raw, ZERO_FLOOR_MINUTES).minutes
         parts = minutes / minutes.sum(axis=1, keepdims=True)
         parts.flags.writeable = False
         return parts

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SUM_TOL = 1e-12
-ORTHO_TOL = 1e-12
 
 CANONICAL_LABELS = ("sit", "stand", "step", "sleep")
 
@@ -250,11 +249,6 @@ class SBPartition:
     def D(self) -> int:
         return len(self.labels)
 
-    def level_sizes(self) -> list[tuple[int, int]]:
-        """Per-level (numerator size, denominator size)."""
-        tab = np.asarray(self.table)
-        return [(int((row == 1).sum()), int((row == -1).sum())) for row in tab]
-
 
 def pivot_basis(numerator: str, labels) -> SBPartition:
     """Pivot partition with the chosen behavior first.
@@ -311,52 +305,24 @@ def ilr_inverse(v: IlrVector | np.ndarray, basis: SBPartition) -> Composition:
     return closure_values(np.exp(logx - logx.max()), basis.labels)
 
 
-def replace_zeros(
-    raw: RawTimeVector,
-    strategy: str = "fixed-floor",
-    floor: float = 1.0,
-    cohort: list[RawTimeVector] | None = None,
-) -> RawTimeVector:
-    """Replace zero durations with a small positive value, preserving the total.
+def replace_zeros(raw: RawTimeVector, floor: float) -> RawTimeVector:
+    """Replace zero durations with ``floor`` minutes, preserving the total.
 
-    ``fixed-floor`` uses ``floor`` minutes.  ``fraction-of-min`` uses half the
-    smallest positive value observed for that behavior across ``cohort``.
     Nonzero parts are shrunk proportionally so the vector total is unchanged.
     """
     vals = raw.array()
-    if strategy == "fixed-floor":
-        floors = np.full(len(vals), float(floor))
-    elif strategy == "fraction-of-min":
-        if cohort is None:
-            raise CompositionError("fraction-of-min strategy requires a cohort")
-        floors = cohort_zero_floors(cohort, raw.labels)
-    else:
-        raise CompositionError(f"unknown zero-replacement strategy {strategy!r}")
     zero = vals == 0
     if not zero.any():
         return raw
     if zero.all():
         raise CompositionError("all-zero vector cannot be repaired")
-    added = floors[zero].sum()
+    added = float(floor) * zero.sum()
     total = vals.sum()
     if added >= total:
         raise CompositionError("floor values exceed the vector total")
     out = vals * ((total - added) / total)
-    out[zero] = floors[zero]
+    out[zero] = floor
     return RawTimeVector(tuple(out), raw.labels)
-
-
-def cohort_zero_floors(cohort: list[RawTimeVector], labels) -> np.ndarray:
-    """Half the smallest positive observed value per behavior."""
-    labels = tuple(labels)
-    mat = np.array([r.array() for r in cohort])
-    floors = np.empty(len(labels))
-    for j in range(len(labels)):
-        pos = mat[:, j][mat[:, j] > 0]
-        if pos.size == 0:
-            raise CompositionError(f"behavior {labels[j]!r} is zero for everyone")
-        floors[j] = 0.5 * pos.min()
-    return floors
 
 
 def ternary_coords(x: Composition) -> tuple[float, float]:

@@ -206,16 +206,13 @@ def natural_cubic_spline_basis(x: np.ndarray, n_knots: int,
     return np.column_stack(cols)
 
 
-def gcv_score(fit: FitResult, edf: float | None = None) -> float:
-    """Generalized cross-validation: N * RSS / (N - edf)^2.
+def gcv_score(fit: FitResult) -> float:
+    """Generalized cross-validation of an unpenalized fit: N * RSS / (N - p)^2.
 
-    For unpenalized fits the effective degrees of freedom equal p.
+    ``fit_ols`` requires N > p, so the denominator is never zero.
     """
-    edf = fit.p if edf is None else edf
-    if edf >= fit.n:
-        raise LinmodError("effective degrees of freedom must be below N")
     rss = float(fit.residuals @ fit.residuals)
-    return fit.n * rss / (fit.n - edf) ** 2
+    return fit.n * rss / (fit.n - fit.p) ** 2
 
 
 def james_test(groups: list[np.ndarray]) -> WaldTest:

@@ -37,19 +37,20 @@ class WorkerError(LpaError):
     """An EM worker process ended without sending its block's result."""
 
 
+def _structure(name: str) -> tuple[bool, bool]:
+    """A covariance structure's two choices, ``(equal, diagonal)``: equal
+    rather than class-specific variances, and zero rather than free
+    covariances."""
+    if name not in STRUCTURES:
+        raise LpaError(f"unknown covariance structure {name!r}")
+    return name.startswith("equal-var"), name.endswith("zero-cov")
+
+
 def param_count(K: int, d: int, structure: str) -> int:
     """Free parameters: K*d means, K-1 weights, covariance by structure."""
-    if structure == "equal-var-zero-cov":
-        cov = d
-    elif structure == "equal-var-free-cov":
-        cov = d * (d + 1) // 2
-    elif structure == "free-var-zero-cov":
-        cov = K * d
-    elif structure == "free-var-free-cov":
-        cov = K * d * (d + 1) // 2
-    else:
-        raise LpaError(f"unknown covariance structure {structure!r}")
-    return K * d + (K - 1) + cov
+    equal, diagonal = _structure(structure)
+    cov = d if diagonal else d * (d + 1) // 2
+    return K * d + (K - 1) + (cov if equal else K * cov)
 
 
 @dataclass
@@ -151,8 +152,7 @@ class MixtureModel:
             raise LpaError("model artifact covariances are not positive "
                            "definite") from None
         structure = entry("structure", str)
-        if structure not in STRUCTURES:
-            raise LpaError(f"unknown covariance structure {structure!r}")
+        _structure(structure)  # an unknown name raises LpaError
         return cls(
             weights=weights, means=means, covs=covs, structure=structure,
             loglik=float(entry("loglik", (int, float))), n=entry("n", int),
@@ -310,6 +310,7 @@ def _mstep_batch(Q: np.ndarray, n: int, structure: str
     ``Q`` (S, K, p), the responsibility-weighted sums of the centred data's
     rows ``[1, x, x_i x_j (i <= j)]`` (see ``_fill_features``); also
     returns the starts whose covariance floor failed."""
+    equal, diagonal = _structure(structure)
     S, K, p = Q.shape
     d = (math.isqrt(8 * p + 1) - 3) // 2  # p = _n_features(d)
     nk = Q[..., 0]
@@ -320,20 +321,11 @@ def _mstep_batch(Q: np.ndarray, n: int, structure: str
     for row, (i, j) in _pairs(d):
         scatter[..., i, j] = scatter[..., j, i] = Q[..., row]
     scatter -= sx[..., :, None] * means[..., None, :]
-    if structure == "free-var-free-cov":
-        covs = scatter / nk[..., None, None]
-    elif structure == "free-var-zero-cov":
-        covs = (np.diagonal(scatter, axis1=-2, axis2=-1) / nk[..., None]
-                )[..., None] * np.eye(d)
-    elif structure == "equal-var-free-cov":
-        covs = scatter.sum(axis=1) / n
-    elif structure == "equal-var-zero-cov":
-        covs = (np.diagonal(scatter.sum(axis=1), axis1=-2, axis2=-1) / n
-                )[..., None] * np.eye(d)
-    else:
-        raise LpaError(f"unknown covariance structure {structure!r}")
+    covs = scatter.sum(axis=1) / n if equal else scatter / nk[..., None, None]
+    if diagonal:
+        covs = np.diagonal(covs, axis1=-2, axis2=-1)[..., None] * np.eye(d)
     covs, failed = _floor_covs(covs)
-    if structure.startswith("equal"):
+    if equal:
         covs = np.broadcast_to(covs[:, None], (S, K, d, d)).copy()
     return weights, means, covs, failed
 
@@ -480,7 +472,7 @@ def _pooled_covs(Xs: np.ndarray, structure: str
     returns the sets whose floor failed."""
     pooled = np.stack([np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
                        for X in Xs])
-    if "zero-cov" in structure:
+    if _structure(structure)[1]:
         pooled = np.stack([np.diag(np.diag(c)) for c in pooled])
     return _floor_covs(pooled)
 
@@ -902,10 +894,11 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
     results, as a table of one K at a time would be.
     """
     X = _as_matrix(data)
-    ks = list(k_range)
-    tested = [K for K in ks if run_blrt and K >= 2]
-    for K in ks:
+    ks = []
+    for K in k_range:  # a K with N <= p stops a range too long to list
         _check_fit(X, K, structure, starts, max_iter)
+        ks.append(K)
+    tested = [K for K in ks if run_blrt and K >= 2]
     for K in tested:
         _check_blrt(X, K, structure, n_boot, starts_boot, max_iter)
     # a BLRT whose K-1 is not in the table fits its null model here too

@@ -408,7 +408,7 @@ def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
     for row in cohort.behaviors:
         raw = RawTimeVector(tuple(row), cohort.behavior_labels)
         if any(m == 0 for m in raw.minutes):
-            raw = replace_zeros(raw, "fixed-floor", floor=1.0)
+            raw = replace_zeros(raw, floor=1.0)
         comps.append(closure(raw).subcomposition(labels))
     want = plotting.ternary_svg(comps, cohort.outcome, title="-".join(labels))
     out = tmp_path / "plots"
@@ -466,13 +466,16 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     ["coda", "{csv}", "--seed", "1"],
     ["step3", "{csv}", "{csv}", "--seed", "1"],
     ["plot", "{csv}", "--kind", "ternary", "--seed", "1"],
+    ["lpa", "{csv}", "--classes", "1:2", "--seed", "-1"],
+    ["simulate", "--n", "20", "--seed", "-1"],
 ], ids=["ism-dropped", "lpa-starts", "lpa-max-iter", "lpa-blrt-boot",
         "lpa-blrt-starts", "plot-profiles-no-model", "ism-minutes-nan",
         "ism-cut-nan", "ism-cut-inf", "coda-pairwise-minutes-nan",
         "coda-delta-grid-nan", "plot-ternary-repeated-label",
         "plot-delta-grid-nan", "coda-delta-grid-too-fine",
         "plot-delta-grid-too-fine", "ism-minutes-over-a-day",
-        "describe-seed", "ism-seed", "coda-seed", "step3-seed", "plot-seed"])
+        "describe-seed", "ism-seed", "coda-seed", "step3-seed", "plot-seed",
+        "lpa-seed-negative", "simulate-seed-negative"])
 def test_bad_arguments_exit_1_before_reading_or_writing(tmp_path, cohort_csv,
                                                         capsys, args):
     out = tmp_path / "out"
@@ -570,6 +573,13 @@ def test_simulate_needs_a_positive_n(tmp_path, capsys, n):
     assert not target.parent.exists()
 
 
+def test_simulate_negative_seed_exits_1_before_writing(tmp_path, capsys):
+    target = tmp_path / "out" / "cohort.csv"
+    assert run(["simulate", "--n", "20", "--seed", "-1", "-o", target]) == 1
+    _assert_one_line_error(capsys, "usage")
+    assert not target.parent.exists()
+
+
 def _assert_one_line_error(capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"{kind} error: ") and err.count("\n") == 1, err
@@ -617,6 +627,70 @@ def test_directory_given_as_input_exits_2(tmp_path, cohort_csv, capsys,
     assert run(argv) == 2
     _assert_one_line_error(capsys, "data")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "{bad}"],
+    ["lpa", "{bad}", "--classes", "1:2"],
+    ["step3", "{bad}", "{csv}"],
+    ["simulate", "--spec", "{bad}", "-o", "{out}/cohort.csv"],
+], ids=["describe", "lpa", "step3-model", "simulate-spec"])
+@pytest.mark.parametrize("bad", ["cohort.csv/x.csv", "a" * 300 + ".csv"],
+                         ids=["under-a-file", "name-too-long"])
+def test_input_path_that_cannot_be_opened_exits_2(tmp_path, cohort_csv,
+                                                  capsys, args, bad):
+    out = tmp_path / "out"
+    paths = {"{bad}": str(cohort_csv.parent / bad), "{csv}": str(cohort_csv)}
+    argv = [paths.get(a, a).replace("{out}", str(out)) for a in args]
+    assert run(argv + (["-o", out] if args[0] != "simulate" else [])) == 2
+    _assert_one_line_error(capsys, "data")
+    assert not out.exists()
+
+
+def test_class_range_too_long_to_list_exits_2(tmp_path, cohort_csv, capsys):
+    out = tmp_path / "out"
+    assert run(["lpa", cohort_csv, "-o", out, "--classes", "2:1000000000000",
+                "--starts", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: need N > ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3_before_writing(tmp_path, cohort_csv, capsys,
+                                              monkeypatch):
+    from daycycle import lpa
+
+    def plan_starts(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(lpa, "_plan_starts", plan_starts)
+    out = tmp_path / "out"
+    assert run(["lpa", cohort_csv, "-o", out, "--classes", "2:2"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: Unable to allocate 7.28 TiB for an array\n")
+    assert not out.exists()
+
+
+def test_every_package_error_has_an_exit_code():
+    """Each exception class that a ``daycycle`` module defines is caught by
+    ``main`` as a data error or a numerical failure, or is ``UsageError``."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    from daycycle.cli import DATA_ERRORS, NUMERIC_ERRORS, UsageError
+
+    errors = []
+    for info in pkgutil.iter_modules(daycycle.__path__):
+        module = importlib.import_module(f"daycycle.{info.name}")
+        errors += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if issubclass(cls, BaseException)
+                   and cls.__module__ == module.__name__]
+    assert len(errors) >= 12
+    unmapped = [f"{cls.__module__}.{cls.__name__}" for cls in errors
+                if cls is not UsageError
+                and not issubclass(cls, DATA_ERRORS + NUMERIC_ERRORS)]
+    assert unmapped == []
 
 
 @pytest.mark.parametrize("args", [

@@ -16,7 +16,6 @@ from daycycle.composition import (
     aitchison_distance,
     closure,
     closure_values,
-    cohort_zero_floors,
     compositional_mean,
     ilr,
     ilr_array,
@@ -217,7 +216,6 @@ def test_pivot_basis_contrast_weights():
     assert V[k, 0] == pytest.approx(math.sqrt(3 / 4))
     others = [i for i in range(4) if i != k]
     assert np.allclose(V[others, 0], -math.sqrt(3 / 4) / 3)
-    assert b.level_sizes() == [(1, 3), (1, 2), (1, 1)]
 
 
 def test_sbp_validation_rejects_bad_tables():
@@ -297,32 +295,15 @@ def test_ilr_array_matches_scalar_ilr():
 
 def test_zero_replacement_fixed_floor():
     raw = RawTimeVector((100.0, 0.0, 50.0), LAB3)
-    fixed = replace_zeros(raw, strategy="fixed-floor", floor=1.0)
+    fixed = replace_zeros(raw, floor=1.0)
     assert np.allclose(fixed.array(), [99.33333333333333, 1.0,
                                        49.666666666666664])
     assert fixed.total == pytest.approx(raw.total)
 
 
-def test_zero_replacement_fraction_of_min():
-    cohort = [
-        RawTimeVector((100.0, 0.0, 50.0), LAB3),
-        RawTimeVector((80.0, 6.0, 60.0), LAB3),
-        RawTimeVector((90.0, 10.0, 40.0), LAB3),
-    ]
-    floors = cohort_zero_floors(cohort, LAB3)
-    assert np.allclose(floors, [40.0, 3.0, 20.0])
-    fixed = replace_zeros(cohort[0], strategy="fraction-of-min",
-                          cohort=cohort)
-    assert fixed.array()[1] == pytest.approx(3.0)
-    assert fixed.total == pytest.approx(150.0)
-
-
 def test_zero_replacement_errors():
     with pytest.raises(CompositionError):
         replace_zeros(RawTimeVector((1.0, 0.0), ("a", "b")), floor=2.0)
-    with pytest.raises(CompositionError):
-        replace_zeros(RawTimeVector((1.0, 0.0), ("a", "b")),
-                      strategy="bogus")
 
 
 def test_ternary_coords_vertices_and_centroid():

@@ -278,7 +278,7 @@ def reference_composition_array(behaviors, labels):
     for row in behaviors:
         raw = RawTimeVector(tuple(row), labels)
         if any(m == 0 for m in raw.minutes):
-            raw = replace_zeros(raw, "fixed-floor", floor=1.0)
+            raw = replace_zeros(raw, floor=1.0)
         rows.append(closure(raw).parts)
     return np.array(rows)
 
