@@ -17,13 +17,13 @@ from typing import ClassVar
 import numpy as np
 
 from .composition import (
+    CANONICAL_LABELS,
     Composition,
     CompositionError,
-    RawTimeVector,
     replace_zeros,
 )
 
-BEHAVIOR_LABELS = ("sit", "stand", "step", "sleep")
+BEHAVIOR_LABELS = CANONICAL_LABELS
 
 COVARIATE_COLUMNS = (
     "age_75_84",
@@ -90,24 +90,10 @@ class CohortTable:
         return np.column_stack(cols) if cols else np.empty((self.n, 0))
 
     def composition_array(self) -> np.ndarray:
-        """The closed N x D composition matrix, one person per row.
-
-        Rows with a zero minute count go through ``replace_zeros`` with the
-        fixed floor of ``ZERO_FLOOR_MINUTES`` first; then every row is
-        divided by its total.  The result is read-only.
-        """
-        minutes = self.behaviors
-        if not np.isfinite(minutes).all():
-            raise CompositionError("behavior times must be finite")
-        if (minutes < 0).any():
-            raise CompositionError("minutes must be nonnegative")
-        zero_rows = np.flatnonzero((minutes == 0).any(axis=1))
-        if zero_rows.size:
-            # a float copy: floored rows need fractional minutes
-            minutes = minutes.astype(float)
-            for i in zero_rows:
-                raw = RawTimeVector(tuple(minutes[i]), self.behavior_labels)
-                minutes[i] = replace_zeros(raw, ZERO_FLOOR_MINUTES).minutes
+        """The closed N x D composition matrix, one person per row: the
+        minutes after ``replace_zeros`` with the fixed ``ZERO_FLOOR_MINUTES``,
+        each row divided by its total.  The result is read-only."""
+        minutes = replace_zeros(self.behaviors, ZERO_FLOOR_MINUTES)
         parts = minutes / minutes.sum(axis=1, keepdims=True)
         parts.flags.writeable = False
         return parts

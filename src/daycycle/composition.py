@@ -67,29 +67,6 @@ class Composition:
         return closure_values(vals, labels)
 
 
-@dataclass(frozen=True)
-class RawTimeVector:
-    """Durations in minutes/day, one per behavior; total need not be 1440."""
-
-    minutes: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.minutes) != len(self.labels):
-            raise CompositionError("minutes and labels must have equal length")
-        if any(m < 0 for m in self.minutes):
-            raise CompositionError("minutes must be nonnegative")
-        if sum(self.minutes) <= 0:
-            raise CompositionError("total minutes must be positive")
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.minutes)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.minutes, dtype=float)
-
-
 def closure_values(values, labels) -> Composition:
     """Rescale positive values to sum to 1."""
     vals = np.asarray(values, dtype=float)
@@ -101,11 +78,6 @@ def closure_values(values, labels) -> Composition:
     if np.any(vals < 0):
         raise CompositionError("negative part")
     return Composition(tuple(vals / total), tuple(labels))
-
-
-def closure(raw: RawTimeVector) -> Composition:
-    """Close a raw time vector onto the simplex."""
-    return closure_values(raw.minutes, raw.labels)
 
 
 def perturb(x: Composition, y: Composition) -> Composition:
@@ -136,30 +108,22 @@ def uniform(labels) -> Composition:
     return Composition((1.0 / d,) * d, labels)
 
 
-def compositional_mean(samples: list[Composition] | np.ndarray,
-                       labels: tuple[str, ...] | None = None) -> Composition:
-    """Center of a sample: closure of per-part geometric means (in log space).
+def _checked_sample(parts: np.ndarray, labels) -> tuple[str, ...]:
+    """The labels of a sample, once ``parts`` is an (N, D) array with N >= 1,
+    one column per label and every part > 0; CompositionError otherwise."""
+    labels = tuple(labels)
+    if parts.ndim != 2 or parts.shape[1] != len(labels) or not len(parts):
+        raise CompositionError(f"sample must be an (N, {len(labels)}) array "
+                               f"with N >= 1; got {parts.shape}")
+    if not np.all(parts > 0):
+        raise CompositionError("all parts must be strictly positive")
+    return labels
 
-    ``samples`` is a list of compositions or an (N, D) array with one
-    composition per row, whose part ``labels`` must then be given.
-    """
-    if isinstance(samples, np.ndarray):
-        if labels is None:
-            raise CompositionError("an array sample needs its part labels")
-        parts = samples
-        labels = tuple(labels)
-        if parts.ndim != 2 or parts.shape[1] != len(labels):
-            raise CompositionError(
-                f"sample must be an (N, {len(labels)}) array; got {parts.shape}")
-        if not np.all(parts > 0):
-            raise CompositionError("all parts must be strictly positive")
-    else:
-        for s in samples:
-            _check_labels(samples[0], s)
-        labels = samples[0].labels if samples else None
-        parts = np.array([s.parts for s in samples])
-    if len(parts) == 0:
-        raise CompositionError("empty sample")
+
+def compositional_mean(parts: np.ndarray, labels) -> Composition:
+    """Center of the (N, D) sample ``parts`` with columns ``labels``: closure
+    of per-part geometric means (in log space)."""
+    labels = _checked_sample(parts, labels)
     # Summing over axis 0 adds the rows in order, as a loop over them would.
     logs = np.log(parts).sum(axis=0) / len(parts)
     return closure_values(np.exp(logs - logs.max()), labels)
@@ -182,19 +146,15 @@ class VariationMatrix:
     labels: tuple[str, ...]
 
 
-def variation_matrix(samples: list[Composition]) -> VariationMatrix:
-    """Pairwise SDs of log-ratios between parts; zero diagonal, symmetric."""
-    if len(samples) < 2:
+def variation_matrix(parts: np.ndarray, labels) -> VariationMatrix:
+    """Pairwise SDs of log-ratios between the columns of the (N, D) sample
+    ``parts``, N >= 2; zero diagonal, symmetric."""
+    labels = _checked_sample(parts, labels)
+    if len(parts) < 2:
         raise CompositionError("variation matrix needs at least 2 samples")
-    labels = samples[0].labels
-    logs = np.log(np.array([s.array() for s in samples]))
-    d = len(labels)
-    out = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            sd = np.std(logs[:, i] - logs[:, j], ddof=1)
-            out[i, j] = out[j, i] = sd
-    return VariationMatrix(out, labels)
+    logs = np.log(parts)
+    ratios = logs[:, :, None] - logs[:, None, :]
+    return VariationMatrix(np.std(ratios, axis=0, ddof=1), labels)
 
 
 @dataclass(frozen=True)
@@ -305,24 +265,25 @@ def ilr_inverse(v: IlrVector | np.ndarray, basis: SBPartition) -> Composition:
     return closure_values(np.exp(logx - logx.max()), basis.labels)
 
 
-def replace_zeros(raw: RawTimeVector, floor: float) -> RawTimeVector:
-    """Replace zero durations with ``floor`` minutes, preserving the total.
-
-    Nonzero parts are shrunk proportionally so the vector total is unchanged.
+def replace_zeros(minutes: np.ndarray, floor: float) -> np.ndarray:
+    """A copy of the (N, D) ``minutes`` with ``floor`` in place of each zero
+    and the other parts of its row shrunk to keep the row total (a row
+    without a zero is multiplied by exactly 1.0).  A non-finite or negative
+    cell, or a row whose floors reach its total, raises CompositionError.
     """
-    vals = raw.array()
-    zero = vals == 0
-    if not zero.any():
-        return raw
-    if zero.all():
-        raise CompositionError("all-zero vector cannot be repaired")
-    added = float(floor) * zero.sum()
-    total = vals.sum()
-    if added >= total:
-        raise CompositionError("floor values exceed the vector total")
-    out = vals * ((total - added) / total)
+    minutes = np.asarray(minutes, dtype=float)
+    if not (np.isfinite(minutes) & (minutes >= 0)).all():
+        raise CompositionError("minutes must be finite and nonnegative")
+    zero = minutes == 0
+    added = float(floor) * zero.sum(axis=1, keepdims=True)
+    total = minutes.sum(axis=1, keepdims=True)
+    if (added >= total).any():
+        raise CompositionError("floor values reach the row total")
+    # where=: no NaN from inf / inf in a zero-free row whose total overflows
+    out = minutes * np.divide(total - added, total, out=np.ones_like(total),
+                              where=added > 0)
     out[zero] = floor
-    return RawTimeVector(tuple(out), raw.labels)
+    return out
 
 
 def ternary_coords(x: Composition) -> tuple[float, float]:

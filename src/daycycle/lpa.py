@@ -706,13 +706,22 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
 
 
 def posterior(model: MixtureModel, data: np.ndarray) -> np.ndarray:
-    """Bayes-rule class probabilities; rows sum to one."""
+    """Bayes-rule class probabilities; rows sum to one.  A data row whose
+    class densities leave floating point (say, under means of 1e200) has no
+    finite posterior, and LpaError counts such rows."""
     X = _as_matrix(data)
     if X.shape[1] != model.d:
         raise LpaError(f"data have {X.shape[1]} indicators; the model has "
                        f"{model.d} ({', '.join(model.labels)})")
     _check_finite(X)
-    return _responsibilities(X, model.weights, model.means, model.covs)[0].T
+    with np.errstate(all="ignore"):  # non-finite rows raise below
+        post = _responsibilities(X, model.weights, model.means,
+                                 model.covs)[0].T
+    bad = int((~np.isfinite(post)).any(axis=1).sum())
+    if bad:
+        raise LpaError(f"{bad} of {len(X)} data rows get no finite posterior "
+                       "under the model")
+    return post
 
 
 def modal_assignment(posteriors: np.ndarray) -> np.ndarray:

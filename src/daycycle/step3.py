@@ -129,13 +129,16 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     posteriors and assignments; its inverse supplies the pseudo-observation
     weights (which can be negative and are kept as such).
 
-    Inputs of the wrong shape, non-finite cells, and an assignment or
-    ``reference`` outside [0, K) raise Step3Error before any fit.
+    Inputs of the wrong shape, non-finite cells, fewer than 2 classes, and
+    an assignment or ``reference`` outside [0, K) raise Step3Error before
+    any fit.
     """
     from .lpa import classification_error_matrix
 
     posteriors = _checked("posteriors", posteriors, (-1, -1))
     n, K = posteriors.shape
+    if K < 2:  # no class contrast to report
+        raise Step3Error(f"step 3 needs at least 2 latent classes; got {K}")
     assignments = _checked_classes(assignments, n, K, reference)
     outcome = _checked("outcome", outcome, (n,))
     if covariates is None:
@@ -236,6 +239,8 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
 
     K = len(np.atleast_1d(error_matrix))  # D must be K x K
     D = _checked("error matrix", error_matrix, (K, K))
+    if K < 2:
+        raise Step3Error(f"step 3 needs at least 2 latent classes; got {K}")
     n = np.size(assignments)
     assignments = _checked_classes(assignments, n, K, reference)
     covariates = _checked("covariates", covariates, (n, -1))

@@ -96,3 +96,16 @@ def make_cohort(n=300, seed=0, behavior_effects=None, outcome_fn=None,
         outcome=y,
         valid_days=np.full(n, 7, dtype=int),
     )
+
+
+def floored_row(minutes, floor=1.0):
+    """One row's zeros replaced by ``floor`` minutes and its other parts
+    shrunk to keep the total, by the per-row arithmetic of the fixed-floor
+    rule (Martin-Fernandez et al. 2003)."""
+    vals = np.array(minutes, dtype=float)
+    zero = vals == 0
+    if zero.any():
+        total = vals.sum()
+        vals = vals * ((total - floor * zero.sum()) / total)
+        vals[zero] = floor
+    return vals

@@ -393,11 +393,26 @@ def test_unusable_model_artifact_exits_2(tmp_path, cohort_csv,
     assert not out.exists()
 
 
+def test_step3_on_a_one_class_model_exits_2(tmp_path, cohort_csv, capsys):
+    """One class has no contrast to report: exit 2 and nothing written, not
+    NaN p-values and an empty table."""
+    model_dir = tmp_path / "k1"
+    assert run(["lpa", cohort_csv, "-o", model_dir, "--classes", "1:1",
+                "--starts", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["step3", model_dir / "lpa_model.json", cohort_csv,
+                "-o", out]) == 2
+    assert "at least 2 latent classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
     """The plot built from the composition array is byte-identical to one
     built from per-row zero replacement and closure."""
     from daycycle import plotting
-    from daycycle.composition import RawTimeVector, closure, replace_zeros
+    from daycycle.composition import closure_values
+    from conftest import floored_row
     cohort = load_cohort_csv(cohort_csv)
     cohort.behaviors[[2, 5], 2] = 0.0  # zero step time: floored
     path = tmp_path / "zeros.csv"
@@ -406,10 +421,8 @@ def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
     labels = ("sit", "stand", "step")
     comps = []
     for row in cohort.behaviors:
-        raw = RawTimeVector(tuple(row), cohort.behavior_labels)
-        if any(m == 0 for m in raw.minutes):
-            raw = replace_zeros(raw, floor=1.0)
-        comps.append(closure(raw).subcomposition(labels))
+        comps.append(closure_values(floored_row(row), cohort.behavior_labels)
+                     .subcomposition(labels))
     want = plotting.ternary_svg(comps, cohort.outcome, title="-".join(labels))
     out = tmp_path / "plots"
     assert run(["plot", path, "-o", out, "--kind", "ternary"]) == 0

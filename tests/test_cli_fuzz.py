@@ -5,10 +5,12 @@ strict JSON."""
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,18 +27,56 @@ GRIDS = ["-30:30:5", "0:10:5"]
 BAD_GRIDS = ["nan:30:5", "0:1e308:1", "5:0:1", "0:1:inf", "1:2", ""]
 SEEDS = ["0", "1", "99999999999999999999"]
 BAD_SEEDS = ["-1", "-7", "nan", ""]
+BAD_MODELS = ("one-class", "means-1e200", "covs-1e-300", "covs-1e300",
+              "weight-1e-300", "loglik-nan", "no-covs", "cut")
+
+
+def _bad_models(root, model_path):
+    """Model files, by name, that ``MixtureModel.from_json`` may read but no
+    analysis can use, or that it must reject: a one-class model, and copies
+    of the K=2 model at ``model_path`` with values at the edge of floating
+    point, a NaN log-likelihood, a field missing, or the text cut in half.
+    """
+    assert main(["lpa", str(root / "cohort.csv"), "-o", str(root / "k1"),
+                 "--classes", "1:1", "--starts", "2"]) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        text = fh.read()
+    model = json.loads(text)
+    K, d = len(model["means"]), len(model["labels"])
+    edits = {
+        "means-1e200": {"means": [[v * 1e200 for v in m]
+                                  for m in model["means"]]},
+        "covs-1e-300": {"covs": [(1e-300 * np.eye(d)).tolist()] * K},
+        "covs-1e300": {"covs": [(1e300 * np.eye(d)).tolist()] * K},
+        "weight-1e-300": {"weights": [1e-300, 1.0]},
+        "loglik-nan": {"loglik": math.nan},
+        "no-covs": {"covs": None},
+    }
+    texts = {name: json.dumps({k: v for k, v in {**model, **edit}.items()
+                               if v is not None})
+             for name, edit in edits.items()}
+    texts["cut"] = text[:len(text) // 2]
+    paths = {"one-class": str(root / "k1" / "lpa_model.json")}
+    for name, model_text in texts.items():
+        paths[name] = str(root / f"model-{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(model_text)
+    assert tuple(paths) == BAD_MODELS
+    return paths
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """An N=200 cohort, its LPA model and a path under a regular file."""
+    """An N=200 cohort, its LPA model, model files no analysis can use, and a
+    path under a regular file."""
     root = tmp_path_factory.mktemp("fuzz")
     cohort = str(root / "cohort.csv")
     assert main(["simulate", "--n", "200", "--seed", "5", "-o", cohort]) == 0
     assert main(["lpa", cohort, "-o", str(root), "--classes", "2:2",
                  "--starts", "3", "--max-iter", "30"]) == 0
-    return {"root": root, "cohort": cohort,
-            "model": str(root / "lpa_model.json"),
+    model = str(root / "lpa_model.json")
+    return {"root": root, "cohort": cohort, "model": model,
+            "bad_models": _bad_models(root, model),
             "under_file": os.path.join(cohort, "x.csv"),
             "missing": str(root / "missing.csv")}
 
@@ -73,7 +113,9 @@ def _argv(command, *parts):
 def _commands(paths):
     bad_paths = [paths["under_file"], paths["missing"], ""]
     cohort = _pick([paths["cohort"]], bad_paths).map(lambda p: [p])
-    model = _pick([paths["model"]], [paths["cohort"], *bad_paths])
+    # as often as not, a model file that no analysis can use
+    model = st.one_of(_pick([paths["model"]], [paths["cohort"], *bad_paths]),
+                      st.sampled_from(list(paths["bad_models"].values())))
     return st.one_of(
         _argv("describe", cohort,
               _value("--format", ["json", "csv", "both"], ["nope"])),
@@ -111,8 +153,8 @@ def _commands(paths):
               _values("--behaviors", LABELS[:3], LABELS[3:] + BAD_LABELS),
               _value("--pivot", LABELS, BAD_LABELS),
               _value("--delta-grid", GRIDS, BAD_GRIDS),
-              _value("--model", [paths["model"]],
-                     [paths["cohort"], *bad_paths])),
+              st.one_of(st.just([]),
+                        model.map(lambda p: [f"--model={p}"]))),
     )
 
 
@@ -120,15 +162,15 @@ def _strict(constant):
     raise ValueError(f"{constant} in JSON output")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_random_arguments_end_in_an_exit_code(files, data):
-    argv = data.draw(_commands(files))
+def _run(files, argv, into_file=False):
+    """``main(argv)`` with ``-o`` a new directory (with ``into_file``, a path
+    below the cohort file) ends in an exit code without a traceback, writes
+    nothing when it fails and strict JSON when it succeeds."""
     root = files["root"]
     before = sorted(os.listdir(root))
     scratch = tempfile.mkdtemp(dir=root)
     out = os.path.join(scratch, "out")
-    target = data.draw(_pick([out], [os.path.join(files["cohort"], "out")]))
+    target = os.path.join(files["cohort"], "out") if into_file else out
     if argv[0] == "simulate":
         target = os.path.join(target, "cohort.csv")
     err = io.StringIO()
@@ -148,3 +190,18 @@ def test_random_arguments_end_in_an_exit_code(files, data):
     finally:
         shutil.rmtree(scratch)
     assert sorted(os.listdir(root)) == before
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_arguments_end_in_an_exit_code(files, data):
+    argv = data.draw(_commands(files))
+    _run(files, argv, into_file=data.draw(_pick([False], [True])))
+
+
+@pytest.mark.parametrize("name", BAD_MODELS)
+@pytest.mark.parametrize("command", ["step3", "plot-profiles"])
+def test_unusable_model_files_end_in_an_exit_code(files, command, name):
+    model, cohort = files["bad_models"][name], files["cohort"]
+    _run(files, ["step3", model, cohort] if command == "step3" else
+         ["plot", cohort, "--kind", "profiles", "--model", model])

@@ -282,7 +282,8 @@ def test_extrapolation_warning():
 def test_baseline_defaults_to_compositional_mean():
     cohort, _ = ilr_truth_cohort(n=200, seed=15)
     cfit = fit_coda(cohort, "step", COVS)
-    expected = comp.compositional_mean(cohort.compositions())
+    expected = comp.compositional_mean(cohort.composition_array(),
+                                       cohort.behavior_labels)
     assert np.allclose(cfit.baseline.array(), expected.array(), atol=1e-14)
 
 

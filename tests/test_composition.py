@@ -11,10 +11,8 @@ from daycycle.composition import (
     CANONICAL_LABELS,
     Composition,
     CompositionError,
-    RawTimeVector,
     SBPartition,
     aitchison_distance,
-    closure,
     closure_values,
     compositional_mean,
     ilr,
@@ -67,7 +65,7 @@ def test_composition_validation():
 
 
 def test_closure_rescales_to_unit_sum():
-    x = closure(RawTimeVector((600.0, 180.0, 120.0, 540.0), CANONICAL_LABELS))
+    x = closure_values((600.0, 180.0, 120.0, 540.0), CANONICAL_LABELS)
     assert math.isclose(sum(x.parts), 1.0, abs_tol=1e-12)
     assert math.isclose(x.part("sit"), 600 / 1440, rel_tol=1e-14)
 
@@ -137,10 +135,11 @@ def test_closure_scale_invariance(u, scale):
 
 
 def test_compositional_mean_is_closed_geometric_mean():
-    samples = [comp([1, 2, 3]), comp([2, 2, 2]), comp([4, 1, 1])]
-    g = np.exp(np.mean(np.log([c.array() for c in samples]), axis=0))
+    parts = np.array([comp([1, 2, 3]).array(), comp([2, 2, 2]).array(),
+                      comp([4, 1, 1]).array()])
+    g = np.exp(np.mean(np.log(parts), axis=0))
     expected = g / g.sum()
-    assert np.allclose(compositional_mean(samples).array(), expected,
+    assert np.allclose(compositional_mean(parts, LAB3).array(), expected,
                        atol=1e-15)
 
 
@@ -159,15 +158,12 @@ def test_compositional_mean_of_array_equals_list():
     samples = [Composition(tuple(row), CANONICAL_LABELS)
                for row in parts.tolist()]
     from_array = compositional_mean(parts, CANONICAL_LABELS)
-    assert from_array == compositional_mean(samples)
     assert from_array == _reference_compositional_mean(samples)
     assert from_array.labels == CANONICAL_LABELS
 
 
 def test_compositional_mean_array_validation():
     parts = np.array([[0.5, 0.5], [0.25, 0.75]])
-    with pytest.raises(CompositionError):
-        compositional_mean(parts)  # no labels
     with pytest.raises(CompositionError):
         compositional_mean(parts, LAB3)  # width does not match the labels
     with pytest.raises(CompositionError):
@@ -177,7 +173,9 @@ def test_compositional_mean_array_validation():
     with pytest.raises(CompositionError):
         compositional_mean(np.array([[math.nan, 1.0]]), ("a", "b"))
     with pytest.raises(CompositionError):
-        compositional_mean([comp([1, 2, 3]), comp([1, 2], ("a", "b"))])
+        variation_matrix(parts, LAB3)  # the same sample check
+    with pytest.raises(CompositionError):
+        variation_matrix(parts[:1], ("a", "b"))  # one row has no spread
 
 
 def test_aitchison_distance_properties():
@@ -195,14 +193,15 @@ def test_aitchison_distance_properties():
 
 def test_variation_matrix_shape_and_symmetry():
     rng = np.random.default_rng(3)
-    samples = [comp(rng.uniform(0.1, 5, size=3)) for _ in range(50)]
-    vm = variation_matrix(samples)
+    parts = np.array([comp(rng.uniform(0.1, 5, size=3)).array()
+                      for _ in range(50)])
+    vm = variation_matrix(parts, LAB3)
     T = vm.entries
     assert T.shape == (3, 3)
     assert np.allclose(T, T.T)
     assert np.allclose(np.diag(T), 0.0)
     # T[i, j] is the SD of log(x_i / x_j)
-    logr = np.log([c.array()[0] / c.array()[1] for c in samples])
+    logr = np.log(parts[:, 0] / parts[:, 1])
     assert T[0, 1] == pytest.approx(np.std(logr, ddof=1))
 
 
@@ -294,16 +293,20 @@ def test_ilr_array_matches_scalar_ilr():
 
 
 def test_zero_replacement_fixed_floor():
-    raw = RawTimeVector((100.0, 0.0, 50.0), LAB3)
-    fixed = replace_zeros(raw, floor=1.0)
-    assert np.allclose(fixed.array(), [99.33333333333333, 1.0,
-                                       49.666666666666664])
-    assert fixed.total == pytest.approx(raw.total)
+    minutes = np.array([[100.0, 0.0, 50.0], [0.1, 0.3, 0.7]])
+    fixed = replace_zeros(minutes, floor=1.0)
+    assert np.allclose(fixed[0], [99.33333333333333, 1.0,
+                                  49.666666666666664])
+    assert fixed[0].sum() == pytest.approx(minutes[0].sum())
+    assert np.array_equal(fixed[1], minutes[1])  # no zero: unchanged
+    assert minutes[0, 1] == 0.0  # the input is not written
 
 
 def test_zero_replacement_errors():
-    with pytest.raises(CompositionError):
-        replace_zeros(RawTimeVector((1.0, 0.0), ("a", "b")), floor=2.0)
+    for minutes in ([[1.0, 0.0]], [[0.0, 0.0]], [[1.0, -1.0]],
+                    [[1.0, math.nan]], [[1.0, math.inf]]):
+        with pytest.raises(CompositionError):
+            replace_zeros(np.array(minutes), floor=2.0)
 
 
 def test_ternary_coords_vertices_and_centroid():

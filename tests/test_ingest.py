@@ -271,16 +271,12 @@ def test_cohort_table_validation():
 # --- the array path against the per-row arithmetic it replaced ---
 
 def reference_composition_array(behaviors, labels):
-    """One RawTimeVector per row, floored at 1 minute if it has a zero, then
-    closed."""
-    from daycycle.composition import RawTimeVector, closure, replace_zeros
-    rows = []
-    for row in behaviors:
-        raw = RawTimeVector(tuple(row), labels)
-        if any(m == 0 for m in raw.minutes):
-            raw = replace_zeros(raw, floor=1.0)
-        rows.append(closure(raw).parts)
-    return np.array(rows)
+    """Each row floored at 1 minute if it has a zero, then closed on its
+    own."""
+    from conftest import floored_row
+    from daycycle.composition import closure_values
+    return np.array([closure_values(floored_row(row), labels).parts
+                     for row in behaviors])
 
 
 def test_composition_array_matches_per_row_closure():

@@ -1,5 +1,6 @@
 """Gaussian mixture profiles: EM, fit statistics, BLRT, and artifacts."""
 
+import dataclasses
 import math
 import os
 import warnings
@@ -206,6 +207,19 @@ def test_posterior_matches_bayes_rule():
                        atol=1e-10)
     with pytest.raises(LpaError, match="3 indicators"):
         posterior(model, np.zeros((5, 3)))
+
+
+def test_posterior_without_finite_values_raises():
+    """Means of 1e200 pass the artifact checks, since each value is finite,
+    but no density of the model fits in floating point: that is an error
+    counting the rows, raised without a warning on the way (the suite turns
+    a RuntimeWarning into a failure), not NaN posteriors whose argmax is
+    class 0."""
+    model = reference_model()
+    X = model.sample(50, np.random.default_rng(3))
+    far = dataclasses.replace(model, means=(model.means + 1.0) * 1e200)
+    with pytest.raises(LpaError, match="50 of 50 data rows get no finite"):
+        posterior(far, X)
 
 
 def test_derived_remainder_stats_against_brute_force():

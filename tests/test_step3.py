@@ -188,6 +188,22 @@ def test_covariate_rejects_bad_input_before_fitting(case, monkeypatch):
                         reference=x["reference"])
 
 
+def test_one_class_is_rejected_before_fitting(monkeypatch):
+    """One latent class has no class contrast.  (Several inputs change with
+    K, so this is not a case of BAD_STEP3_INPUTS.)"""
+    monkeypatch.setattr(step3, "_weighted_cluster_ols", no_fit)
+    monkeypatch.setattr(step3, "_subject_terms", no_fit)
+    x = step3_inputs()
+    n = len(x["outcome"])
+    ones, zeros = np.ones((n, 1)), np.zeros(n, dtype=int)
+    for method in ("naive", "bch"):
+        with pytest.raises(Step3Error, match="at least 2 latent classes"):
+            step3_distal(ones, zeros, x["outcome"], x["covariates"],
+                         method=method)
+    with pytest.raises(Step3Error, match="at least 2 latent classes"):
+        step3_covariate(zeros, np.ones((1, 1)), x["covariates"])
+
+
 def multinomial_data(n=1200, seed=0, beta=(0.8, -0.5)):
     """Classes drawn from a 2-class logit in one covariate."""
     rng = np.random.default_rng(seed)
