@@ -79,8 +79,15 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(path: str, obj) -> str:
+    """``obj`` as the JSON text of output ``path``.  Strict JSON has no NaN
+    or infinity, so one in ``obj`` is a numerical failure naming ``path``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError(
+            f"{path} would hold a number that is not finite") from None
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -96,7 +103,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 def _records(stem: str, fields: list[str], rows: list) -> dict[str, str]:
     """One table as ``stem.json`` (a list of records) and ``stem.csv``."""
-    return {f"{stem}.json": _json_text([dict(zip(fields, r)) for r in rows]),
+    path = f"{stem}.json"
+    return {path: _json_text(path, [dict(zip(fields, r)) for r in rows]),
             f"{stem}.csv": _csv_text(fields, rows)}
 
 
@@ -158,7 +166,8 @@ def cmd_describe(args) -> dict[str, str]:
     report = ingest.describe(cohort)
     files = {}
     if args.format in ("json", "both"):
-        files[out("describe.json")] = _json_text(report)
+        path = out("describe.json")
+        files[path] = _json_text(path, report)
     if args.format in ("csv", "both"):
         med, lo, hi = report["total_min_median_iqr"]
         rows = [["n", report["n"]]]
@@ -211,15 +220,17 @@ def cmd_ism(args) -> dict[str, str]:
     tables = {name: ism.substitution_table(cohort, args.covariates,
                                            minutes=args.minutes, subgroup=mask)
               for name, mask in subgroups.items()}
-    files = {out("ism_table.json"): _json_text(
-        {name: _table_payload(t) for name, t in tables.items()})}
+    path = out("ism_table.json")
+    files = {path: _json_text(
+        path, {name: _table_payload(t) for name, t in tables.items()})}
     for name, t in tables.items():
         files[out(f"ism_table_{name}.csv")] = _csv_text(
             ["from", "to", "estimate", "ci_low", "ci_high"], _table_cells(t))
     if args.flexible:
         flex = ism.fit_flexible_ism(cohort, args.covariates,
                                     dropped=args.dropped)
-        files[out("ism_flexible.json")] = _json_text({
+        path = out("ism_flexible.json")
+        files[path] = _json_text(path, {
             "dropped": flex.dropped,
             "selected_knots": flex.n_knots,
             "gcv_by_knots": {str(k): v for k, v in flex.gcv_by_knots.items()},
@@ -338,9 +349,10 @@ def cmd_lpa(args) -> dict[str, str]:
     files[out("lpa_model.json")] = model.to_json()
     assign = lpa.modal_assignment(post)
     D = lpa.classification_error_matrix(post, assign)
-    files[out("lpa_error_matrix.json")] = _json_text(
-        {"selected_K": best_k, "D": D.tolist()})
-    files[out("lpa_profiles.json")] = _json_text({
+    path = out("lpa_error_matrix.json")
+    files[path] = _json_text(path, {"selected_K": best_k, "D": D.tolist()})
+    path = out("lpa_profiles.json")
+    files[path] = _json_text(path, {
         "selected_K": best_k,
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
@@ -376,7 +388,8 @@ def cmd_step3(args) -> dict[str, str]:
             for i, k in enumerate(results["naive"]["classes"])]
     header = ["contrast"] + [f"{method}_{field}" for method in results
                              for field in ("estimate", "robust_se")]
-    return {out("step3_report.json"): _json_text(results),
+    path = out("step3_report.json")
+    return {path: _json_text(path, results),
             out("step3_report.csv"): _csv_text(header, rows)}
 
 

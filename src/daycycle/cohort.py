@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -172,35 +173,69 @@ def format_number(x: float | int | None) -> str:
     return repr(float(x))
 
 
-# Rows formatted at a time.  At N=20k, formatting whole columns held 20.7 MB
-# of cell strings at once against 0.4 MB for 256-row blocks, in the same
-# time.
+# Rows formatted at a time.  At N=20k, formatting whole columns held 28.4 MB
+# of cell strings and row text at once against 0.5 MB for 256-row blocks, in
+# the same time (tracemalloc peaks of save_cohort_csv).
 _CSV_BLOCK_ROWS = 256
 
 
-def _csv_rows(cohort: CohortTable):
-    yield CSV_HEADER
+def _column_cells(col: np.ndarray) -> list[str]:
+    """``format_number`` of each cell of a 1-d column, with one call per
+    column for a float, integer or bool dtype."""
+    kind = col.dtype.kind
+    if kind == "f":
+        # a longdouble cell rounds as format_number's float() rounds it
+        cells = list(map(repr, col.astype(float, copy=False).tolist()))
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            cells[i] = ""
+        return cells
+    if kind in "iu":
+        return list(map(str, col.tolist()))
+    if kind == "b":
+        return ["1" if v else "0" for v in col.tolist()]
+    return [format_number(v) for v in col.tolist()]
+
+
+# the characters for which the csv module may quote a field
+_QUOTED_IN_CSV = re.compile('[,"\r\n]').search
+
+
+def _csv_id(pid: str) -> str:
+    """``pid`` as the csv module writes it as the first of several fields:
+    as it is, or, if it holds a character that may need quotes, through the
+    csv module itself."""
+    if _QUOTED_IN_CSV(pid) is None:
+        return pid
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((pid, ""))
+    return buf.getvalue()[:-2]  # less the empty field's "," and "\n"
+
+
+def _csv_blocks(cohort: CohortTable):
+    """The cohort CSV text: the header line, then one string per block of
+    ``_CSV_BLOCK_ROWS`` rows, each block formatted a column at a time."""
+    yield ",".join(CSV_HEADER) + "\n"
     columns = ([cohort.behaviors[:, j] for j in range(cohort.behaviors.shape[1])]
                + [cohort.total, cohort.valid_days]
                + [cohort.covariates[c] for c in COVARIATE_COLUMNS]
                + [cohort.outcome])
     for start in range(0, cohort.n, _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        yield from zip(cohort.ids[block],
-                       *([format_number(v) for v in col[block].tolist()]
-                         for col in columns))
+        rows = zip(map(_csv_id, cohort.ids[block]),
+                   *(_column_cells(col[block]) for col in columns))
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def cohort_csv_text(cohort: CohortTable) -> str:
     """The cohort as the text ``save_cohort_csv`` writes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(cohort))
-    return buf.getvalue()
+    return "".join(_csv_blocks(cohort))
 
 
 def save_cohort_csv(cohort: CohortTable, path) -> None:
+    """The cohort as CSV: the ``CSV_HEADER`` line, then one row per person,
+    its numbers written as ``format_number`` writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(_csv_rows(cohort))
+        fh.writelines(_csv_blocks(cohort))
 
 
 def load_cohort_csv(path) -> CohortTable:
@@ -210,8 +245,9 @@ def load_cohort_csv(path) -> CohortTable:
     (``valid_days``: an integer that fits in int64), a behavior or
     ``total_min`` cell that is empty, NaN, infinite or negative, an infinite
     covariate or outcome cell, or a negative ``valid_days`` raises
-    ``CohortError`` naming its line, and so does text that is not UTF-8.
-    Empty or NaN covariate and outcome cells read as missing (NaN).
+    ``CohortError`` naming its line, and so do a row whose behavior minutes
+    sum past the largest float and text that is not UTF-8.  Empty or NaN
+    covariate and outcome cells read as missing (NaN).
 
     Plain text is parsed by ``np.loadtxt``; the csv module reads the rest
     row by row, and names the first row that does not parse.
@@ -338,7 +374,8 @@ def _check_and_build(path, ids: list[str], columns: dict[str, np.ndarray],
                      lines) -> CohortTable:
     """The parsed cohort as a ``CohortTable``, once every cell passes the
     value checks of ``load_cohort_csv``; the first failing cell, in file
-    order, raises ``CohortError`` naming its line and column."""
+    order, raises ``CohortError`` naming its line and column, and then the
+    first row whose behavior minutes do not sum to a finite number."""
     if not ids:
         raise CohortError("empty cohort file")
     failed = [(int(bad.argmax()), j) for j, name in enumerate(CSV_HEADER[1:])
@@ -351,6 +388,11 @@ def _check_and_build(path, ids: list[str], columns: dict[str, np.ndarray],
                    else "empty or NaN" if np.isnan(value) else "infinite")
         raise CohortError(f"{path} line {lines[i]}: {name} is {problem}")
     behaviors = np.column_stack([columns[f"{b}_min"] for b in BEHAVIOR_LABELS])
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(behaviors.sum(axis=1))
+    if overflow.any():
+        raise CohortError(f"{path} line {lines[int(overflow.argmax())]}: "
+                          "behavior minutes sum past the largest float")
     total, *covariates, outcome = np.array(
         [columns[name] for name in _VALUE_COLUMNS])
     return CohortTable(ids, behaviors, total,

@@ -81,6 +81,8 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     raises ``IngestError``.
     """
     fromiso, inf = datetime.fromisoformat, math.inf
+    # one C call per record; DayRecord(...) runs a Python-level __new__
+    make = DayRecord._make
     # one str per distinct person id and date, shared by the rows that
     # repeat it: 20k persons x 7 days hold 20k ids, not 140k
     share = {}.setdefault
@@ -124,9 +126,9 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
                 except ValueError as exc:  # IngestError is one
                     errors.append(RowError(lineno, str(exc)))
                     continue
-                records.append(DayRecord(
+                records.append(make((
                     share(pid, pid), share(date, date),
-                    sit, stand, step, in_bed, out_bed, wear))
+                    sit, stand, step, in_bed, out_bed, wear)))
         except csv.Error as exc:  # a cell over the csv module's size limit
             raise IngestError(
                 f"{path} line {reader.line_num}: {exc}") from None
@@ -202,12 +204,10 @@ def aggregate_person(
     behaviors = np.column_stack(
         [person_mean(col) for col in (sit, stand, step, sleep)])
     total = person_mean(sit + stand + step + sleep)  # as DayRecord.total_min
-    covariates = {
-        name: np.array([covariate_table[pid].get(name, math.nan) for pid in ids])
-        for name in COVARIATE_COLUMNS
-    }
-    outcome = np.array([covariate_table[pid].get("casi_irt", math.nan)
-                        for pid in ids])
+    rows = [covariate_table[pid] for pid in ids]
+    covariates = {name: np.array([row.get(name, math.nan) for row in rows])
+                  for name in COVARIATE_COLUMNS}
+    outcome = np.array([row.get("casi_irt", math.nan) for row in rows])
     return CohortTable(ids, behaviors, total, covariates, outcome, ndays)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations_with_replacement, islice
 
@@ -101,9 +102,9 @@ class MixtureModel:
     @classmethod
     def from_json(cls, text: str) -> "MixtureModel":
         """Read an artifact written by ``to_json``; a missing or ill-typed
-        field raises ``LpaError`` naming it, and so do weights that are not
-        positive or do not sum to 1 and covariances that are not positive
-        definite."""
+        field raises ``LpaError`` naming it, and so do a log-likelihood or an
+        array cell that is not finite, weights that are not positive or do
+        not sum to 1 and covariances that are not positive definite."""
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -153,9 +154,14 @@ class MixtureModel:
                            "definite") from None
         structure = entry("structure", str)
         _structure(structure)  # an unknown name raises LpaError
+        loglik = entry("loglik", (int, float))
+        # false for NaN, an infinity and an int past the float range
+        if not abs(loglik) <= sys.float_info.max:
+            raise LpaError("model artifact field 'loglik' is not a finite "
+                           "number")
         return cls(
             weights=weights, means=means, covs=covs, structure=structure,
-            loglik=float(entry("loglik", (int, float))), n=entry("n", int),
+            loglik=float(loglik), n=entry("n", int),
             labels=tuple(labels),
             # each field with a default (order, EM health) must have its type
             **{f.name: entry(f.name, type(f.default)) for f in fields(cls)

@@ -351,6 +351,39 @@ def test_unusable_cohort_value_exits_2_before_writing(tmp_path, cohort_csv,
     assert not out.exists()
 
 
+def test_row_whose_minutes_overflow_exits_2_before_writing(
+        tmp_path, cohort_csv, lpa_out, capsys):
+    # each cell is finite, but their sum is not
+    path = _edited_cohort(
+        cohort_csv, tmp_path, 6,
+        lambda s: ",".join([s.split(",")[0]] + ["1e308"] * 4
+                           + s.split(",")[5:]))
+    out = tmp_path / "out"
+    model = lpa_out / "lpa_model.json"
+    for args in (["describe", path], ["lpa", path, "--classes", "1:2"],
+                 ["ism", path], ["coda", path], ["step3", model, path],
+                 ["plot", path, "--kind", "ternary"]):
+        assert run(args + ["-o", out]) == 2, args
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path} line 6: behavior minutes sum "
+                       "past the largest float\n"), args
+    assert not out.exists()
+
+
+def test_non_finite_json_number_exits_3_before_writing(tmp_path, cohort_csv,
+                                                       capsys):
+    # one finite cell whose square, in the standard deviation, is not
+    path = _edited_cohort(cohort_csv, tmp_path, 6,
+                          lambda s: _set_field(s, 1, "1e308"))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(["describe", path, "-o", out, "--format", "both"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"numerical failure: {out / 'describe.json'} would hold "
+                   "a number that is not finite\n")
+    assert not out.exists()
+
+
 def test_cell_over_the_csv_size_limit_exits_2(tmp_path, cohort_csv, capsys):
     def oversized(line):
         fields = line.split(",")

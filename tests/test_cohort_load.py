@@ -67,8 +67,12 @@ def reference_load_cohort_csv(path):
                 problem = "infinite" if math.isinf(v) else None
             if problem:
                 raise CohortError(f"{path} line {line}: {name} is {problem}")
-    values = np.array(values)
     d = len(BEHAVIOR_LABELS)
+    for row, line in zip(values, lines):
+        if math.isinf(sum(row[:d])):
+            raise CohortError(f"{path} line {line}: behavior minutes sum "
+                              "past the largest float")
+    values = np.array(values)
     cols = np.ascontiguousarray(values.T)
     covariates = dict(zip(COVARIATE_COLUMNS, cols[d + 2:-1]))
     return CohortTable(ids, values[:, :d].copy(), cols[d], covariates,
@@ -114,7 +118,8 @@ BASE_ROWS = BASE_TEXT.splitlines()
 # numbers or not integers, or that make the text not plain
 NUMBERS = ["", " ", "1.5", " 1.5", "1.5 ", "+3", "-0.0", "-1", "0", "7",
            "07", "-3", "1e3", "9223372036854775807", "nan", "NaN", "-nan",
-           "inf", "-inf", "+Infinity", "INF", "1e400", "-1e400", "1e-400"]
+           "inf", "-inf", "+Infinity", "INF", "1e400", "-1e400", "1e-400",
+           "1e308"]
 OTHERS = ["7.0", "1e1", "9223372036854775808", "99999999999999999999999",
           "\t2", "1_0", "１", "\x1c1", "1\x00", "#", "1 #2", "x", "0x10",
           '"1.5"', '"1,5"', "é", "pé", '"p,1"']
@@ -222,6 +227,28 @@ def test_other_text_goes_to_the_row_parser(tmp_path, text):
     assert cohort_module._parse_plain(text) is None
     path = tmp_path / "c.csv"
     path.write_text(text, encoding="utf-8", newline="")
+    assert_same_load(path)
+
+
+@pytest.mark.parametrize("first_id", ["p1", '"p1"'],
+                         ids=["loadtxt", "row-parser"])
+def test_row_whose_minutes_overflow_names_its_line(tmp_path, first_id):
+    rows = list(BASE_ROWS)
+    rows[1] = rows[1].replace("p1", first_id, 1)
+    for column in ("sit_min", "sleep_min"):
+        _set_cell(rows, 3, CSV_HEADER.index(column), "1e308")
+    _set_cell(rows, 4, CSV_HEADER.index("bmi"), "inf")  # a later bad cell
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CohortError) as info:
+        load_cohort_csv(path)
+    assert str(info.value) == f"{path} line 5: bmi is infinite"
+    _set_cell(rows, 4, CSV_HEADER.index("bmi"), "27")
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CohortError) as info:
+        load_cohort_csv(path)
+    assert str(info.value) == (f"{path} line 4: behavior minutes sum past "
+                               "the largest float")
     assert_same_load(path)
 
 

@@ -6,12 +6,15 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from daycycle.cohort import (
     BEHAVIOR_LABELS,
     COVARIATE_COLUMNS,
     CSV_HEADER,
     CohortError,
+    CohortTable,
     complete_case,
     load_cohort_csv,
     save_cohort_csv,
@@ -388,21 +391,79 @@ def _reference_cohort_csv(cohort):
     return buf.getvalue()
 
 
-def test_save_cohort_csv_matches_row_by_row_writer(tmp_path, monkeypatch):
-    from daycycle import cohort as cohort_module
+# ids the csv module quotes or passes through as they are
+AWKWARD_IDS = ["a,b", 'say "hi"', "cr\rid", "lf\nid", " lead", "trail ",
+               "é漢字", "", '"', ",", "\r\n"]
+
+
+def _awkward_cohort():
     spec = default_sim_spec()
     spec.missing_covariate_rate = 0.2
     cohort = simulate_cohort(spec, 300, seed=24).cohort
     cohort.outcome[[0, 7]] = math.nan
     cohort.covariates["bmi"][1] = 1e-310  # subnormal
     cohort.covariates["cesd"][2] = -0.0
+    cohort.covariates["cesd"][3] = math.inf
+    cohort.valid_days[4] = 2 ** 62
+    for i, pid in enumerate(AWKWARD_IDS):
+        cohort.ids[10 + 25 * i] = pid
+    # a covariate column of each dtype the writer formats on its own
+    cohort.covariates["age_75_84"] = np.arange(300, dtype=np.int64) - 150
+    cohort.covariates["female"] = np.arange(300) % 3 == 0
+    cohort.covariates["education_years"] = np.array(
+        [None, math.nan, 12, np.float64(1.5), True, 2 ** 70]
+        + cohort.covariates["education_years"][6:].tolist(), dtype=object)
     assert np.isnan(cohort.covariates["bmi"]).any()
-    want = _reference_cohort_csv(cohort)
+    return cohort
+
+
+def test_save_cohort_csv_matches_row_by_row_writer(tmp_path, monkeypatch):
+    from daycycle import cohort as cohort_module
+    cohort = _awkward_cohort()
+    empty = cohort.subset(np.zeros(cohort.n, dtype=bool))
     # several blocks, the last one partial
     monkeypatch.setattr(cohort_module, "_CSV_BLOCK_ROWS", 64)
     path = tmp_path / "c.csv"
+    for table in (cohort, empty):
+        want = _reference_cohort_csv(table)
+        save_cohort_csv(table, path)
+        assert path.read_bytes().decode("utf-8") == want
+        assert cohort_module.cohort_csv_text(table) == want
+    assert want == ",".join(CSV_HEADER) + "\n"
+
+
+def _rows(n, width, cell):
+    return st.lists(st.lists(cell, min_size=width, max_size=width),
+                    min_size=n, max_size=n)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    # behaviors and total: finite, not negative, summing below overflow
+    _rows(n, len(BEHAVIOR_LABELS) + 1, st.floats(0, 1e300)),
+    # covariates and outcome: NaN is a blank cell
+    _rows(n, len(COVARIATE_COLUMNS) + 1, st.floats(allow_infinity=False)),
+    st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_saved_cohort_reads_back_bit_for_bit(tmp_path, table):
+    minutes, values, valid_days = (np.array(t) for t in table)
+    cohort = CohortTable(
+        [f"p{i}" for i in range(len(valid_days))], minutes[:, :-1],
+        minutes[:, -1], dict(zip(COVARIATE_COLUMNS, values[:, :-1].T)),
+        values[:, -1], valid_days)
+    path = tmp_path / "c.csv"
     save_cohort_csv(cohort, path)
-    assert path.read_text(encoding="utf-8") == want
+    back = load_cohort_csv(path)
+    assert back.ids == cohort.ids
+    assert back.valid_days.tobytes() == cohort.valid_days.tobytes()
+    assert back.behaviors.tobytes() == cohort.behaviors.tobytes()
+    assert back.total.tobytes() == cohort.total.tobytes()
+    for got, want in ([(back.covariates[c], cohort.covariates[c])
+                       for c in COVARIATE_COLUMNS]
+                      + [(back.outcome, cohort.outcome)]):
+        blank = np.isnan(want)  # any NaN is written as an empty cell
+        assert (np.isnan(got) == blank).all()
+        assert got[~blank].tobytes() == want[~blank].tobytes()
 
 
 @pytest.mark.parametrize("column,cell,message", [

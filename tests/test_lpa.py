@@ -340,6 +340,16 @@ def test_artifact_with_missing_or_ill_typed_field_is_rejected(edit):
         MixtureModel.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("loglik", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "minus-inf", "int-past-float"])
+def test_artifact_with_a_non_finite_loglik_is_rejected(loglik):
+    import json
+    data = json.loads(reference_model().to_json())
+    data["loglik"] = loglik
+    with pytest.raises(LpaError, match="'loglik' is not a finite number"):
+        MixtureModel.from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize("text", ["", "not json", "[1, 2]", "null"])
 def test_artifact_that_is_not_a_json_object_is_rejected(text):
     with pytest.raises(LpaError):
