@@ -17,7 +17,7 @@ import numpy as np
 from . import composition as comp
 from .composition import Composition, SBPartition, ilr_array, pivot_basis
 from .cohort import CohortTable
-from .linmod import Estimate, FitResult, fit_ols, james_test, linear_combination
+from .linmod import Estimate, FitResult, fit_ols, linear_combination
 
 
 class CodaError(ValueError):
@@ -114,7 +114,6 @@ def proportional_reallocation_composition(cfit: CodaFit, r: float) -> Compositio
 @dataclass(frozen=True)
 class ReallocationCurve:
     behavior: str
-    mode: str  # "one-vs-remaining" or "pairwise"
     delta_minutes: np.ndarray
     estimate: np.ndarray
     ci_low: np.ndarray
@@ -130,8 +129,7 @@ def reallocation_curve_proportional(cfit: CodaFit, behavior: str,
     base_min = cfit.baseline.part(behavior) * DEFAULT_DAY_MINUTES
     deltas = np.asarray(deltas, dtype=float)
     e = one_vs_remaining_effect(cfit, deltas / base_min)
-    return ReallocationCurve(behavior, "one-vs-remaining", deltas,
-                             e.estimate, e.ci_low, e.ci_high)
+    return ReallocationCurve(behavior, deltas, e.estimate, e.ci_low, e.ci_high)
 
 
 def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
@@ -162,15 +160,6 @@ def pairwise_reallocation(cfit: CodaFit, from_: str, to: str,
                       ("baseline", "reallocated"))
     w[deltas == 0] = 0.0
     return linear_combination(cfit.fit, w)
-
-
-def pairwise_reallocation_curve(cfit: CodaFit, from_: str, to: str,
-                                deltas: np.ndarray) -> ReallocationCurve:
-    """``pairwise_reallocation`` over a grid of deltas."""
-    deltas = np.asarray(deltas, dtype=float)
-    e = pairwise_reallocation(cfit, from_, to, deltas)
-    return ReallocationCurve(f"{from_}->{to}", "pairwise", deltas,
-                             e.estimate, e.ci_low, e.ci_high)
 
 
 def composition_contrast(cfit: CodaFit, xa: Composition, xb: Composition,
@@ -204,34 +193,3 @@ def _ilr_contrast(cfit: CodaFit, xa: np.ndarray, xb: np.ndarray,
     w = np.zeros(xb.shape[:-1] + (cfit.fit.p,))
     w[..., 1:1 + cfit.n_coords] = (zb - za).reshape(xb.shape[:-1] + (-1,))
     return w
-
-
-@dataclass(frozen=True)
-class GroupMeansResult:
-    group_means: dict[str, Composition]
-    group_sizes: dict[str, int]
-    statistic: float
-    p_value: float
-
-
-def compare_group_means(cohort: CohortTable,
-                        grouping: np.ndarray) -> GroupMeansResult:
-    """Per-group compositional means plus the James test of equal means of
-    the ilr-transformed data."""
-    grouping = np.asarray(grouping)
-    basis = pivot_basis(cohort.behavior_labels[0], cohort.behavior_labels)
-    parts = cohort.composition_array()
-    Z = ilr_array(parts, basis)
-    means: dict[str, Composition] = {}
-    sizes: dict[str, int] = {}
-    samples = []
-    for g in np.unique(grouping):
-        mask = grouping == g
-        if mask.sum() < cohort.behaviors.shape[1]:
-            raise CodaError(f"group {g!r} too small")
-        means[str(g)] = comp.compositional_mean(parts[mask],
-                                                cohort.behavior_labels)
-        sizes[str(g)] = int(mask.sum())
-        samples.append(Z[mask])
-    test = james_test(samples)
-    return GroupMeansResult(means, sizes, test.statistic, test.p_value)

@@ -9,7 +9,6 @@ missing covariates are NaN until a complete-case filter is applied.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -196,19 +195,16 @@ def _column_cells(col: np.ndarray) -> list[str]:
     return [format_number(v) for v in col.tolist()]
 
 
-# the characters for which the csv module may quote a field
+# the characters for which a CSV field is quoted
 _QUOTED_IN_CSV = re.compile('[,"\r\n]').search
 
 
-def _csv_id(pid: str) -> str:
-    """``pid`` as the csv module writes it as the first of several fields:
-    as it is, or, if it holds a character that may need quotes, through the
-    csv module itself."""
-    if _QUOTED_IN_CSV(pid) is None:
-        return pid
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((pid, ""))
-    return buf.getvalue()[:-2]  # less the empty field's "," and "\n"
+def csv_field(text: str) -> str:
+    """``text`` as a CSV field: as it is, or, if it holds a comma, a quote, a
+    CR or an LF, in quotes with its quotes doubled."""
+    if _QUOTED_IN_CSV(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_blocks(cohort: CohortTable):
@@ -221,7 +217,7 @@ def _csv_blocks(cohort: CohortTable):
                + [cohort.outcome])
     for start in range(0, cohort.n, _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        rows = zip(map(_csv_id, cohort.ids[block]),
+        rows = zip(map(csv_field, cohort.ids[block]),
                    *(_column_cells(col[block]) for col in columns))
         yield "\n".join(map(",".join, rows)) + "\n"
 

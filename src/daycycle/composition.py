@@ -91,12 +91,6 @@ def inverse(x: Composition) -> Composition:
     return closure_values(1.0 / x.array(), x.labels)
 
 
-def perturb_difference(x: Composition, y: Composition) -> Composition:
-    """The change from x to y, i.e. y with x perturbation-subtracted."""
-    _check_labels(x, y)
-    return closure_values(y.array() / x.array(), x.labels)
-
-
 def power(a: float, x: Composition) -> Composition:
     """Simplex scalar multiplication: closure of componentwise a-th powers."""
     return closure_values(np.exp(a * np.log(x.array())), x.labels)
@@ -138,23 +132,6 @@ def aitchison_distance(x: Composition, y: Composition) -> float:
     """Distance on the simplex; equals the Euclidean distance of ilr images."""
     _check_labels(x, y)
     return float(np.linalg.norm(_clr(x) - _clr(y)))
-
-
-@dataclass(frozen=True)
-class VariationMatrix:
-    entries: np.ndarray
-    labels: tuple[str, ...]
-
-
-def variation_matrix(parts: np.ndarray, labels) -> VariationMatrix:
-    """Pairwise SDs of log-ratios between the columns of the (N, D) sample
-    ``parts``, N >= 2; zero diagonal, symmetric."""
-    labels = _checked_sample(parts, labels)
-    if len(parts) < 2:
-        raise CompositionError("variation matrix needs at least 2 samples")
-    logs = np.log(parts)
-    ratios = logs[:, :, None] - logs[:, None, :]
-    return VariationMatrix(np.std(ratios, axis=0, ddof=1), labels)
 
 
 @dataclass(frozen=True)
@@ -284,15 +261,3 @@ def replace_zeros(minutes: np.ndarray, floor: float) -> np.ndarray:
                               where=added > 0)
     out[zero] = floor
     return out
-
-
-def ternary_coords(x: Composition) -> tuple[float, float]:
-    """Barycentric-to-Cartesian map onto the unit triangle.
-
-    The three vertices map to (0, 0), (1, 0), and (0.5, sqrt(3)/2) in part
-    order.
-    """
-    if x.D != 3:
-        raise CompositionError("ternary coordinates require a 3-part composition")
-    a, b, c = x.parts
-    return (b + 0.5 * c, (math.sqrt(3) / 2) * c)

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cohort import BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable, format_number
+from .cohort import (BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable,
+                     csv_field, format_number)
 
 DAY_CSV_HEADER = (
     "person_id", "date", "sit_min", "stand_min", "step_min",
@@ -148,18 +149,17 @@ def _first_minute_column(failed, *values: float) -> str:
 
 def write_day_csv(records: list[DayRecord], path) -> None:
     """Day records as a day CSV that ``load_day_csv`` reads back to equal
-    records; minute cells are written by ``format_number``."""
+    records; minute cells are written by ``format_number``, the id and date
+    by ``csv_field``, as in the cohort CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DAY_CSV_HEADER)
-        for r in records:
-            w.writerow([
-                r.person_id, r.date,
-                format_number(r.sit_min), format_number(r.stand_min),
-                format_number(r.step_min),
-                r.in_bed.isoformat(), r.out_bed.isoformat(),
-                format_number(r.wear_min),
-            ])
+        fh.write(",".join(DAY_CSV_HEADER) + "\n")
+        fh.writelines(",".join((
+            csv_field(r.person_id), csv_field(r.date),
+            format_number(r.sit_min), format_number(r.stand_min),
+            format_number(r.step_min),
+            r.in_bed.isoformat(), r.out_bed.isoformat(),
+            format_number(r.wear_min),
+        )) + "\n" for r in records)
 
 
 def validate_days(records: list[DayRecord]) -> dict[str, list[DayRecord]]:
@@ -211,6 +211,9 @@ def aggregate_person(
     return CohortTable(ids, behaviors, total, covariates, outcome, ndays)
 
 
+# a mean or SD that overflows is inf or NaN, without numpy's warning: the
+# strict JSON writer rejects it
+@np.errstate(over="ignore", invalid="ignore")
 def describe(cohort: CohortTable) -> dict:
     """Descriptive summary: behavior hours/day mean (SD), total median [IQR],
     covariate means/counts, and outcome summary."""

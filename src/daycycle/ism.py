@@ -18,7 +18,6 @@ import numpy as np
 
 from .cohort import CohortTable
 from .linmod import (
-    Estimate,
     FitResult,
     WaldTest,
     fit_ols,
@@ -127,26 +126,12 @@ def _partition_fit(data: CohortTable, covariates: list[str]
     return fit, gamma
 
 
-def substitution_effect(cohort: CohortTable, covariates: list[str],
-                        from_: str, to: str, minutes: float = 30.0) -> Estimate:
-    """Effect of reallocating ``minutes``/day from one behavior to another,
-    read off the same partition-model fit as ``substitution_table``."""
-    if from_ == to:
-        raise IsmError("source and destination behavior must differ")
-    for lab in (from_, to):
-        if lab not in cohort.behavior_labels:
-            raise IsmError(f"unknown behavior {lab!r}")
-    fit, gamma = _partition_fit(cohort, covariates)
-    i, j = (cohort.behavior_labels.index(b) for b in (from_, to))
-    return linear_combination(fit, minutes * (gamma[j] - gamma[i]))
-
-
 def substitution_table(cohort: CohortTable, covariates: list[str],
                        minutes: float = 30.0,
                        subgroup: np.ndarray | None = None) -> SubstitutionTable:
-    """All pairwise reallocation effects from one partition-model fit: cells
-    (i, j) with i < j as in ``substitution_effect``, the mirrored cells their
-    exact negations."""
+    """All pairwise reallocation effects from one partition-model fit: cell
+    (i, j) with i < j is the effect of moving ``minutes``/day from behavior i
+    to behavior j, the mirrored cells their exact negations."""
     data = cohort if subgroup is None else cohort.subset(subgroup)
     fit, gamma = _partition_fit(data, covariates)
     d = len(data.behavior_labels)
@@ -188,29 +173,3 @@ def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
     # each behavior's test selects its spline coefficients
     tests = {b: wald_test(fit, np.eye(fit.p)[c]) for b, c in spans.items()}
     return FlexibleIsmFit(fit, dropped, n_knots, scores, tests)
-
-
-def profile_contrast(ismfit: IsmFit, profile_a: dict[str, float],
-                     profile_b: dict[str, float]) -> Estimate:
-    """Expected outcome difference between two time-use profiles (B minus A),
-    with covariates held equal (they cancel in the difference).
-
-    Profiles map behavior label to minutes/day; a 'total' key defaults to the
-    sum of the behaviors.
-    """
-    fit = ismfit.fit
-    w = np.zeros(fit.p)
-    for prof in (profile_a, profile_b):
-        missing = [b for b in ismfit.behavior_labels if b not in prof]
-        if missing and "total" not in prof:
-            raise IsmError(f"profile missing behaviors {missing!r}")
-    tot_a = profile_a.get("total", sum(profile_a[b] for b in ismfit.behavior_labels))
-    tot_b = profile_b.get("total", sum(profile_b[b] for b in ismfit.behavior_labels))
-    for b in ismfit.behavior_labels:
-        if b == ismfit.dropped:
-            continue
-        if b not in profile_a or b not in profile_b:
-            raise IsmError(f"profile missing behavior {b!r}")
-        w[fit.index(b)] = profile_b[b] - profile_a[b]
-    w[fit.index("total")] = tot_b - tot_a
-    return linear_combination(fit, w)

@@ -1,6 +1,5 @@
 """Shared linear-model machinery: OLS, sandwich covariance, Wald tests,
-contrasts, natural cubic splines, GCV, and the James unequal-covariance test
-of multivariate means.
+contrasts, natural cubic splines and GCV.
 
 A fit carries the model-based covariance, which every contrast and Wald test
 uses, and the HC1 sandwich, which ``FitResult.se(label, robust=True)`` reads.
@@ -213,56 +212,3 @@ def gcv_score(fit: FitResult) -> float:
     """
     rss = float(fit.residuals @ fit.residuals)
     return fit.n * rss / (fit.n - fit.p) ** 2
-
-
-def james_test(groups: list[np.ndarray]) -> WaldTest:
-    """James first-order test of equal mean vectors with unequal covariances.
-
-    Each group is an n_i x p sample.  The statistic is the weighted sum of
-    squared deviations of group means from their precision-weighted grand
-    mean; the p-value applies James's chi-square correction.
-    """
-    if len(groups) < 2:
-        raise LinmodError("need at least 2 groups")
-    groups = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
-    p = groups[0].shape[1]
-    for g in groups:
-        if g.shape[1] != p:
-            raise LinmodError("groups must share a dimension")
-        if g.shape[0] <= p:
-            raise LinmodError("each group must have more rows than columns")
-    g = len(groups)
-    r = p * (g - 1)
-    Ws, means = [], []
-    for grp in groups:
-        n_i = grp.shape[0]
-        S = np.cov(grp, rowvar=False, ddof=1) / n_i
-        S = np.atleast_2d(S)
-        try:
-            Ws.append(np.linalg.inv(S))
-        except np.linalg.LinAlgError:
-            raise LinmodError("degenerate within-group covariance") from None
-        means.append(grp.mean(axis=0))
-    W = np.sum(Ws, axis=0)
-    Winv = np.linalg.inv(W)
-    grand = Winv @ np.sum([Wi @ m for Wi, m in zip(Ws, means)], axis=0)
-    J = float(np.sum([(m - grand) @ Wi @ (m - grand)
-                      for Wi, m in zip(Ws, means)]))
-    A = 1.0
-    B = 0.0
-    eye = np.eye(p)
-    for grp, Wi in zip(groups, Ws):
-        n_i = grp.shape[0]
-        M = eye - Winv @ Wi
-        t1 = np.trace(M) ** 2
-        t2 = np.trace(M @ M)
-        A += t1 / (2 * r * (n_i - 1))
-        B += (t2 + 0.5 * t1) / (r * (r + 2) * (n_i - 1))
-    # Solve c * (A + B c) = J for the equivalent uncorrected quantile.
-    if J <= 0:
-        return WaldTest(max(J, 0.0), r, 1.0)
-    if B > 0:
-        c = (-A + math.sqrt(A * A + 4 * B * J)) / (2 * B)
-    else:
-        c = J / A
-    return WaldTest(J, r, float(chi2_sf(c, r)))

@@ -57,7 +57,8 @@ def ternary_svg(compositions: list[Composition], values: np.ndarray | None = Non
     if pts.shape[1] != 3:
         raise CompositionError(
             "ternary coordinates require a 3-part composition")
-    # ternary_coords for every point at once
+    # parts (a, b, c) map to (b + c/2, c*sqrt(3)/2): vertices (0, 0), (1, 0)
+    # and (1/2, sqrt(3)/2) in part order
     px, py = to_px(pts[:, 1] + 0.5 * pts[:, 2], (math.sqrt(3) / 2) * pts[:, 2])
     fills = np.full(len(pts), _NO_VALUE_FILL, dtype=object)
     if values is not None:

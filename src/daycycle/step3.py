@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmod import Z95, WaldTest, joint_wald
+from .linmod import WaldTest, joint_wald
 
 
 class Step3Error(ValueError):
@@ -168,11 +168,6 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     overall = joint_wald(coef[:nc], cov[:nc, :nc])
     return Step3Result(method, reference, classes, coef, se, labels,
                        overall, n)
-
-
-def ci_95(result: Step3Result, k: int) -> tuple[float, float]:
-    est, se = result.class_effect(k)
-    return est - Z95 * se, est + Z95 * se
 
 
 @dataclass(frozen=True)

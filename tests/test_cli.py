@@ -372,16 +372,19 @@ def test_row_whose_minutes_overflow_exits_2_before_writing(
 
 def test_non_finite_json_number_exits_3_before_writing(tmp_path, cohort_csv,
                                                        capsys):
-    # one finite cell whose square, in the standard deviation, is not
-    path = _edited_cohort(cohort_csv, tmp_path, 6,
-                          lambda s: _set_field(s, 1, "1e308"))
-    out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # one finite sit cell whose square, in the standard deviation, is not;
+    # two finite bmi cells whose sum, in the mean, is not
+    for cells in ([(6, 1)], [(5, 12), (6, 12)]):
+        path = cohort_csv
+        for line, j in cells:
+            path = _edited_cohort(path, tmp_path, line,
+                                  lambda s, j=j: _set_field(s, j, "1e308"))
+        out = tmp_path / "out"
         assert run(["describe", path, "-o", out, "--format", "both"]) == 3
-    err = capsys.readouterr().err
-    assert err == (f"numerical failure: {out / 'describe.json'} would hold "
-                   "a number that is not finite\n")
-    assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == (f"numerical failure: {out / 'describe.json'} would "
+                       "hold a number that is not finite\n")
+        assert not out.exists()
 
 
 def test_cell_over_the_csv_size_limit_exits_2(tmp_path, cohort_csv, capsys):

@@ -8,12 +8,10 @@ from daycycle import composition as comp
 from daycycle.coda import (
     DEFAULT_DAY_MINUTES,
     CodaError,
-    compare_group_means,
     composition_contrast,
     fit_coda,
     one_vs_remaining_effect,
     pairwise_reallocation,
-    pairwise_reallocation_curve,
     pivot_coefficients,
     proportional_reallocation_composition,
     reallocation_curve_proportional,
@@ -130,7 +128,6 @@ def test_reallocation_curve_monotone_for_positive_pivot_slope():
     cfit = fit_coda(cohort, "step", COVS)
     deltas = np.arange(-30, 31, 5, dtype=float)
     curve = reallocation_curve_proportional(cfit, "step", deltas)
-    assert curve.mode == "one-vs-remaining"
     if cfit.fit.coef[1] > 0:
         assert np.all(np.diff(curve.estimate) > 0)
     # nonlinearity in minutes: adding 30 min is smaller in magnitude than
@@ -177,16 +174,6 @@ def test_pairwise_reallocation_antisymmetric_in_endpoints():
         pairwise_reallocation(cfit, "step", "sit", 1e9)
 
 
-def test_pairwise_curve_shapes():
-    cohort, _ = ilr_truth_cohort(n=600, seed=12)
-    cfit = fit_coda(cohort, "step", COVS)
-    deltas = np.array([-20.0, -10.0, 0.0, 10.0, 20.0])
-    curve = pairwise_reallocation_curve(cfit, "sit", "step", deltas)
-    assert curve.mode == "pairwise"
-    assert curve.estimate.shape == deltas.shape
-    assert curve.estimate[2] == 0.0
-
-
 def _pairwise_reference(cfit, from_, to, delta):
     """One reallocation as an explicit contrast between the baseline and the
     moved composition, closed on its own."""
@@ -206,9 +193,8 @@ def test_pairwise_curve_matches_per_delta_calls():
     deltas = np.arange(-60.0, 61.0, 7.5)
     assert 0.0 in deltas
     for from_, to in (("sit", "step"), ("sleep", "stand"), ("step", "sit")):
-        curve = pairwise_reallocation_curve(cfit, from_, to, deltas)
-        assert curve.behavior == f"{from_}->{to}"
-        assert np.array_equal(curve.delta_minutes, deltas)
+        curve = pairwise_reallocation(cfit, from_, to, deltas)
+        assert curve.estimate.shape == deltas.shape
         for i, d in enumerate(deltas):
             e = pairwise_reallocation(cfit, from_, to, d)
             ref = _pairwise_reference(cfit, from_, to, d)
@@ -231,7 +217,7 @@ def test_pairwise_reallocation_names_an_unknown_behavior(from_, to):
     with pytest.raises(CodaError, match="unknown behavior 'nap'"):
         pairwise_reallocation(cfit, from_, to, 10.0)
     with pytest.raises(CodaError, match="unknown behavior 'nap'"):
-        pairwise_reallocation_curve(cfit, from_, to, np.array([5.0, 10.0]))
+        pairwise_reallocation(cfit, from_, to, np.array([5.0, 10.0]))
 
 
 def test_pairwise_curve_range_checks():
@@ -239,13 +225,12 @@ def test_pairwise_curve_range_checks():
     cfit = fit_coda(cohort, "step", COVS)
     step_min = cfit.baseline.part("step") * DEFAULT_DAY_MINUTES
     with pytest.raises(CodaError):
-        pairwise_reallocation_curve(cfit, "sit", "sit", np.array([10.0]))
+        pairwise_reallocation(cfit, "sit", "sit", np.array([10.0]))
     with pytest.raises(CodaError, match="out of 'step'"):
-        pairwise_reallocation_curve(cfit, "step", "sit",
-                                    np.array([0.0, step_min]))
+        pairwise_reallocation(cfit, "step", "sit", np.array([0.0, step_min]))
     with pytest.raises(CodaError, match="'step' nonpositive"):
-        pairwise_reallocation_curve(cfit, "sit", "step",
-                                    np.array([-step_min, 10.0]))
+        pairwise_reallocation(cfit, "sit", "step",
+                              np.array([-step_min, 10.0]))
 
 
 def test_contrast_fixture_weights():
@@ -286,18 +271,3 @@ def test_baseline_defaults_to_compositional_mean():
                                        cohort.behavior_labels)
     assert np.allclose(cfit.baseline.array(), expected.array(), atol=1e-14)
 
-
-def test_compare_group_means():
-    cohort, _ = ilr_truth_cohort(n=600, seed=16)
-    groups = (cohort.covariates["female"] > 0.5).astype(int)
-    res = compare_group_means(cohort, groups)
-    assert set(res.group_means) == {"0", "1"}
-    assert sum(res.group_sizes.values()) == cohort.n
-    assert 0.0 <= res.p_value <= 1.0
-    # shifted step share should be detected
-    shifted = cohort.subset(np.ones(cohort.n, dtype=bool))
-    shifted.behaviors = shifted.behaviors.copy()
-    mask = groups == 1
-    shifted.behaviors[mask, 2] *= 3.0
-    res2 = compare_group_means(shifted, groups)
-    assert res2.p_value < 1e-4

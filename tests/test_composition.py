@@ -1,6 +1,7 @@
 """Simplex geometry: fixtures, group axioms, and ilr properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,14 +21,12 @@ from daycycle.composition import (
     ilr_inverse,
     inverse,
     perturb,
-    perturb_difference,
     pivot_basis,
     power,
     replace_zeros,
-    ternary_coords,
     uniform,
-    variation_matrix,
 )
+from daycycle.plotting import ternary_svg
 
 LAB3 = ("a", "b", "c")
 
@@ -110,14 +109,6 @@ def test_identity_and_inverse(u):
     assert np.allclose(perturb(x, inverse(x)).array(), e.array(), atol=1e-14)
 
 
-@given(positive_parts, positive_parts)
-@settings(max_examples=100, deadline=None)
-def test_perturb_difference_recovers(u, v):
-    x, y = comps(u), comps(v)
-    d = perturb_difference(x, y)
-    assert np.allclose(perturb(x, d).array(), y.array(), atol=1e-13)
-
-
 @given(positive_parts, st.floats(min_value=-3, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_power_distributes_over_perturbation(u, a):
@@ -172,10 +163,6 @@ def test_compositional_mean_array_validation():
         compositional_mean(np.array([[0.0, 1.0]]), ("a", "b"))
     with pytest.raises(CompositionError):
         compositional_mean(np.array([[math.nan, 1.0]]), ("a", "b"))
-    with pytest.raises(CompositionError):
-        variation_matrix(parts, LAB3)  # the same sample check
-    with pytest.raises(CompositionError):
-        variation_matrix(parts[:1], ("a", "b"))  # one row has no spread
 
 
 def test_aitchison_distance_properties():
@@ -189,20 +176,6 @@ def test_aitchison_distance_properties():
     d0 = aitchison_distance(x, y)
     d1 = aitchison_distance(perturb(x, z), perturb(y, z))
     assert d1 == pytest.approx(d0, abs=1e-12)
-
-
-def test_variation_matrix_shape_and_symmetry():
-    rng = np.random.default_rng(3)
-    parts = np.array([comp(rng.uniform(0.1, 5, size=3)).array()
-                      for _ in range(50)])
-    vm = variation_matrix(parts, LAB3)
-    T = vm.entries
-    assert T.shape == (3, 3)
-    assert np.allclose(T, T.T)
-    assert np.allclose(np.diag(T), 0.0)
-    # T[i, j] is the SD of log(x_i / x_j)
-    logr = np.log(parts[:, 0] / parts[:, 1])
-    assert T[0, 1] == pytest.approx(np.std(logr, ddof=1))
 
 
 def test_pivot_basis_contrast_weights():
@@ -247,7 +220,7 @@ def test_ilr_contrast_between_reference_points():
     dz = ilr(x2, basis).array() - ilr(x1, basis).array()
     assert np.allclose(dz, [-0.1, -0.48, 0.44], atol=0.03)
     # the coordinate difference equals ilr of the perturbation difference
-    d = perturb_difference(x1, x2)
+    d = perturb(inverse(x1), x2)
     assert np.allclose(ilr(d, basis).array(), dz, atol=1e-12)
 
 
@@ -310,11 +283,15 @@ def test_zero_replacement_errors():
 
 
 def test_ternary_coords_vertices_and_centroid():
-    assert ternary_coords(comp([1, 1e-9, 1e-9])) == pytest.approx((0, 0),
-                                                                  abs=1e-8)
-    assert ternary_coords(comp([1e-9, 1, 1e-9])) == pytest.approx((1, 0),
-                                                                  abs=1e-8)
-    x, y = ternary_coords(comp([1e-9, 1e-9, 1]))
-    assert (x, y) == pytest.approx((0.5, math.sqrt(3) / 2), abs=1e-8)
-    cx, cy = ternary_coords(uniform(LAB3))
-    assert (cx, cy) == pytest.approx((0.5, math.sqrt(3) / 6))
+    """``ternary_svg`` puts near-vertex points on the triangle's corners and
+    the uniform composition on its centroid, to the 3 decimals it prints."""
+    svg = ternary_svg([comp([1, 1e-9, 1e-9]), comp([1e-9, 1, 1e-9]),
+                       comp([1e-9, 1e-9, 1]), uniform(LAB3)])
+    corners = re.search(r'<polygon points="([^"]*)"', svg).group(1).split()
+    points = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
+    assert [",".join(p) for p in points[:3]] == corners
+    xy = [tuple(map(float, c.split(","))) for c in corners]
+    sides = [math.dist(xy[k], xy[k - 1]) for k in range(3)]
+    assert sides == pytest.approx([sides[0]] * 3, abs=2e-3)
+    centroid = (sum(x for x, _ in xy) / 3, sum(y for _, y in xy) / 3)
+    assert tuple(map(float, points[3])) == pytest.approx(centroid, abs=1e-3)

@@ -373,22 +373,26 @@ def test_day_record_has_slots():
 
 
 def _reference_cohort_csv(cohort):
-    """Row by row through format_number, as the writer did before."""
-    import csv
+    """Row by row through format_number and the csv module.  The rows end in
+    CRLF, so that the csv module quotes a cell holding a CR as well as one
+    holding an LF; each line's CRLF is then cut to LF."""
     import io
     from daycycle.cohort import format_number
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for i in range(cohort.n):
-        w.writerow([cohort.ids[i]]
-                   + [format_number(v) for v in cohort.behaviors[i]]
-                   + [format_number(cohort.total[i]),
-                      format_number(cohort.valid_days[i])]
-                   + [format_number(cohort.covariates[c][i])
-                      for c in COVARIATE_COLUMNS]
-                   + [format_number(cohort.outcome[i])])
-    return buf.getvalue()
+
+    def line(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
+    return line(CSV_HEADER) + "".join(
+        line([cohort.ids[i]]
+             + [format_number(v) for v in cohort.behaviors[i]]
+             + [format_number(cohort.total[i]),
+                format_number(cohort.valid_days[i])]
+             + [format_number(cohort.covariates[c][i])
+                for c in COVARIATE_COLUMNS]
+             + [format_number(cohort.outcome[i])])
+        for i in range(cohort.n))
 
 
 # ids the csv module quotes or passes through as they are
@@ -430,6 +434,22 @@ def test_save_cohort_csv_matches_row_by_row_writer(tmp_path, monkeypatch):
         assert path.read_bytes().decode("utf-8") == want
         assert cohort_module.cohort_csv_text(table) == want
     assert want == ",".join(CSV_HEADER) + "\n"
+
+
+def test_awkward_ids_read_back(tmp_path):
+    """Every awkward id, a lone CR among them, survives both writers and
+    their loaders; an awkward date survives the day writer."""
+    cohort = simulate_cohort(default_sim_spec(), 40, seed=25).cohort
+    cohort.ids[:len(AWKWARD_IDS)] = AWKWARD_IDS
+    path = tmp_path / "c.csv"
+    save_cohort_csv(cohort, path)
+    assert load_cohort_csv(path).ids == cohort.ids
+    days = [make_day(pid=pid)._replace(date=f"day {pid}")
+            for pid in AWKWARD_IDS]
+    write_day_csv(days, path)
+    back, errors = load_day_csv(path)
+    assert errors == []
+    assert back == days
 
 
 def _rows(n, width, cell):

@@ -13,11 +13,9 @@ from daycycle.ism import (
     build_ism_design,
     fit_flexible_ism,
     fit_ism,
-    profile_contrast,
-    substitution_effect,
     substitution_table,
 )
-from daycycle.linmod import LinmodError, linear_combination
+from daycycle.linmod import Z95, LinmodError, linear_combination
 
 COVS = ["female", "bmi"]
 
@@ -49,8 +47,6 @@ def test_unknown_behavior_raises():
     cohort = make_cohort(n=30)
     with pytest.raises(IsmError):
         build_ism_design(cohort, dropped="nap", covariates=[])
-    with pytest.raises(IsmError):
-        substitution_effect(cohort, [], "sit", "sit")
 
 
 def test_substitution_recovers_known_contrast():
@@ -58,17 +54,22 @@ def test_substitution_recovers_known_contrast():
     30 * (beta_to - beta_from)."""
     cohort = make_cohort(n=4000, seed=3, behavior_effects=TRUE_EFFECTS,
                          noise_sd=0.05)
+    tab = substitution_table(cohort, COVS, minutes=30.0)
     for from_, to in (("sit", "step"), ("sleep", "stand"), ("step", "sit")):
-        est = substitution_effect(cohort, COVS, from_, to, minutes=30.0)
+        cell = (tab.labels.index(from_), tab.labels.index(to))
+        lo, hi = tab.ci_low[cell], tab.ci_high[cell]
         truth = 30.0 * (TRUE_EFFECTS[to] - TRUE_EFFECTS[from_])
-        assert est.ci_low <= truth <= est.ci_high
-        assert est.estimate == pytest.approx(truth, abs=3 * est.se)
+        assert lo <= truth <= hi
+        se = (hi - lo) / (2 * Z95)
+        assert tab.estimate[cell] == pytest.approx(truth, abs=3 * se)
 
 
 def test_zero_minutes_gives_zero_estimate():
     cohort = make_cohort(n=60)
-    est = substitution_effect(cohort, [], "sit", "step", minutes=0.0)
-    assert (est.estimate, est.se, est.ci_low, est.ci_high) == (0, 0, 0, 0)
+    tab = substitution_table(cohort, [], minutes=0.0)
+    off = ~np.eye(len(tab.labels), dtype=bool)
+    for cells in (tab.estimate, tab.ci_low, tab.ci_high):
+        assert np.all(cells[off] == 0.0)
 
 
 def test_table_antisymmetry_exact():
@@ -130,7 +131,7 @@ def test_table_requires_behaviors_summing_to_total():
     with pytest.raises(IsmError, match="sum to the total"):
         substitution_table(cohort, COVS)
     with pytest.raises(IsmError, match="sum to the total"):
-        substitution_effect(cohort, COVS, "sit", "step")
+        substitution_table(cohort, COVS, subgroup=np.arange(cohort.n) >= 5)
 
 
 def test_subgroup_uses_subset_rows():
@@ -202,28 +203,6 @@ def test_totals_constant_up_to_rounding_drop_the_intercept():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     assert near_flex.fit.labels == flex.fit.labels
     assert near_flex.n_knots == flex.n_knots
-
-
-def test_profile_contrast_matches_substitution():
-    """Two profiles differing by one 30-minute swap reproduce the pairwise
-    substitution estimate."""
-    cohort = make_cohort(n=800, seed=17, behavior_effects=TRUE_EFFECTS)
-    ismfit = fit_ism(cohort, dropped="sleep", covariates=COVS)
-    base = {"sit": 600.0, "stand": 220.0, "step": 80.0, "sleep": 540.0}
-    alt = dict(base, sit=570.0, step=110.0)
-    pc = profile_contrast(ismfit, base, alt)
-    sub = substitution_effect(cohort, COVS, "sit", "step", minutes=30.0)
-    # different dropped behaviors, same reallocation
-    assert pc.estimate == pytest.approx(sub.estimate, abs=1e-9)
-    same = profile_contrast(ismfit, base, dict(base))
-    assert same.estimate == 0.0 and same.se == 0.0
-
-
-def test_profile_contrast_requires_all_behaviors():
-    cohort = make_cohort(n=100, seed=18)
-    ismfit = fit_ism(cohort, dropped="sleep", covariates=[])
-    with pytest.raises(IsmError):
-        profile_contrast(ismfit, {"sit": 600.0}, {"sit": 630.0})
 
 
 @pytest.mark.parametrize("fit", [

@@ -1,4 +1,4 @@
-"""Regression engine: OLS, sandwich SEs, splines, GCV, and the James test."""
+"""Regression engine: OLS, sandwich SEs, splines and GCV."""
 
 import math
 
@@ -13,7 +13,6 @@ from daycycle.linmod import (
     chi2_sf,
     fit_ols,
     gcv_score,
-    james_test,
     linear_combination,
     natural_cubic_spline_basis,
     normal_sf,
@@ -187,38 +186,6 @@ def test_gcv_hand_formula():
     fit = fit_ols(X, y)
     rss = float(fit.residuals @ fit.residuals)
     assert gcv_score(fit) == pytest.approx(50 * rss / (50 - 3) ** 2)
-
-
-def test_james_test_null_size():
-    """Rejection rate under the null should be close to the nominal 5%."""
-    rng = np.random.default_rng(5)
-    rejections = 0
-    reps = 500
-    for _ in range(reps):
-        g1 = rng.normal(size=(40, 3))
-        g2 = rng.normal(size=(60, 3)) * 2.0  # unequal covariance
-        if james_test([g1, g2]).p_value < 0.05:
-            rejections += 1
-    assert 0.02 <= rejections / reps <= 0.08
-
-
-def test_james_test_detects_mean_shift():
-    rng = np.random.default_rng(6)
-    g1 = rng.normal(size=(80, 3))
-    g2 = rng.normal(size=(80, 3)) + 0.8
-    wt = james_test([g1, g2])
-    assert wt.df == 3
-    assert wt.p_value < 1e-6
-
-
-def test_james_test_validation():
-    rng = np.random.default_rng(9)
-    with pytest.raises(LinmodError):
-        james_test([rng.normal(size=(10, 2))])
-    with pytest.raises(LinmodError):
-        james_test([rng.normal(size=(10, 2)), rng.normal(size=(10, 3))])
-    with pytest.raises(LinmodError):
-        james_test([rng.normal(size=(2, 3)), rng.normal(size=(10, 3))])
 
 
 # --- tail probabilities without scipy.stats ---
