@@ -33,7 +33,6 @@ class CodaFit:
     basis: SBPartition
     pivot: str
     baseline: Composition
-    covariate_names: tuple[str, ...]
     coord_min: np.ndarray  # observed per-coordinate ilr ranges,
     coord_max: np.ndarray  # used as the extrapolation guard
 
@@ -58,8 +57,8 @@ def fit_coda(cohort: CohortTable, pivot: str,
     labels = ("intercept", *(f"z{k + 1}" for k in range(Z.shape[1])),
               *covariates)
     fit = fit_ols(X, cohort.outcome, labels)
-    return CodaFit(fit, basis, pivot, baseline, tuple(covariates),
-                   Z.min(axis=0), Z.max(axis=0))
+    return CodaFit(fit, basis, pivot, baseline, Z.min(axis=0),
+                   Z.max(axis=0))
 
 
 def one_vs_remaining_effect(cfit: CodaFit, r: float | np.ndarray) -> Estimate:

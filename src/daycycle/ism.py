@@ -35,9 +35,6 @@ class IsmError(ValueError):
 @dataclass(frozen=True)
 class IsmFit:
     fit: FitResult
-    dropped: str
-    behavior_labels: tuple[str, ...]
-    covariate_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,7 @@ def build_ism_design(cohort: CohortTable, dropped: str, covariates: list[str]
 def fit_ism(cohort: CohortTable, dropped: str,
             covariates: list[str]) -> IsmFit:
     X, labels, y = build_ism_design(cohort, dropped, covariates)
-    return IsmFit(fit_ols(X, y, labels), dropped, cohort.behavior_labels,
-                  tuple(covariates))
+    return IsmFit(fit_ols(X, y, labels))
 
 
 def _partition_fit(data: CohortTable, covariates: list[str]

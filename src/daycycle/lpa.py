@@ -183,14 +183,16 @@ class FitStats:
 # per block, so a block's memory does not grow with the number of starts;
 # results do not depend on the block size.  A larger block pays the
 # per-iteration Python overhead once for more starts (an N=1000, K=6 block
-# holds 5).  On two or more CPUs each ``_run_blocks`` of the `lpa`
-# benchmark has two or more blocks, run in forked workers, so the budget
-# does not reach its `peak_rss_mb` (the parent's).  There, 1, 2 and 4 MiB
-# gave pass times of 0.135-0.143 s and a largest worker peak RSS
-# (``RUSAGE_CHILDREN``) of 31.2, 32.4 and 32.9 MB (2-vCPU VM, one BLAS
-# thread).  Capping blocks at ceil(starts / workers), to give more workers
-# a block each, did not make that pass faster (0.27-0.30 s against
-# 0.25-0.28 s, three 20-s runs each).
+# on three indicators holds 21).  A block's peak also holds the E-step's
+# per-point maximum and sum, one row of N per start each, and a few hundred
+# KiB of numpy buffers and parameter arrays; the blocks of a multi-CPU run
+# are in forked workers, which the `lpa` benchmark's `peak_rss_mb` (its own
+# process) does not see.  Once a start no longer held a (K, d, N) array of
+# whitened distances, and the budget stopped counting one, the benchmark's
+# pass took 0.100 s instead of 0.127 s (medians of 10 runs) and the largest
+# worker's peak RSS (``RUSAGE_CHILDREN``, the benchmark's two `lpa` calls,
+# seeds 0-2) read 30.7 MB instead of 30.5-30.6 MB (2-vCPU VM, one BLAS
+# thread).
 _BLOCK_BYTES = 1 << 20
 
 # The Cholesky floor test shifts each covariance by the floor plus this
@@ -259,55 +261,55 @@ def _pairs(d: int):
 
 
 def _fill_features(out: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Write the rows ``[1, x, x_i x_j (i <= j)]`` of the data ``X`` (N, d)
-    centred at its mean into ``out`` (p, N), as many as ``out`` has: the
-    first d + 1 rows are the E-step's operand, and all of them the M-step's
-    sufficient statistics.  Returns the mean."""
+    """Write the rows ``[1, x, x_i x_j (i <= j)]`` (p, N) of the data ``X``
+    (N, d) centred at its mean into ``out``: the operand of the E-step's
+    product and of the M-step's sufficient statistics.  Returns the mean."""
     d = X.shape[1]
     centre = X.mean(axis=0)
     out[0] = 1.0
     np.subtract(X.T, centre[:, None], out=out[1:d + 1])
     for row, (i, j) in _pairs(d):
-        if row == len(out):
-            break
         np.multiply(out[1 + i], out[1 + j], out=out[row])
     return centre
 
 
-def _estep(X1: np.ndarray, weights: np.ndarray, means: np.ndarray,
-           chol: np.ndarray, z: np.ndarray | None = None,
-           resp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _estep(F: np.ndarray, weights: np.ndarray, means: np.ndarray,
+           chol: np.ndarray, resp: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (S, K, N) and log-likelihoods (S,) of S mixtures
     given the Cholesky factors L (S, K, d, d) of their covariances.
 
-    ``X1`` holds the rows ``[1, x]`` of the centred data, (1, d + 1, N) for
-    all mixtures or (S, d + 1, N) for one data set each, and ``means`` are
-    centred alike.  ``z = sqrt(1/2) [-L^-1 mu | L^-1] @ X1`` is one matrix
-    product per mixture, so the squared Mahalanobis distances keep the
-    ``L^-1 (x - mu)`` form.  ``z`` (S, K, d, N) is a work array and the
-    responsibilities are written into ``resp``; each is allocated when not
-    given.
+    ``F`` holds the feature rows of the centred data (see
+    ``_fill_features``), (1, p, N) for all mixtures or (S, p, N) for one
+    data set each, and ``means`` are centred alike.  With ``P = L^-T L^-1``
+    a component's log density ``log w - (d log 2 pi + log|Sigma|) / 2
+    - (x - mu)' P (x - mu) / 2`` is a quadratic in x, so the log densities
+    of all components are one product per mixture of their coefficients
+    ``W`` (S, K, p) with ``F``: ``W[0] = log w - (d log 2 pi + log|Sigma|
+    + mu' P mu) / 2``, ``W[1:d+1] = P mu``, ``-P_ii / 2`` on the squares and
+    ``-P_ij`` on the cross products.  The responsibilities are written into
+    ``resp``, allocated when not given.
     """
     S, K, d = means.shape
-    n = X1.shape[-1]
     prec = np.linalg.inv(chol)
-    A = np.empty((S, K, d, d + 1))
-    np.matmul(prec, -means[..., None], out=A[..., :1])
-    A[..., 1:] = prec
-    A *= math.sqrt(0.5)
-    if z is None:
-        z = np.empty((S, K, d, n))
-    np.matmul(A.reshape(S, K * d, d + 1), X1, out=z.reshape(S, K * d, n))
-    resp = np.einsum("skdn,skdn->skn", z, z, out=resp)
+    prec_t = np.swapaxes(prec, -1, -2)
+    v = prec @ means[..., None]  # L^-1 mu
+    P = prec_t @ prec
+    W = np.empty((S, K, F.shape[-2]))
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    const = np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet)
-    np.subtract(const[..., None], resp, out=resp)  # log w_k f_k(x)
+    W[..., 0] = np.log(weights) - 0.5 * (d * math.log(2 * math.pi) + logdet
+                                         + (v * v).sum(axis=(-2, -1)))
+    W[..., 1:d + 1] = (prec_t @ v)[..., 0]  # P mu
+    for row, (i, j) in _pairs(d):
+        W[..., row] = -0.5 * P[..., i, i] if i == j else -P[..., i, j]
+    resp = np.matmul(W, F, out=resp)  # log w_k f_k(x)
     top = resp.max(axis=1, keepdims=True)
     resp -= top
     np.exp(resp, out=resp)
     total = resp.sum(axis=1, keepdims=True)
     resp /= total
-    return resp, (top + np.log(total))[:, 0].sum(axis=-1)
+    top += np.log(total, out=total)
+    return resp, top[:, 0].sum(axis=-1)
 
 
 def _mstep_batch(Q: np.ndarray, n: int, structure: str
@@ -353,9 +355,9 @@ def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
 def _responsibilities(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
                       covs: np.ndarray) -> tuple[np.ndarray, float]:
     """One mixture's K x N responsibilities and its log-likelihood."""
-    X1 = np.empty((1, X.shape[1] + 1, len(X)))
-    centre = _fill_features(X1[0], X)
-    resp, ll = _estep(X1, weights[None], (means - centre)[None],
+    F = np.empty((1, _n_features(X.shape[1]), len(X)))
+    centre = _fill_features(F[0], X)
+    resp, ll = _estep(F, weights[None], (means - centre)[None],
                       np.linalg.cholesky(covs)[None])
     return resp[0], float(ll[0])
 
@@ -377,10 +379,12 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     ``pooled[sets[j]]`` as its initial covariances.  With B = 1 every start
     reads one copy of the data.  The data are centred at their mean (EM is
     shift-equivariant, and centred raw moments sum without cancellation at
-    large offsets); each iteration is one matrix product per start for the
-    E-step and one for the M-step's sufficient statistics.  (Not one product
-    over the whole block: BLAS may round a product differently as its row
-    count changes, and results must not depend on the block size.)
+    large offsets).  Each iteration is two matrix products per start with
+    the feature rows of its data: the E-step's quadratic-form coefficients
+    times the rows (see ``_estep``), and the responsibilities times the
+    rows' transpose for the M-step's sufficient statistics.  (Not one
+    product over the whole block: BLAS may round a product differently as
+    its row count changes, and results must not depend on the block size.)
 
     Returns per start: log-likelihood, weights, means, covariances,
     iteration count, converged flag, and a degenerate flag.  A start is
@@ -415,12 +419,15 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
         it_out[j], conv_out[j], degenerate[j] = it, converged, False
 
     def compact(keep):
-        """Move the data of the kept starts to the front; returns how many
-        starts are kept."""
-        m = int(keep.sum())
+        """Move the data of the kept starts to the front, one start at a
+        time (a fancy-indexed copy would hold all of them twice); returns
+        how many starts are kept."""
+        kept = np.flatnonzero(keep)
         if not shared:
-            F[:m] = F[:keep.size][keep]
-        return m
+            for row, start in enumerate(kept):
+                if start > row:
+                    F[row] = F[start]
+        return len(kept)
 
     # Random-point start: K distinct observations as means, pooled spread as
     # the common covariance.  (Random soft responsibilities put every
@@ -430,9 +437,7 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
                       for b, s in zip(sets, seeds)]) - shift[:, None]
     covs = np.repeat(pooled[sets][:, None], K, axis=1)
     weights = np.full((S, K), 1.0 / K)
-    # Work arrays, allocated once.
-    z = np.empty((S, K, d, n))
-    resp = np.empty((S, K, n))
+    resp = np.empty((S, K, n))  # a work array, allocated once
 
     prev = np.full(S, -np.inf)
     idx = np.arange(S)  # start of each running row
@@ -440,7 +445,7 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     for it in range(1, max_iter + 1):
         Fm = F if shared else F[:m]
         chol, bad = _by_start(np.linalg.cholesky, covs)
-        _, ll = _estep(Fm[:, :d + 1], weights, means, chol, z[:m], resp[:m])
+        _, ll = _estep(Fm, weights, means, chol, resp[:m])
         Q = resp[:m] @ np.swapaxes(Fm, -1, -2)
         # prev is -inf before a start's first E-step, which gets no slack
         # (0 * inf would warn at tol=0) and no convergence test
@@ -496,9 +501,9 @@ def _plan_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray,
     rep = np.repeat(sets, starts)
     seeds = [seed + b * starts + s for b in sets.tolist()
              for s in range(starts)]
-    # a start's work arrays: its E-step products and responsibilities, and
-    # its own feature rows unless the starts share one data set
-    start_bytes = 8 * n * (K * (d + 1) + (0 if B == 1 else _n_features(d)))
+    # a start's work arrays: its responsibilities, and its own feature rows
+    # unless the starts share one data set
+    start_bytes = 8 * n * (K + (0 if B == 1 else _n_features(d)))
     block = max(1, _BLOCK_BYTES // start_bytes)
     units = []
     for i in range(0, len(seeds), block):

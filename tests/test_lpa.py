@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -725,8 +726,9 @@ def test_batched_blrt_counts_failed_replicates_as_the_reference():
             impl(X, 4, max_failure_fraction=fraction - 1e-3, **kw)
 
 
-# --- the EM kernel's numerics: centred sufficient statistics, and the
-# Cholesky floor test against the eigh floor that it replaced ---
+# --- the EM kernel's numerics and memory: centred sufficient statistics,
+# the E-step's quadratic form, a block's byte budget, and the Cholesky
+# floor test against the eigh floor that it replaced ---
 
 @pytest.mark.parametrize("c", [1e3, 1e6])
 def test_fits_are_shift_equivariant(c):
@@ -749,6 +751,78 @@ def test_fits_are_shift_equivariant(c):
                 got.n_degenerate_starts) == (
             want.n_iter, want.converged, want.n_replicated,
             want.n_degenerate_starts)
+
+
+def test_estep_log_densities_match_the_whitened_form():
+    """The E-step expands ``(x - mu)' P (x - mu)`` into coefficients of the
+    feature rows, which could lose digits where it is small against
+    ``mu' P mu``: under a tight covariance centred on an outlying point.
+    On proportion-scale data centred at its mean, with rotated covariances
+    of eigenvalues 1e-6 to 1e-2 (condition number up to 1e4) centred on the
+    data's farthest points, its log densities match the ``L^-1 (x - mu)``
+    form within 1e-9 wherever D^2 / 2 < 50.  Each point is a one-point
+    data set of its own, so the log-likelihood of a one-component mixture
+    on it is the point's log density."""
+    rng = np.random.default_rng(40)
+    K, worst, checked = 3, 0.0, 0
+    for case in range(200):
+        d = 1 + case % 3
+        base = rng.dirichlet(np.full(d + 1, 2.0), size=200)[:, :d]
+        means = base[np.argsort(((base - base.mean(axis=0)) ** 2).sum(
+            axis=1))[-K:]]
+        q, _ = np.linalg.qr(rng.normal(size=(K, d, d)))
+        smallest = 10 ** rng.uniform(-6, -2, size=(K, 1))
+        vals = np.minimum(smallest * 10 ** rng.uniform(0, 4, size=(K, d)),
+                          1e-2)
+        covs = (q * vals[:, None, :]) @ np.swapaxes(q, -1, -2)
+        X = np.vstack([base] + [rng.multivariate_normal(m, c, size=20)
+                                for m, c in zip(means, covs)])
+        n = len(X)
+        F = np.empty((lpa._n_features(d), n))
+        centre = lpa._fill_features(F, X)
+        for mu, L in zip(means - centre, np.linalg.cholesky(covs)):
+            _, got = lpa._estep(F.T[:, :, None], np.ones((n, 1)),
+                                np.broadcast_to(mu, (n, 1, d)),
+                                np.broadcast_to(L, (n, 1, d, d)))
+            half = 0.5 * (solve_triangular(L, (X - centre - mu).T,
+                                           lower=True) ** 2).sum(axis=0)
+            want = -0.5 * (d * math.log(2 * math.pi)
+                           + 2 * np.log(np.diag(L)).sum()) - half
+            near = half < 50
+            worst = max(worst, np.abs(got - want)[near].max())
+            checked += near.sum()
+    assert checked > 10_000
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("B, n, K, starts", [(1, 1000, 2, 80),
+                                             (1, 1000, 6, 30),
+                                             (20, 200, 2, 20)])
+def test_a_block_stays_within_its_byte_budget(B, n, K, starts):
+    """The first (full) block of a plan, on one data set shared by every
+    start (B = 1) or on stacked replicates (B > 1), allocates at most
+    ``_BLOCK_BYTES`` beyond its data and one data set's feature rows, give
+    or take a stated margin: the E-step's per-point maximum and sum over
+    components (a transient row of N per start each), and 256 KiB for
+    numpy's ufunc buffers and the per-start parameter arrays."""
+    rng = np.random.default_rng(41)
+    Xs = rng.dirichlet(np.full(4, 2.0), size=(B, n))[..., :3]
+    pooled, _ = lpa._pooled_covs(Xs, "free-var-free-cov")
+    unit = lpa._plan_starts(Xs, np.arange(B), pooled, K, "free-var-free-cov",
+                            starts, 30, 1e-8, 0)[0]
+    S = len(unit[5])
+    assert S > 1
+    p = lpa._n_features(Xs.shape[-1])
+    allowed = (lpa._BLOCK_BYTES + unit[0].nbytes + 8 * p * n + 2 * 8 * n * S
+               + (1 << 18))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lpa._em_block(*unit)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= allowed
 
 
 def _ref_floor_covs(covs):
