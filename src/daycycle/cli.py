@@ -301,7 +301,9 @@ def _lpa_matrix(cohort: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
     sleep dropped."""
     labels = ("sit", "stand", "step")
     mat = np.column_stack([cohort.behavior(b) for b in labels])
-    return mat / cohort.total[:, None], labels
+    # a zero day length gives a row that is not finite, which lpa rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mat / cohort.total[:, None], labels
 
 
 def _classify(model_path: str, cohort: CohortTable):
@@ -419,8 +421,8 @@ def cmd_plot(args) -> dict[str, str]:
     out = _out_path(args)
     cohort = load_cohort_csv(args.input)
     if args.kind == "ternary":
-        svg = plotting.ternary_svg(cohort.compositions(labels=labels),
-                                   cohort.outcome, title="-".join(labels))
+        svg = plotting.ternary_svg(cohort.compositions(labels), labels,
+                                   cohort.outcome, "-".join(labels))
         name = "ternary.svg"
     elif args.kind == "realloc":
         _, _, svg = _realloc_curve(cohort, args.pivot, COVARIATE_COLUMNS,

@@ -16,12 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .composition import (
-    CANONICAL_LABELS,
-    Composition,
-    CompositionError,
-    replace_zeros,
-)
+from .composition import CANONICAL_LABELS, CompositionError, replace_zeros
 
 BEHAVIOR_LABELS = CANONICAL_LABELS
 
@@ -98,26 +93,16 @@ class CohortTable:
         parts.flags.writeable = False
         return parts
 
-    def compositions(self, labels: tuple[str, ...] | None = None
-                     ) -> list[Composition]:
-        """The rows of ``composition_array`` as ``Composition`` points.
-
-        With ``labels``, each point is the closed subcomposition of those
-        parts, in that order: the columns are picked from the array and
-        closed with one row-sum division.
-        """
-        parts = self.composition_array()
-        if labels is None:
-            labels = self.behavior_labels
-        else:
-            labels = tuple(labels)
-            for lab in labels:
-                if lab not in self.behavior_labels:
-                    raise CompositionError(f"unknown label {lab!r}")
-            parts = parts[:, [self.behavior_labels.index(lab)
-                              for lab in labels]]
-            parts = parts / parts.sum(axis=1, keepdims=True)
-        return [Composition(tuple(row), labels) for row in parts.tolist()]
+    def compositions(self, labels: tuple[str, ...]) -> np.ndarray:
+        """The closed (N, len(labels)) subcompositions of ``labels``, in
+        that order: their columns of ``composition_array``, each row closed
+        with one row-sum division."""
+        for lab in labels:
+            if lab not in self.behavior_labels:
+                raise CompositionError(f"unknown label {lab!r}")
+        parts = self.composition_array()[
+            :, [self.behavior_labels.index(lab) for lab in labels]]
+        return parts / parts.sum(axis=1, keepdims=True)
 
     def subset(self, mask: np.ndarray) -> "CohortTable":
         idx = np.flatnonzero(mask)

@@ -62,10 +62,6 @@ class Composition:
         except ValueError:
             raise CompositionError(f"unknown label {label!r}") from None
 
-    def subcomposition(self, labels: tuple[str, ...]) -> "Composition":
-        vals = [self.part(lab) for lab in labels]
-        return closure_values(vals, labels)
-
 
 def closure_values(values, labels) -> Composition:
     """Rescale positive values to sum to 1."""

@@ -57,10 +57,6 @@ class DayRecord(NamedTuple):
         return (self.out_bed - self.in_bed).total_seconds() / 60.0
 
     @property
-    def total_min(self) -> float:
-        return self.sit_min + self.stand_min + self.step_min + self.sleep_min
-
-    @property
     def valid(self) -> bool:
         return self.wear_min >= MIN_WEAR_MINUTES
 
@@ -203,7 +199,7 @@ def aggregate_person(
     sit, stand, step, sleep = (day_column(f"{b}_min") for b in BEHAVIOR_LABELS)
     behaviors = np.column_stack(
         [person_mean(col) for col in (sit, stand, step, sleep)])
-    total = person_mean(sit + stand + step + sleep)  # as DayRecord.total_min
+    total = person_mean(sit + stand + step + sleep)
     rows = [covariate_table[pid] for pid in ids]
     covariates = {name: np.array([row.get(name, math.nan) for row in rows])
                   for name in COVARIATE_COLUMNS}

@@ -28,6 +28,10 @@ from .linmod import (
 )
 
 
+# the knot counts among which the spline ISM's GCV chooses
+KNOT_GRID = (3, 4, 5)
+
+
 class IsmError(ValueError):
     pass
 
@@ -149,17 +153,15 @@ class FlexibleIsmFit:
 
 
 def fit_flexible_ism(cohort: CohortTable, covariates: list[str],
-                     dropped: str,
-                     knot_grid: tuple[int, ...] = (3, 4, 5)) -> FlexibleIsmFit:
+                     dropped: str) -> FlexibleIsmFit:
     """Spline ISM: each retained behavior gets a natural cubic spline basis,
-    total time stays linear, and the knot count minimizes GCV.  Reports a
-    joint Wald test over each behavior's spline coefficients."""
-    if not knot_grid:
-        raise IsmError("knot grid must be nonempty")
+    total time stays linear, and the knot count in ``KNOT_GRID`` that
+    minimizes GCV is kept.  Reports a joint Wald test over each behavior's
+    spline coefficients."""
     best = None
     scores: dict[int, float] = {}
-    designs = _ism_designs(cohort, dropped, covariates, knot_grid)
-    for n_knots, (X, labels, spans) in zip(knot_grid, designs):
+    designs = _ism_designs(cohort, dropped, covariates, KNOT_GRID)
+    for n_knots, (X, labels, spans) in zip(KNOT_GRID, designs):
         fit = fit_ols(X, cohort.outcome, labels)
         score = gcv_score(fit)
         scores[n_knots] = score

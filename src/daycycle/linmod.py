@@ -1,8 +1,8 @@
-"""Shared linear-model machinery: OLS, sandwich covariance, Wald tests,
-contrasts, natural cubic splines and GCV.
+"""Shared linear-model machinery: OLS, Wald tests, contrasts, natural cubic
+splines and GCV.
 
 A fit carries the model-based covariance, which every contrast and Wald test
-uses, and the HC1 sandwich, which ``FitResult.se(label, robust=True)`` reads.
+uses.
 
 The tail probabilities (``chi2_sf``, ``normal_sf``) import ``scipy.special``
 on their first call, so a process that computes no p-value never loads
@@ -48,9 +48,6 @@ class LinmodError(ValueError):
 class FitResult:
     coef: np.ndarray
     cov_model: np.ndarray
-    cov_robust: np.ndarray
-    sigma2: float
-    loglik: float
     n: int
     p: int
     labels: tuple[str, ...]
@@ -63,10 +60,9 @@ class FitResult:
         except ValueError:
             raise LinmodError(f"no coefficient named {label!r}") from None
 
-    def se(self, label: str, robust: bool = False) -> float:
+    def se(self, label: str) -> float:
         i = self.index(label)
-        v = self.cov_robust if robust else self.cov_model
-        return math.sqrt(v[i, i])
+        return math.sqrt(self.cov_model[i, i])
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class Estimate:
 
 def fit_ols(X: np.ndarray, y: np.ndarray,
             labels: tuple[str, ...] | None = None) -> FitResult:
-    """Ordinary least squares with model-based and HC1 sandwich covariance.
+    """Ordinary least squares with the model-based covariance.
 
     The ISM, spline ISM and CoDA fits all come through here, so this is
     where their input is checked: LinmodError when X is not 2-D, when
@@ -121,16 +117,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
     coef = vt.T @ ((u.T @ y) / s)
     fitted = X @ coef
     resid = y - fitted
-    rss = float(resid @ resid)
-    sigma2 = rss / (n - p)
-    xtx_inv = vt.T @ np.diag(1.0 / s**2) @ vt
-    cov_model = sigma2 * xtx_inv
-    meat = (X * resid[:, None] ** 2).T @ X
-    cov_robust = xtx_inv @ meat @ xtx_inv * (n / (n - p))
-    # Gaussian MLE log-likelihood, for AIC-style comparisons.
-    loglik = -0.5 * n * (math.log(2 * math.pi * rss / n) + 1.0)
-    return FitResult(coef, cov_model, cov_robust, sigma2, loglik, n, p,
-                     tuple(labels), resid, fitted)
+    sigma2 = float(resid @ resid) / (n - p)
+    cov_model = sigma2 * (vt.T @ np.diag(1.0 / s**2) @ vt)
+    return FitResult(coef, cov_model, n, p, tuple(labels), resid, fitted)
 
 
 def wald_test(fit: FitResult, C: np.ndarray) -> WaldTest:
@@ -172,26 +161,21 @@ def linear_combination(fit: FitResult, weights: np.ndarray) -> Estimate:
     return Estimate(est, se, est - Z95 * se, est + Z95 * se)
 
 
-def natural_cubic_spline_basis(x: np.ndarray, n_knots: int,
-                               knots: np.ndarray | None = None) -> np.ndarray:
-    """Natural cubic spline basis columns (intercept excluded).
+def natural_cubic_spline_basis(x: np.ndarray, n_knots: int) -> np.ndarray:
+    """Natural cubic spline basis columns (intercept excluded), on
+    ``n_knots`` equally spaced knots over the observed range.
 
-    Knots default to ``n_knots`` equally spaced points over the observed
-    range.  Returns n_knots - 1 columns, the first of which is ``x`` itself,
-    so any linear function is reproduced exactly; second derivatives vanish
-    beyond the boundary knots.
+    Returns n_knots - 1 columns, the first of which is ``x`` itself, so any
+    linear function is reproduced exactly; second derivatives vanish beyond
+    the boundary knots.
     """
     x = np.asarray(x, dtype=float)
-    if knots is None:
-        if n_knots < 2:
-            raise LinmodError("need at least 2 knots")
-        lo, hi = x.min(), x.max()
-        if hi <= lo:
-            raise LinmodError("cannot place knots on a constant variable")
-        knots = np.linspace(lo, hi, n_knots)
-    else:
-        knots = np.asarray(knots, dtype=float)
-        n_knots = len(knots)
+    if n_knots < 2:
+        raise LinmodError("need at least 2 knots")
+    lo, hi = x.min(), x.max()
+    if hi <= lo:
+        raise LinmodError("cannot place knots on a constant variable")
+    knots = np.linspace(lo, hi, n_knots)
     K = n_knots
     cols = [x]
 

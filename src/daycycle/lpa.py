@@ -24,6 +24,8 @@ VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-8  # default relative log-likelihood change that stops EM
 ARTIFACT_VERSION = 1
 MIN_BLRT_BOOT = 19  # the fewest replicates whose p-value can reach 0.05
+# a BLRT with a larger share of failed replicates raises ConvergenceError
+MAX_BOOT_FAILURE_FRACTION = 0.2
 
 
 class LpaError(ValueError):
@@ -793,7 +795,6 @@ def _plan_boot(X: np.ndarray, K: int, structure: str,
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
          n_boot: int = 500, starts: int = 20, starts_boot: int = 20,
          max_iter: int = 250, tol: float = EM_TOL, seed: int = 0,
-         max_failure_fraction: float = 0.2,
          null_model: MixtureModel | None = None,
          alt_model: MixtureModel | None = None,
          _boot: tuple | None = None) -> dict:
@@ -813,7 +814,7 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     statistic uses the best non-degenerate start of each order.  A replicate
     fails when the variance floor of its pooled covariance fails, or when
     all its K-1 starts or all its K starts are degenerate; more than
-    ``max_failure_fraction`` of ``n_boot`` failing raises
+    ``MAX_BOOT_FAILURE_FRACTION`` of ``n_boot`` failing raises
     ``ConvergenceError``.
 
     ``_boot`` holds the failed mask and the sets that ``_plan_boot`` returns
@@ -848,7 +849,7 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                 degenerate.shape)).max(axis=1)
             failed[sets] |= degenerate.all(axis=1)
     failures = int(failed.sum())
-    if failures > max_failure_fraction * n_boot:
+    if failures > MAX_BOOT_FAILURE_FRACTION * n_boot:
         raise ConvergenceError(
             f"{failures}/{n_boot} bootstrap refits failed")
     boot_stats = 2.0 * (best[1, ~failed] - best[0, ~failed])

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .composition import Composition, CompositionError
+from .composition import CompositionError
 
 _W, _H = 480.0, 420.0
 _MARGIN = 50.0
@@ -19,22 +19,25 @@ def _f(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _svg(body: list[str], width: float = _W, height: float = _H) -> str:
+def _svg(title: str, body: list[str]) -> str:
+    """The SVG document of ``body``, under ``title``."""
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:.0f}" '
+        f'height="{_H:.0f}" viewBox="0 0 {_W:.0f} {_H:.0f}">\n'
+        f'<text x="{_f(_W / 2)}" y="20" text-anchor="middle" '
+        f'font-size="14">{title}</text>\n'
     )
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def ternary_svg(compositions: list[Composition], values: np.ndarray | None = None,
-                title: str = "") -> str:
-    """Scatter of 3-part compositions in the unit triangle, vertices labeled
-    with the behavior names; optional values drive a blue-orange fill, whose
-    range comes from the finite values.  Points without a finite value, and
-    every point when ``values`` is None, get the fill of the lowest value."""
-    labels = compositions[0].labels
+def ternary_svg(parts: np.ndarray, labels: tuple[str, ...],
+                values: np.ndarray, title: str) -> str:
+    """Scatter of the closed (N, 3) compositions ``parts`` in the unit
+    triangle, vertices labeled with the behavior names ``labels``; the
+    values drive a blue-orange fill, whose range comes from the finite
+    values.  Points without a finite value get the fill of the lowest
+    value."""
     side = _W - 2 * _MARGIN
     tri_h = side * math.sqrt(3) / 2
 
@@ -42,9 +45,6 @@ def ternary_svg(compositions: list[Composition], values: np.ndarray | None = Non
         return _MARGIN + u * side, _H - _MARGIN - v * side
 
     body = []
-    if title:
-        body.append(f'<text x="{_f(_W / 2)}" y="20" text-anchor="middle" '
-                    f'font-size="14">{title}</text>')
     v0, v1, v2 = to_px(0, 0), to_px(1, 0), to_px(0.5, tri_h / side)
     body.append(
         f'<polygon points="{_f(v0[0])},{_f(v0[1])} {_f(v1[0])},{_f(v1[1])} '
@@ -53,34 +53,33 @@ def ternary_svg(compositions: list[Composition], values: np.ndarray | None = Non
     for lab, ((px, py), anchor, dy) in zip(labels, anchors):
         body.append(f'<text x="{_f(px)}" y="{_f(py + dy)}" '
                     f'text-anchor="{anchor}" font-size="12">{lab}</text>')
-    pts = np.array([c.parts for c in compositions])
-    if pts.shape[1] != 3:
+    if parts.shape[1] != 3:
         raise CompositionError(
             "ternary coordinates require a 3-part composition")
     # parts (a, b, c) map to (b + c/2, c*sqrt(3)/2): vertices (0, 0), (1, 0)
     # and (1/2, sqrt(3)/2) in part order
-    px, py = to_px(pts[:, 1] + 0.5 * pts[:, 2], (math.sqrt(3) / 2) * pts[:, 2])
-    fills = np.full(len(pts), _NO_VALUE_FILL, dtype=object)
-    if values is not None:
-        values = np.asarray(values, dtype=float)
-        known = np.isfinite(values)
-        if known.any():
-            v = values[known]
-            vmin, vmax = float(v.min()), float(v.max())
-            t = (v - vmin) / ((vmax - vmin) or 1.0)
-            # red and blue run from #4477aa to #ee7733; green stays 0x77
-            r = (68 + t * (238 - 68)).astype(int)
-            b = (170 + t * (51 - 170)).astype(int)
-            fills[known] = [f"#{ri:02x}77{bi:02x}"
-                            for ri, bi in zip(r.tolist(), b.tolist())]
+    px, py = to_px(parts[:, 1] + 0.5 * parts[:, 2],
+                   (math.sqrt(3) / 2) * parts[:, 2])
+    fills = np.full(len(parts), _NO_VALUE_FILL, dtype=object)
+    values = np.asarray(values, dtype=float)
+    known = np.isfinite(values)
+    if known.any():
+        v = values[known]
+        vmin, vmax = float(v.min()), float(v.max())
+        t = (v - vmin) / ((vmax - vmin) or 1.0)
+        # red and blue run from #4477aa to #ee7733; green stays 0x77
+        r = (68 + t * (238 - 68)).astype(int)
+        b = (170 + t * (51 - 170)).astype(int)
+        fills[known] = [f"#{ri:02x}77{bi:02x}"
+                        for ri, bi in zip(r.tolist(), b.tolist())]
     body.extend(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="2.5" '
                 f'fill="{fill}" fill-opacity="0.7"/>'
                 for x, y, fill in zip(px.tolist(), py.tolist(), fills))
-    return _svg(body)
+    return _svg(title, body)
 
 
 def curve_svg(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              title: str = "") -> str:
+              title: str) -> str:
     """Line plot with a shaded pointwise 95% confidence band and a zero line."""
     x = np.asarray(x, dtype=float)
     ymin = min(float(lo.min()), 0.0)
@@ -94,9 +93,6 @@ def curve_svg(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         return px, py
 
     body = []
-    if title:
-        body.append(f'<text x="{_f(_W / 2)}" y="20" text-anchor="middle" '
-                    f'font-size="14">{title}</text>')
     band = [to_px(xi, hi_i) for xi, hi_i in zip(x, hi)]
     band += [to_px(xi, lo_i) for xi, lo_i in zip(x[::-1], lo[::-1])]
     pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in band)
@@ -115,11 +111,11 @@ def curve_svg(x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     body.append(f'<text x="14" y="{_f(_H / 2)}" text-anchor="middle" '
                 f'font-size="12" transform="rotate(-90 14 {_f(_H / 2)})">'
                 'predicted outcome difference</text>')
-    return _svg(body)
+    return _svg(title, body)
 
 
 def profile_boxplot_svg(groups: dict[str, dict[str, np.ndarray]],
-                        title: str = "") -> str:
+                        title: str) -> str:
     """Grouped boxplots: one panel column per behavior, one box per profile.
 
     ``groups`` maps profile name -> {behavior: sample of hours/day}; profile
@@ -138,9 +134,6 @@ def profile_boxplot_svg(groups: dict[str, dict[str, np.ndarray]],
         return _H - _MARGIN - (v - ymin) / yspan * (_H - 2 * _MARGIN)
 
     body = []
-    if title:
-        body.append(f'<text x="{_f(_W / 2)}" y="20" text-anchor="middle" '
-                    f'font-size="14">{title}</text>')
     for ci, b in enumerate(behaviors):
         x0 = _MARGIN + ci * panel_w
         body.append(f'<text x="{_f(x0 + panel_w / 2)}" y="{_f(_H - 12)}" '
@@ -164,4 +157,4 @@ def profile_boxplot_svg(groups: dict[str, dict[str, np.ndarray]],
                         f'x2="{_f(cx + half)}" y2="{_f(to_py(q2))}" '
                         'stroke="#224488" stroke-width="1.5"/>')
             body.append('</g>')
-    return _svg(body)
+    return _svg(title, body)

@@ -120,18 +120,18 @@ def _weighted_cluster_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray,
 
 def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
                  outcome: np.ndarray, covariates: np.ndarray | None = None,
-                 method: str = "bch", reference: int | None = None,
-                 error_matrix: np.ndarray | None = None) -> Step3Result:
+                 method: str = "bch", reference: int | None = None
+                 ) -> Step3Result:
     """Class-specific outcome differences, naive or BCH-corrected.
 
-    ``reference`` defaults to the largest assigned class.  For BCH the
-    classification-error matrix defaults to the one estimated from the
-    posteriors and assignments; its inverse supplies the pseudo-observation
-    weights (which can be negative and are kept as such).
+    ``reference`` defaults to the largest assigned class.  BCH estimates the
+    classification-error matrix from the posteriors and assignments; its
+    inverse supplies the pseudo-observation weights (which can be negative
+    and are kept as such).
 
-    Inputs of the wrong shape, non-finite cells, fewer than 2 classes, and
-    an assignment or ``reference`` outside [0, K) raise Step3Error before
-    any fit.
+    Inputs of the wrong shape, non-finite cells, fewer than 2 classes, an
+    assignment or ``reference`` outside [0, K), and no more subjects than
+    coefficients raise Step3Error before any fit.
     """
     from .lpa import classification_error_matrix
 
@@ -144,15 +144,15 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     if covariates is None:
         covariates = np.empty((n, 0))
     covariates = _checked("covariates", covariates, (n, -1))
-    if error_matrix is not None:
-        error_matrix = _checked("error matrix", error_matrix, (K, K))
+    p = (K - 1) + covariates.shape[1] + 1
+    if n <= p:
+        raise Step3Error(f"need N > p; got N={n}, p={p}")
     if reference is None:
         reference = int(np.bincount(assignments, minlength=K).argmax())
     if method == "naive":
         W = np.eye(K)
     elif method == "bch":
-        if error_matrix is None:
-            error_matrix = classification_error_matrix(posteriors, assignments)
+        error_matrix = classification_error_matrix(posteriors, assignments)
         try:
             W = np.linalg.inv(error_matrix)
         except np.linalg.LinAlgError:
@@ -222,8 +222,9 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
 
     Per-subject likelihood: sum_k P(class k | x_i) * D[k, assigned_i].
     With an identity error matrix this is the ordinary multinomial logit on
-    the assignments.  Rejects the inputs that ``step3_distal`` rejects, and
-    an error matrix that is not square.
+    the assignments.  Rejects fewer than 2 classes and the assignments,
+    ``reference`` and covariates that ``step3_distal`` rejects, and an error
+    matrix that is not square.
 
     ``converged`` is a score test at the fit: U' (-H)^-1 U <= 1e-6 for the
     score U and Hessian H of log L, so a Newton step moves no coefficient

@@ -109,3 +109,16 @@ def floored_row(minutes, floor=1.0):
         vals = vals * ((total - floor * zero.sum()) / total)
         vals[zero] = floor
     return vals
+
+
+def closed_subcompositions(behaviors, picked):
+    """The per-point path to ``CohortTable.compositions(picked)``: each row
+    of the (N, 4) minutes floored and closed with ``closure_values``, then
+    its ``picked`` parts closed again with ``closure_values``."""
+    from daycycle.composition import closure_values
+    rows = []
+    for row in behaviors:
+        point = closure_values(floored_row(row), BEHAVIOR_LABELS)
+        rows.append(closure_values([point.part(lab) for lab in picked],
+                                   picked).parts)
+    return np.array(rows)

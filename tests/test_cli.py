@@ -443,26 +443,71 @@ def test_step3_on_a_one_class_model_exits_2(tmp_path, cohort_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["naive", "bch"])
+def test_step3_needs_more_persons_than_coefficients(tmp_path, cohort_csv,
+                                                    lpa_out, capsys, method):
+    """The K=2 model and the 8 default covariates make p = 10 coefficients:
+    the first 9 or 10 persons (all complete) exit 2 with nothing written,
+    the first 11 fit."""
+    model = lpa_out / "lpa_model.json"
+    assert len(json.loads(model.read_text())["weights"]) == 2
+    lines = cohort_csv.read_text().splitlines(keepends=True)
+    for n in (9, 10, 11):
+        path = tmp_path / f"first_{n}.csv"
+        path.write_text("".join(lines[:n + 1]))
+        out = tmp_path / f"out_{n}"
+        rc = run(["step3", model, path, "-o", out, "--method", method])
+        err = capsys.readouterr().err
+        if n <= 10:
+            assert (rc, err) == (
+                2, f"data error: need N > p; got N={n}, p=10\n")
+            assert not out.exists()
+        else:
+            assert (rc, err) == (0, "")
+
+
+def test_zero_length_day_exits_2_with_one_line(tmp_path, cohort_csv, lpa_out,
+                                               capsys):
+    """A row whose minutes and day length are all 0 loads, but its LPA
+    indicators are not finite: lpa, step3 and the profiles plot say so in
+    one line, without numpy's warning first."""
+    from daycycle.cohort import CSV_HEADER
+
+    def zero_day(line):
+        for b in ("sit", "stand", "step", "sleep", "total"):
+            line = _set_field(line, CSV_HEADER.index(f"{b}_min"), "0")
+        return line
+
+    path = _edited_cohort(cohort_csv, tmp_path, 8, zero_day)
+    model = lpa_out / "lpa_model.json"
+    out = tmp_path / "out"
+    for args in (["lpa", path, "--classes", "1:2"], ["step3", model, path],
+                 ["plot", path, "--kind", "profiles", "--model", model]):
+        assert run(args + ["-o", out]) == 2, args
+        assert capsys.readouterr().err == (
+            "data error: 1 of 250 data rows hold a non-finite value\n"), args
+    assert not out.exists()
+
+
 def test_ternary_svg_matches_per_row_compositions(tmp_path, cohort_csv):
     """The plot built from the composition array is byte-identical to one
-    built from per-row zero replacement and closure."""
+    built from per-row zero replacement and closure, in either label
+    order."""
     from daycycle import plotting
-    from daycycle.composition import closure_values
-    from conftest import floored_row
+    from conftest import closed_subcompositions
     cohort = load_cohort_csv(cohort_csv)
     cohort.behaviors[[2, 5], 2] = 0.0  # zero step time: floored
     path = tmp_path / "zeros.csv"
     save_cohort_csv(cohort, path)
     cohort = load_cohort_csv(path)
-    labels = ("sit", "stand", "step")
-    comps = []
-    for row in cohort.behaviors:
-        comps.append(closure_values(floored_row(row), cohort.behavior_labels)
-                     .subcomposition(labels))
-    want = plotting.ternary_svg(comps, cohort.outcome, title="-".join(labels))
-    out = tmp_path / "plots"
-    assert run(["plot", path, "-o", out, "--kind", "ternary"]) == 0
-    assert (out / "ternary.svg").read_text(encoding="utf-8") == want
+    for labels in [("sit", "stand", "step"), ("step", "sleep", "sit")]:
+        want = plotting.ternary_svg(
+            closed_subcompositions(cohort.behaviors, labels), labels,
+            cohort.outcome, "-".join(labels))
+        out = tmp_path / "-".join(labels)
+        assert run(["plot", path, "-o", out, "--kind", "ternary",
+                    "--behaviors", *labels]) == 0
+        assert (out / "ternary.svg").read_text(encoding="utf-8") == want
 
 
 def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
@@ -484,8 +529,8 @@ def test_ternary_plot_with_a_missing_outcome(tmp_path, cohort_csv, capsys):
     labels = ("sit", "stand", "step")
     lowest = cohort.outcome.copy()
     lowest[7] = np.nanmin(lowest)
-    assert svg == plotting.ternary_svg(cohort.compositions(labels=labels),
-                                       lowest, title="-".join(labels))
+    assert svg == plotting.ternary_svg(cohort.compositions(labels), labels,
+                                       lowest, "-".join(labels))
     # the ends of the range are the lowest and highest known outcomes
     assert circles[int(np.nanargmin(cohort.outcome))].get("fill") == "#4477aa"
     assert circles[int(np.nanargmax(cohort.outcome))].get("fill") == "#ee7733"

@@ -285,8 +285,10 @@ def test_zero_replacement_errors():
 def test_ternary_coords_vertices_and_centroid():
     """``ternary_svg`` puts near-vertex points on the triangle's corners and
     the uniform composition on its centroid, to the 3 decimals it prints."""
-    svg = ternary_svg([comp([1, 1e-9, 1e-9]), comp([1e-9, 1, 1e-9]),
-                       comp([1e-9, 1e-9, 1]), uniform(LAB3)])
+    points = [comp([1, 1e-9, 1e-9]), comp([1e-9, 1, 1e-9]),
+              comp([1e-9, 1e-9, 1]), uniform(LAB3)]
+    svg = ternary_svg(np.array([c.parts for c in points]), LAB3,
+                      np.zeros(4), "a-b-c")
     corners = re.search(r'<polygon points="([^"]*)"', svg).group(1).split()
     points = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
     assert [",".join(p) for p in points[:3]] == corners

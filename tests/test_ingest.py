@@ -51,7 +51,6 @@ def make_day(pid="p1", date="2020-01-01", sit=600.0, stand=200.0, step=80.0,
 def test_day_record_derived_fields():
     d = make_day()
     assert d.sleep_min == pytest.approx(480.0)
-    assert d.total_min == pytest.approx(600 + 200 + 80 + 480)
     assert d.valid
 
 
@@ -292,9 +291,6 @@ def test_composition_array_matches_per_row_closure():
     assert np.array_equal(parts, reference_composition_array(
         cohort.behaviors, cohort.behavior_labels))
     assert not parts.flags.writeable
-    comps = cohort.compositions()
-    assert [c.parts for c in comps] == [tuple(row) for row in parts.tolist()]
-    assert all(c.labels == cohort.behavior_labels for c in comps)
     # whole minutes: the floored rows must not be truncated back to integers
     cohort = cohort.subset(np.ones(cohort.n, dtype=bool))
     cohort.behaviors = np.round(cohort.behaviors).astype(int)
@@ -335,7 +331,8 @@ def _reference_aggregate(valid):
     ids = sorted(valid)
     behaviors = np.array([[np.mean([getattr(d, f"{b}_min") for d in valid[p]])
                            for b in BEHAVIOR_LABELS] for p in ids])
-    total = np.array([np.mean([d.total_min for d in valid[p]]) for p in ids])
+    total = np.array([np.mean([d.sit_min + d.stand_min + d.step_min
+                               + d.sleep_min for d in valid[p]]) for p in ids])
     return behaviors, total
 
 
@@ -530,19 +527,19 @@ def test_load_cohort_csv_reads_blank_covariates_and_outcome_as_nan(tmp_path):
 
 
 def test_compositions_of_labels_match_per_point_subcomposition():
-    """The subcomposition points are closed from the array, bit for bit as
-    per-point ``subcomposition`` closed them, in the order asked for."""
-    from conftest import make_cohort
+    """The subcompositions are closed from the array, bit for bit as closing
+    each point's picked parts closes them, in the order asked for."""
+    from conftest import closed_subcompositions, make_cohort
     cohort = make_cohort(n=400, seed=27)
     cohort.behaviors[3, 2] = 0.0
     cohort.behaviors[10, [0, 2]] = 0.0
     cohort.behaviors[11, 1:] = 0.0
     for labels in [("sit", "stand", "step"), ("sleep", "sit", "step"),
                    ("step", "stand"), cohort.behavior_labels]:
-        want = [c.subcomposition(labels) for c in cohort.compositions()]
-        got = cohort.compositions(labels=list(labels))
-        assert [c.parts for c in got] == [c.parts for c in want]
-        assert all(c.labels == labels for c in got)
+        got = cohort.compositions(labels)
+        assert got.shape == (cohort.n, len(labels))
+        assert np.array_equal(
+            got, closed_subcompositions(cohort.behaviors, labels))
 
 
 def test_compositions_reject_an_unknown_label():
@@ -550,7 +547,7 @@ def test_compositions_reject_an_unknown_label():
     from daycycle.composition import CompositionError
     cohort = make_cohort(n=20, seed=28)
     with pytest.raises(CompositionError, match="unknown label 'nap'"):
-        cohort.compositions(labels=("sit", "nap", "step"))
+        cohort.compositions(("sit", "nap", "step"))
 
 
 # --- the one-pass day parser against the per-row parser it replaced ---
@@ -688,7 +685,6 @@ def test_day_record_contract():
     assert len({by_position, by_keyword}) == 1
     assert by_position != by_position._replace(wear_min=599.0)
     assert by_position.sleep_min == 510.0
-    assert by_position.total_min == 600.0 + 200.0 + 80.0 + 510.0
     assert by_position.valid
     assert not by_position._replace(wear_min=599.0).valid
     for name in DayRecord._fields + ("sleep_min", "valid"):

@@ -8,6 +8,7 @@ import pytest
 from conftest import make_cohort
 from daycycle.coda import fit_coda
 from daycycle.cohort import CohortError
+from daycycle import ism
 from daycycle.ism import (
     IsmError,
     build_ism_design,
@@ -161,13 +162,13 @@ def test_flexible_ism_detects_curvature():
         flex.behavior_tests["stand"].statistic
 
 
-def test_flexible_ism_gcv_selects_among_grid():
+def test_flexible_ism_gcv_selects_among_grid(monkeypatch):
+    monkeypatch.setattr(ism, "KNOT_GRID", (3, 4))
     cohort = make_cohort(n=500, seed=16, behavior_effects=TRUE_EFFECTS)
-    flex = fit_flexible_ism(cohort, COVS, dropped="step", knot_grid=(3, 4))
+    flex = fit_flexible_ism(cohort, COVS, dropped="step")
+    assert set(flex.gcv_by_knots) == {3, 4}
     assert flex.n_knots == min(flex.gcv_by_knots,
                                key=flex.gcv_by_knots.get)
-    with pytest.raises(IsmError):
-        fit_flexible_ism(cohort, COVS, dropped="step", knot_grid=())
 
 
 def test_flexible_ism_on_a_constant_total_warns_once_and_fits():

@@ -542,10 +542,11 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes,
              (collinear_data(), 2, "free-var-free-cov")]
     default = [fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
                for X, K, st in cases]
-    blrt_cases = [(three_class_data(n=240, seed=16), 2, {}),
-                  (collinear_data(40), 4, {"max_failure_fraction": 1.0})]
-    default_blrt = [blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
-                         **kw) for X, K, kw in blrt_cases]
+    monkeypatch.setattr(lpa, "MAX_BOOT_FAILURE_FRACTION", 1.0)
+    blrt_cases = [(three_class_data(n=240, seed=16), 2),
+                  (collinear_data(40), 4)]
+    default_blrt = [blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2)
+                    for X, K in blrt_cases]
     # two BLRTs, one of them with a null model that is not in the table
     table = (three_class_data(n=240, seed=16), range(2, 4))
     table_kw = dict(starts=4, max_iter=60, seed=2, run_blrt=True, n_boot=19,
@@ -557,9 +558,8 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_bytes,
         got, got_post = fit_mixture(X, K, st, starts=9, max_iter=80, seed=2)
         assert got.to_json() == want.to_json()
         assert np.array_equal(got_post, want_post)
-    for (X, K, kw), want in zip(blrt_cases, default_blrt):
-        assert blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2,
-                    **kw) == want
+    for (X, K), want in zip(blrt_cases, default_blrt):
+        assert blrt(X, K, n_boot=19, starts=3, starts_boot=1, seed=2) == want
     rows, models = selection_table(*table, **table_kw)
     assert rows == want_rows
     assert all(row.blrt_p is not None for row in rows)
@@ -653,8 +653,7 @@ def test_selection_table_blrt_reuses_its_fits():
 # reference for its batched refits ---
 
 def _ref_blrt(X, K, structure="free-var-free-cov", n_boot=500, starts=20,
-              starts_boot=20, max_iter=250, tol=1e-8, seed=0,
-              max_failure_fraction=0.2):
+              starts_boot=20, max_iter=250, tol=1e-8, seed=0):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -677,7 +676,7 @@ def _ref_blrt(X, K, structure="free-var-free-cov", n_boot=500, starts=20,
             boot_stats.append(2.0 * (m1.loglik - m0.loglik))
         except LpaError:
             failures += 1
-    if failures > max_failure_fraction * n_boot:
+    if failures > lpa.MAX_BOOT_FAILURE_FRACTION * n_boot:
         raise ConvergenceError(
             f"{failures}/{n_boot} bootstrap refits failed")
     boot_stats = np.asarray(boot_stats)
@@ -701,29 +700,29 @@ def test_batched_blrt_matches_per_replicate_reference(seed):
         assert blrt(X, K, seed=seed, **kw) == _ref_blrt(X, K, seed=seed, **kw)
 
 
-def test_batched_blrt_counts_failed_replicates_as_the_reference():
+def test_batched_blrt_counts_failed_replicates_as_the_reference(monkeypatch):
     """On 40 nearly collinear points a K=4 refit from one start often
     degenerates: 6 of 19 replicates fail here, and the threshold on the
     failure count is the reference's.  On 60 points with 3 starts per
     replicate, several replicates keep some but not all of their starts,
     and one fails."""
+    monkeypatch.setattr(lpa, "MAX_BOOT_FAILURE_FRACTION", 1.0)
     X = collinear_data(60)
-    kw = dict(n_boot=19, starts=4, starts_boot=3, seed=0,
-              max_failure_fraction=1.0)
+    kw = dict(n_boot=19, starts=4, starts_boot=3, seed=0)
     want = _ref_blrt(X, 4, **kw)
     assert want["n_boot_failed"] == 1
     assert blrt(X, 4, **kw) == want
     X = collinear_data(40)
     kw = dict(n_boot=19, starts=4, starts_boot=1, seed=0)
-    want = _ref_blrt(X, 4, max_failure_fraction=1.0, **kw)
+    want = _ref_blrt(X, 4, **kw)
     assert want["n_boot_failed"] == 6
-    assert blrt(X, 4, max_failure_fraction=1.0, **kw) == want
-    fraction = 6 / 19
-    assert blrt(X, 4, max_failure_fraction=fraction, **kw) == _ref_blrt(
-        X, 4, max_failure_fraction=fraction, **kw)
+    assert blrt(X, 4, **kw) == want
+    monkeypatch.setattr(lpa, "MAX_BOOT_FAILURE_FRACTION", 6 / 19)
+    assert blrt(X, 4, **kw) == _ref_blrt(X, 4, **kw)
+    monkeypatch.setattr(lpa, "MAX_BOOT_FAILURE_FRACTION", 6 / 19 - 1e-3)
     for impl in (blrt, _ref_blrt):
         with pytest.raises(ConvergenceError, match="6/19"):
-            impl(X, 4, max_failure_fraction=fraction - 1e-3, **kw)
+            impl(X, 4, **kw)
 
 
 # --- the EM kernel's numerics and memory: centred sufficient statistics,

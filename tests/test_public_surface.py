@@ -1,11 +1,14 @@
-"""Every public top-level name in ``src/daycycle`` is reached by a pipeline.
+"""Every public top-level name in ``src/daycycle`` is reached by a pipeline,
+and every option of a public function or method is set by one.
 
 A name counts as reached when a ``Name``, an ``Attribute`` or an import alias
 refers to it from ``src/`` outside its own definition, from the acceptance
 criteria (``tests/test_acceptance.py``) or from the benchmark
 (``perfbench/*.py``).  A name that only its own unit tests call is library
 surface that no pipeline needs; delete it with its tests instead of keeping
-it alive.
+it alive.  An option, a parameter with a default, counts as set when a call
+from the same places passes it, by keyword or by position; one that only
+tests set becomes the value the pipelines use.
 """
 
 import ast
@@ -20,6 +23,14 @@ CALLERS = [ROOT / "tests" / "test_acceptance.py",
 UNREACHED_BY_DESIGN = {
     "step3_covariate": "ML step 3 with covariates, a north-star pipeline "
                        "that ROADMAP direction 3 wires into the CLI",
+}
+
+
+# function.parameter -> why it stays without a caller that sets it
+UNSET_BY_DESIGN = {
+    "main.argv": "perfbench hands cli.main to its runner, which passes argv",
+    "step3_covariate.reference": "step3_covariate waits for ROADMAP "
+                                 "direction 3 (see UNREACHED_BY_DESIGN)",
 }
 
 
@@ -79,3 +90,79 @@ def test_every_public_name_is_reached():
             f"{name} is reached now: take it off UNREACHED_BY_DESIGN")
     assert not unreached, ("reached only by their own unit tests, if at "
                            "all: " + ", ".join(sorted(unreached.values())))
+
+
+def _options(tree: ast.Module):
+    """``(definition, parameter, position)`` for each parameter with a
+    default of a public top-level function or of a public method of a public
+    class.  ``position`` is the index of the call argument that sets it
+    (a call through an attribute does not pass a method's ``self`` or
+    ``cls``), None for a keyword-only parameter."""
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    methods = [item for node in tree.body if isinstance(node, ast.ClassDef)
+               and not node.name.startswith("_")
+               for item in node.body if isinstance(item, ast.FunctionDef)]
+    for node in functions + methods:
+        if node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        bound = int(node in methods and bool(positional)
+                    and positional[0].arg in ("self", "cls"))
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], start=first - bound):
+            yield node, arg.arg, i
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` sets ``param``: by keyword, by ``**``, by a
+    positional argument at ``position`` or by a ``*`` argument before it."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = [i for i, arg in enumerate(call.args)
+               if isinstance(arg, ast.Starred)]
+    return len(call.args) > position or bool(starred and starred[0] <= position)
+
+
+def _unset() -> list[str]:
+    """``function.parameter`` for each option that no call from ``src/``
+    outside the function's own definition, the acceptance criteria or the
+    benchmark sets.  Calls match by the called name alone, so a call of
+    another function of the same name also counts."""
+    calls = []  # (top-level statement or method around it, call)
+    for path in CALLERS:
+        calls += [(None, n) for n in ast.walk(_parse(path))
+                  if isinstance(n, ast.Call)]
+    options = []
+    for path in SRC:
+        tree = _parse(path)
+        options += list(_options(tree))
+        units = [item for stmt in tree.body for item in
+                 (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+        calls += [(unit, n) for unit in units for n in ast.walk(unit)
+                  if isinstance(n, ast.Call)]
+    unset = []
+    for node, param, position in options:
+        if not any(where is not node
+                   and node.name in (getattr(call.func, "id", None),
+                                     getattr(call.func, "attr", None))
+                   and _passes(call, param, position)
+                   for where, call in calls):
+            unset.append(f"{node.name}.{param}")
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_a_pipeline():
+    unset = _unset()
+    for option in UNSET_BY_DESIGN:
+        assert option in unset, (
+            f"{option} is set now: take it off UNSET_BY_DESIGN")
+        unset.remove(option)
+    assert not unset, ("options set only by tests, if at all: "
+                       + ", ".join(unset))

@@ -38,10 +38,12 @@ def two_class_setup(n=800, seed=0, sep=1.2, delta=0.4):
 
 
 def test_naive_equals_bch_with_identity_error_matrix():
-    post, assign, y, _ = two_class_setup()
+    """One-hot posteriors estimate the error matrix D = I, whose BCH
+    weights are the naive method's."""
+    _, assign, y, _ = two_class_setup()
+    post = np.eye(2)[assign]
     naive = step3_distal(post, assign, y, method="naive")
-    ident = step3_distal(post, assign, y, method="bch",
-                         error_matrix=np.eye(2))
+    ident = step3_distal(post, assign, y, method="bch")
     assert np.array_equal(naive.coef, ident.coef)
     assert np.array_equal(naive.robust_se, ident.robust_se)
     assert naive.overall.statistic == ident.overall.statistic
@@ -56,9 +58,12 @@ def test_naive_matches_dummy_regression():
     n = len(y)
     X = np.column_stack([(assign == 1).astype(float), np.ones(n)])
     fit = fit_ols(X, y, ("class_1", "intercept"))
+    bread = np.linalg.inv(X.T @ X)
+    meat = X.T @ (X * fit.residuals[:, None] ** 2)
+    hc1 = bread @ meat @ bread * n / (n - X.shape[1])
     est, se = res.class_effect(1)
     assert est == pytest.approx(fit.coef[0], abs=1e-10)
-    assert se == pytest.approx(fit.se("class_1", robust=True), abs=1e-10)
+    assert se == pytest.approx(math.sqrt(hc1[0, 0]), abs=1e-10)
 
 
 def test_reference_defaults_to_largest_class():
@@ -106,9 +111,10 @@ def test_distal_method_validation():
     post, assign, y, _ = two_class_setup(n=100, seed=6)
     with pytest.raises(Step3Error):
         step3_distal(post, assign, y, method="bogus")
-    with pytest.raises(Step3Error):
-        step3_distal(post, assign, y, method="bch",
-                     error_matrix=np.ones((2, 2)))
+    # equal posteriors put everyone in class 0: D's columns are 1 and 0
+    with pytest.raises(Step3Error, match="singular"):
+        step3_distal(np.full_like(post, 0.5), np.zeros(len(y), dtype=int), y,
+                     method="bch")
 
 
 def step3_inputs():
@@ -155,7 +161,9 @@ def no_fit(*args, **kwargs):
     raise AssertionError("a fit ran on rejected input")
 
 
-@pytest.mark.parametrize("case", BAD_STEP3_INPUTS)
+@pytest.mark.parametrize("case", [c for c, (entry, _, _) in
+                                  BAD_STEP3_INPUTS.items()
+                                  if entry != "error_matrix"])
 def test_distal_rejects_bad_input_before_fitting(case, monkeypatch):
     entry, change, match = BAD_STEP3_INPUTS[case]
     monkeypatch.setattr(step3, "_weighted_cluster_ols", no_fit)
@@ -163,8 +171,27 @@ def test_distal_rejects_bad_input_before_fitting(case, monkeypatch):
     x[entry] = change(x[entry])
     with pytest.raises(Step3Error, match=match):
         step3_distal(x["posteriors"], x["assignments"], x["outcome"],
-                     x["covariates"], method="bch", reference=x["reference"],
-                     error_matrix=x["error_matrix"])
+                     x["covariates"], method="bch", reference=x["reference"])
+
+
+@pytest.mark.parametrize("method", ["naive", "bch"])
+def test_distal_needs_more_subjects_than_coefficients(method, monkeypatch):
+    """K=2 and 8 covariates make p = 1 + 8 + 1 = 10 coefficients: N = 9 and
+    N = 10 are rejected before any fit, N = 11 fits."""
+    rng = np.random.default_rng(41)
+    post = rng.dirichlet(np.ones(2), size=11)
+    post[:2] = [[0.9, 0.1], [0.1, 0.9]]  # both classes assigned
+    assign, y = post.argmax(axis=1), rng.normal(size=11)
+    covs = rng.normal(size=(11, 8))
+    with monkeypatch.context() as m:
+        m.setattr(step3, "_weighted_cluster_ols", no_fit)
+        for n in (9, 10):
+            with pytest.raises(Step3Error,
+                               match=rf"need N > p; got N={n}, p=10$"):
+                step3_distal(post[:n], assign[:n], y[:n], covs[:n],
+                             method=method)
+    res = step3_distal(post, assign, y, covs, method=method)
+    assert res.n == 11 and np.isfinite(res.robust_se).all()
 
 
 # step3_covariate has no posteriors or outcome, and takes N from the
@@ -266,16 +293,14 @@ def test_covariate_singular_error_matrix():
 # np.add.at, and the ML covariate model with a finite-difference Hessian ---
 
 def reference_step3_distal(posteriors, assignments, outcome, covariates,
-                           method, reference, error_matrix=None):
+                           method, reference):
     from daycycle.lpa import classification_error_matrix
     n, K = posteriors.shape
     if method == "naive":
         W = np.eye(K)
     else:
-        if error_matrix is None:
-            error_matrix = classification_error_matrix(posteriors,
-                                                       assignments)
-        W = np.linalg.inv(error_matrix)
+        W = np.linalg.inv(classification_error_matrix(posteriors,
+                                                      assignments))
     classes = tuple(k for k in range(K) if k != reference)
     q = 0 if covariates is None else covariates.shape[1]
     X = np.zeros((n * K, len(classes) + q + 1))
