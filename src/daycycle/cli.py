@@ -10,8 +10,6 @@ usage error, 2 data or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -26,8 +24,10 @@ from .cohort import (
     COVARIATE_COLUMNS,
     CohortError,
     CohortTable,
+    check_day_totals,
     cohort_csv_text,
     complete_case,
+    csv_field,
     format_number,
     load_cohort_csv,
 )
@@ -92,13 +92,11 @@ def _json_text(path: str, obj) -> str:
 
 def _csv_text(header: list[str], rows) -> str:
     """CSV text in which every cell that is not a string is a number (or
-    None) written by ``format_number``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([c if isinstance(c, str) else format_number(c) for c in row]
-                for row in rows)
-    return buf.getvalue()
+    None) written by ``format_number``; cells are quoted by ``csv_field``,
+    as in the cohort and day CSVs."""
+    lines = [header, *([c if isinstance(c, str) else format_number(c)
+                        for c in row] for row in rows)]
+    return "".join(",".join(map(csv_field, line)) + "\n" for line in lines)
 
 
 def _records(stem: str, fields: list[str], rows: list) -> dict[str, str]:
@@ -298,7 +296,8 @@ def cmd_coda(args) -> dict[str, str]:
 
 def _lpa_matrix(cohort: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
     """Indicator matrix for LPA: sit/stand/step as proportions of the day,
-    sleep dropped."""
+    sleep dropped.  CohortError when the behaviors do not sum to the day."""
+    check_day_totals(cohort, CohortError)
     labels = ("sit", "stand", "step")
     mat = np.column_stack([cohort.behavior(b) for b in labels])
     # a zero day length gives a row that is not finite, which lpa rejects

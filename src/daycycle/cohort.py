@@ -144,6 +144,15 @@ def complete_case(cohort: CohortTable, required: list[str]) -> tuple[CohortTable
     return cohort.subset(keep), report
 
 
+def check_day_totals(cohort: CohortTable, error: type[ValueError]) -> None:
+    """Raise ``error`` unless every person's behavior minutes sum to their
+    total day length, to a relative 1e-9."""
+    gap = np.abs(cohort.total - cohort.behaviors.sum(axis=1))
+    if np.any(gap > 1e-9 * cohort.total):
+        raise error("behavior minutes must sum to the total day length, "
+                    f"off by up to {gap.max():.3g} min")
+
+
 def format_number(x: float | int | None) -> str:
     """A number as a CSV cell: a boolean as 1 or 0, an integer as is, a float
     as the shortest repr that reads back to the same value, and a missing

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortTable
+from .cohort import CohortTable, check_day_totals
 from .linmod import (
     FitResult,
     WaldTest,
@@ -114,11 +114,7 @@ def _partition_fit(data: CohortTable, covariates: list[str]
     re-parameterization of this one: moving ``minutes`` from behavior i to j
     changes the outcome by ``minutes * (gamma_j - gamma_i) @ coef``."""
     labels = data.behavior_labels
-    gap = np.abs(data.total - data.behaviors.sum(axis=1))
-    if np.any(gap > 1e-9 * data.total):
-        raise IsmError(
-            "behavior minutes must sum to the total day length, "
-            f"off by up to {gap.max():.3g} min")
+    check_day_totals(data, IsmError)
     fit = fit_ism(data, dropped=labels[-1], covariates=covariates).fit
     gamma = np.zeros((len(labels), fit.p))
     for k, b in enumerate(labels[:-1]):

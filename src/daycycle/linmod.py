@@ -10,7 +10,6 @@ scipy."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +58,6 @@ class FitResult:
             return self.labels.index(label)
         except ValueError:
             raise LinmodError(f"no coefficient named {label!r}") from None
-
-    def se(self, label: str) -> float:
-        i = self.index(label)
-        return math.sqrt(self.cov_model[i, i])
 
 
 @dataclass(frozen=True)

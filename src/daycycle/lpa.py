@@ -686,16 +686,16 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     the first indicator's mean (the model's ``order_indicator``, 0).
 
     ``_done`` holds the results of the blocks that ``_plan_fit`` plans for
-    these arguments when the caller has run them (``selection_table`` runs
-    those of all its fits at once).
+    these arguments when the caller has checked them and run those blocks
+    (``selection_table`` runs those of all its fits at once).
     """
     X = _as_matrix(data)
     n, d = X.shape
-    _check_fit(X, K, structure, starts, max_iter)
     if labels is None:
         labels = tuple(f"ind{j}" for j in range(d))
 
     if _done is None:
+        _check_fit(X, K, structure, starts, max_iter)
         _done = _run_blocks(_plan_fit(X, K, structure, starts, max_iter, tol,
                                       seed))
     ll, weights, means, covs, n_iter, converged, degenerate = _stack_starts(
@@ -795,17 +795,14 @@ def _plan_boot(X: np.ndarray, K: int, structure: str,
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
          n_boot: int = 500, starts: int = 20, starts_boot: int = 20,
          max_iter: int = 250, tol: float = EM_TOL, seed: int = 0,
-         null_model: MixtureModel | None = None,
-         alt_model: MixtureModel | None = None,
-         _boot: tuple | None = None) -> dict:
+         _fitted: tuple | None = None) -> dict:
     """Parametric bootstrap likelihood ratio test of K-1 vs K components.
 
-    Simulates ``n_boot`` replicates from the fitted K-1 model, refits both
-    models on each replicate, and compares the observed LR statistic against
-    the bootstrap distribution: p = (1 + #{boot >= observed}) / (n_used + 1)
-    over the replicates that did not fail.  The K-1 and K models of ``data``
-    are fit here with ``starts`` and ``seed`` unless already-fitted ones are
-    passed as ``null_model``/``alt_model``.
+    Fits the K-1 and K models of ``data`` with ``starts`` and ``seed``,
+    simulates ``n_boot`` replicates from the K-1 model, refits both models
+    on each replicate, and compares the observed LR statistic against the
+    bootstrap distribution: p = (1 + #{boot >= observed}) / (n_used + 1)
+    over the replicates that did not fail.
 
     All replicates are drawn first, from ``default_rng(seed + 10_000)``.
     Then the K-1 and the K refits of every replicate run as one batched EM
@@ -817,29 +814,25 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     ``MAX_BOOT_FAILURE_FRACTION`` of ``n_boot`` failing raises
     ``ConvergenceError``.
 
-    ``_boot`` holds the failed mask and the sets that ``_plan_boot`` returns
-    for these arguments and the results of its two plans, when the caller
-    has drawn and run them (``selection_table`` runs the refits of all its
-    BLRTs at once).
+    ``_fitted`` is ``(null_model, alt_model, (failed, sets, done))``: the
+    K-1 and K models of ``data``, the failed mask and the sets that
+    ``_plan_boot`` returns for these arguments, and the results of its two
+    plans.  ``selection_table`` passes it, having checked the arguments,
+    fit the models and run the refits of all its BLRTs at once.
     """
     X = _as_matrix(data)
-    _check_blrt(X, K, structure, n_boot, starts_boot, max_iter)
-    for model, k in ((null_model, K - 1), (alt_model, K)):
-        if model is not None and (model.K, model.structure) != (k, structure):
-            raise LpaError(f"BLRT needs a {structure} model with K={k}")
-    if null_model is None:
+    if _fitted is None:
+        _check_blrt(X, K, structure, n_boot, starts_boot, max_iter)
         null_model, _ = fit_mixture(X, K - 1, structure, starts=starts,
                                     max_iter=max_iter, tol=tol, seed=seed)
-    if alt_model is None:
         alt_model, _ = fit_mixture(X, K, structure, starts=starts,
                                    max_iter=max_iter, tol=tol, seed=seed)
-    observed = 2.0 * (alt_model.loglik - null_model.loglik)
-    if _boot is None:
         failed, sets, plans = _plan_boot(X, K, structure, null_model, n_boot,
                                          starts_boot, max_iter, tol, seed)
         done = _run_plans(plans)
     else:
-        failed, sets, done = _boot
+        null_model, alt_model, (failed, sets, done) = _fitted
+    observed = 2.0 * (alt_model.loglik - null_model.loglik)
     best = np.zeros((2, n_boot))  # best log-likelihood at K-1 and at K
     if sets.size:
         for row, results in enumerate(done):
@@ -909,10 +902,11 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
     K-1 vs K reuses the table's K fit, and its K-1 fit when the table has
     one; a row records its p-value and how many of its replicates failed.
 
-    Every K is checked before any EM runs.  Then the starts of all the fits
-    run as one ``_run_blocks``, and the bootstrap refits of all the BLRTs as
-    another, so that they share its workers; each row is built from its K's
-    results, as a table of one K at a time would be.
+    Every K and BLRT is checked once, here, before any EM runs.  Then the
+    starts of all the fits run as one ``_run_blocks``, and the bootstrap
+    refits of all the BLRTs as another, so that they share its workers; each
+    row is built from its K's results, as a table of one K at a time would
+    be.
     """
     X = _as_matrix(data)
     ks = []
@@ -933,10 +927,9 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
     boots = [_plan_boot(X, K, structure, models[K - 1][0], n_boot,
                         starts_boot, max_iter, EM_TOL, seed) for K in tested]
     done = iter(_run_plans([plan for *_, plans in boots for plan in plans]))
-    tests = {K: blrt(X, K, structure, n_boot=n_boot, starts=starts,
-                     starts_boot=starts_boot, max_iter=max_iter, seed=seed,
-                     null_model=models[K - 1][0], alt_model=models[K][0],
-                     _boot=(failed, sets, list(islice(done, 2))))
+    tests = {K: blrt(X, K, structure, n_boot=n_boot, starts_boot=starts_boot,
+                     _fitted=(models[K - 1][0], models[K][0],
+                              (failed, sets, list(islice(done, 2)))))
              for K, (failed, sets, _) in zip(tested, boots)}
     rows = []
     for K in ks:

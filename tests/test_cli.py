@@ -133,6 +133,18 @@ def test_ism_flexible_fits_a_constant_day_length(tmp_path):
                                        in lib.behavior_tests.items()}
 
 
+def test_report_csv_quotes_cells_as_the_cohort_csv_does():
+    """A report CSV quotes a cell holding a comma, a quote, a CR or an LF,
+    as the cohort and day CSVs do, so that every cell reads back."""
+    from daycycle.cli import _csv_text
+    cells = ["plain", "a,b", 'say "hi"', "lone\rcr", "lone\nlf", "cr\r\nlf"]
+    text = _csv_text(["label", "value"], [[c, 1.5] for c in cells]
+                     + [["missing", None]])
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert rows == [["label", "value"], *([c, "1.5"] for c in cells),
+                    ["missing", ""]]
+
+
 @pytest.fixture(scope="module")
 def lpa_out(tmp_path_factory, cohort_csv):
     out = tmp_path_factory.mktemp("lpa")
@@ -486,6 +498,30 @@ def test_zero_length_day_exits_2_with_one_line(tmp_path, cohort_csv, lpa_out,
         assert run(args + ["-o", out]) == 2, args
         assert capsys.readouterr().err == (
             "data error: 1 of 250 data rows hold a non-finite value\n"), args
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lpa", "step3", "profiles"])
+def test_day_total_off_the_behaviors_exits_2_with_one_line(
+        tmp_path, cohort_csv, lpa_out, capsys, command):
+    """LPA indicators are proportions of the day, so lpa, step3 and the
+    profiles plot refuse, as ism does, a person whose behavior minutes do
+    not sum to their total_min."""
+    from daycycle.cohort import CSV_HEADER
+    j = CSV_HEADER.index("total_min")
+    line = cohort_csv.read_text().splitlines()[1].split(",")
+    gap = abs(100.0 - sum(map(float, line[1:j])))
+    path = _edited_cohort(cohort_csv, tmp_path, 2,
+                          lambda s: _set_field(s, j, "100"))
+    model = lpa_out / "lpa_model.json"
+    out = tmp_path / "out"
+    args = {"lpa": ["lpa", path, "--classes", "2:2", "--starts", "4"],
+            "step3": ["step3", model, path],
+            "profiles": ["plot", path, "--kind", "profiles", "--model", model]}
+    assert run(args[command] + ["-o", out]) == 2
+    assert capsys.readouterr().err == (
+        "data error: behavior minutes must sum to the total day length, "
+        f"off by up to {gap:.3g} min\n")
     assert not out.exists()
 
 

@@ -645,8 +645,30 @@ def test_selection_table_blrt_reuses_its_fits():
     rows, _ = selection_table(X, [2], starts=4, seed=3, run_blrt=True,
                               n_boot=19, starts_boot=2)
     assert rows[0].blrt_p == alone["p_value"]
-    with pytest.raises(LpaError):
-        blrt(X, 3, alt_model=fit_mixture(X, 2, starts=2)[0])
+
+
+def test_selection_table_checks_each_fit_and_blrt_once(monkeypatch):
+    """The table checks every K and every BLRT before any EM runs;
+    ``fit_mixture`` and ``blrt``, handed its results, check none again."""
+    calls = []
+
+    def counted(name):
+        check = getattr(lpa, name)
+
+        def run(X, K, *args):
+            calls.append((name, K))
+            return check(X, K, *args)
+        return run
+
+    for name in ("_check_fit", "_check_blrt"):
+        monkeypatch.setattr(lpa, name, counted(name))
+    selection_table(three_class_data(n=240, seed=17), range(1, 4), starts=2,
+                    max_iter=20, seed=3, run_blrt=True, n_boot=19,
+                    starts_boot=1)
+    # _check_blrt checks the bootstrap starts of its K through _check_fit
+    assert sorted(calls) == sorted(
+        [("_check_fit", K) for K in (1, 2, 3, 2, 3)]
+        + [("_check_blrt", K) for K in (2, 3)])
 
 
 # --- the per-replicate BLRT loop that ``blrt`` replaced, kept as the

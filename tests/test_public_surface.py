@@ -1,5 +1,6 @@
 """Every public top-level name in ``src/daycycle`` is reached by a pipeline,
-and every option of a public function or method is set by one.
+every public method is called by one, and every option of a public function
+or method is set by one.
 
 A name counts as reached when a ``Name``, an ``Attribute`` or an import alias
 refers to it from ``src/`` outside its own definition, from the acceptance
@@ -8,10 +9,13 @@ criteria (``tests/test_acceptance.py``) or from the benchmark
 surface that no pipeline needs; delete it with its tests instead of keeping
 it alive.  An option, a parameter with a default, counts as set when a call
 from the same places passes it, by keyword or by position; one that only
-tests set becomes the value the pipelines use.
+tests set becomes the value the pipelines use.  A method (not a property)
+of a public class counts as called when a call from the same places names it
+as ``.method(...)``.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +38,7 @@ UNSET_BY_DESIGN = {
 }
 
 
+@functools.cache  # one tree per file, so that its nodes compare by identity
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -130,23 +135,53 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return len(call.args) > position or bool(starred and starred[0] <= position)
 
 
+def _calls() -> list[tuple]:
+    """``(unit, call)`` for each call from the acceptance criteria, the
+    benchmark and ``src/``; ``unit`` is the top-level statement or method
+    around a call in ``src/``, None elsewhere."""
+    calls = []
+    for path in CALLERS:
+        calls += [(None, n) for n in ast.walk(_parse(path))
+                  if isinstance(n, ast.Call)]
+    for path in SRC:
+        units = [item for stmt in _parse(path).body for item in
+                 (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+        calls += [(unit, n) for unit in units for n in ast.walk(unit)
+                  if isinstance(n, ast.Call)]
+    return calls
+
+
+def _uncalled() -> list[str]:
+    """``class.method`` for each public method, not a property, of a public
+    class that no call from the places above, outside the method's own
+    definition, names as ``.method(...)``."""
+    called = [(where, call.func.attr) for where, call in _calls()
+              if isinstance(call.func, ast.Attribute)]
+    methods = [(node.name, item) for path in SRC for node in _parse(path).body
+               if isinstance(node, ast.ClassDef)
+               and not node.name.startswith("_")
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")
+               and not any(getattr(d, "id", None) == "property"
+                           for d in item.decorator_list)]
+    return sorted(f"{cls}.{method.name}" for cls, method in methods
+                  if not any(where is not method and attr == method.name
+                             for where, attr in called))
+
+
+def test_every_public_method_is_called_by_a_pipeline():
+    uncalled = _uncalled()
+    assert not uncalled, ("methods called only by tests, if at all: "
+                          + ", ".join(uncalled))
+
+
 def _unset() -> list[str]:
     """``function.parameter`` for each option that no call from ``src/``
     outside the function's own definition, the acceptance criteria or the
     benchmark sets.  Calls match by the called name alone, so a call of
     another function of the same name also counts."""
-    calls = []  # (top-level statement or method around it, call)
-    for path in CALLERS:
-        calls += [(None, n) for n in ast.walk(_parse(path))
-                  if isinstance(n, ast.Call)]
-    options = []
-    for path in SRC:
-        tree = _parse(path)
-        options += list(_options(tree))
-        units = [item for stmt in tree.body for item in
-                 (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
-        calls += [(unit, n) for unit in units for n in ast.walk(unit)
-                  if isinstance(n, ast.Call)]
+    options = [option for path in SRC for option in _options(_parse(path))]
+    calls = _calls()
     unset = []
     for node, param, position in options:
         if not any(where is not node
