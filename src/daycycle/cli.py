@@ -27,9 +27,9 @@ from .cohort import (
     check_day_totals,
     cohort_csv_text,
     complete_case,
-    csv_field,
-    format_number,
+    csv_lines,
     load_cohort_csv,
+    read_text,
 )
 from .composition import CompositionError
 from .ingest import IngestError
@@ -90,20 +90,11 @@ def _json_text(path: str, obj) -> str:
             f"{path} would hold a number that is not finite") from None
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text in which every cell that is not a string is a number (or
-    None) written by ``format_number``; cells are quoted by ``csv_field``,
-    as in the cohort and day CSVs."""
-    lines = [header, *([c if isinstance(c, str) else format_number(c)
-                        for c in row] for row in rows)]
-    return "".join(",".join(map(csv_field, line)) + "\n" for line in lines)
-
-
 def _records(stem: str, fields: list[str], rows: list) -> dict[str, str]:
     """One table as ``stem.json`` (a list of records) and ``stem.csv``."""
     path = f"{stem}.json"
     return {path: _json_text(path, [dict(zip(fields, r)) for r in rows]),
-            f"{stem}.csv": _csv_text(fields, rows)}
+            f"{stem}.csv": "".join(csv_lines(fields, rows))}
 
 
 def _check_dir(path: str, what: str) -> None:
@@ -128,15 +119,6 @@ def _out_path(args):
     out = args.out or os.environ.get("DAYCYCLE_OUT", ".")
     _check_dir(out, "-o" if args.out else "$DAYCYCLE_OUT")
     return lambda name: os.path.join(out, name)
-
-
-def _read_text(path: str, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; other bytes raise ``error``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _complete_cases(cohort: CohortTable, covariates) -> CohortTable:
@@ -176,7 +158,9 @@ def cmd_describe(args) -> dict[str, str]:
             rows += [[f"{name}_{key}", value]
                      for name, fields in group.items()
                      for key, value in fields.items()]
-        files[out("describe.csv")] = _csv_text(["field", "value"], rows)
+        rows.append(["valid_days_min", report["valid_days_min"]])
+        files[out("describe.csv")] = "".join(csv_lines(["field", "value"],
+                                                       rows))
     return files
 
 
@@ -222,8 +206,8 @@ def cmd_ism(args) -> dict[str, str]:
     files = {path: _json_text(
         path, {name: _table_payload(t) for name, t in tables.items()})}
     for name, t in tables.items():
-        files[out(f"ism_table_{name}.csv")] = _csv_text(
-            ["from", "to", "estimate", "ci_low", "ci_high"], _table_cells(t))
+        files[out(f"ism_table_{name}.csv")] = "".join(csv_lines(
+            ["from", "to", "estimate", "ci_low", "ci_high"], _table_cells(t)))
     if args.flexible:
         flex = ism.fit_flexible_ism(cohort, args.covariates,
                                     dropped=args.dropped)
@@ -277,9 +261,9 @@ def cmd_coda(args) -> dict[str, str]:
     table_rows = list(zip(cfit.basis.labels, piv.estimate, piv.ci_low,
                           piv.ci_high, p_values))
     files = _records(out("coda_pivots"), fields, table_rows)
-    files[out(f"coda_curve_{args.pivot}.csv")] = _csv_text(
+    files[out(f"coda_curve_{args.pivot}.csv")] = "".join(csv_lines(
         ["delta_min", "estimate", "ci_low", "ci_high"],
-        zip(curve.delta_minutes, curve.estimate, curve.ci_low, curve.ci_high))
+        zip(curve.delta_minutes, curve.estimate, curve.ci_low, curve.ci_high)))
     files[out(f"coda_curve_{args.pivot}.svg")] = svg
     if args.pairwise:
         pairwise = []
@@ -289,8 +273,8 @@ def cmd_coda(args) -> dict[str, str]:
                                                args.pairwise_minutes)
                 pairwise.append([other, args.pivot, e.estimate, e.ci_low,
                                  e.ci_high])
-        files[out("coda_pairwise.csv")] = _csv_text(
-            ["from", "to", "estimate", "ci_low", "ci_high"], pairwise)
+        files[out("coda_pairwise.csv")] = "".join(csv_lines(
+            ["from", "to", "estimate", "ci_low", "ci_high"], pairwise))
     return files
 
 
@@ -308,7 +292,7 @@ def _lpa_matrix(cohort: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
 def _classify(model_path: str, cohort: CohortTable):
     """The mixture model artifact at ``model_path``, and each person's
     posterior class probabilities and modal class under it."""
-    model = lpa.MixtureModel.from_json(_read_text(model_path, LpaError))
+    model = lpa.MixtureModel.from_json(read_text(model_path, LpaError))
     data, _ = _lpa_matrix(cohort)
     post = lpa.posterior(model, data)
     return model, post, lpa.modal_assignment(post)
@@ -391,7 +375,7 @@ def cmd_step3(args) -> dict[str, str]:
                              for field in ("estimate", "robust_se")]
     path = out("step3_report.json")
     return {path: _json_text(path, results),
-            out("step3_report.csv"): _csv_text(header, rows)}
+            out("step3_report.csv"): "".join(csv_lines(header, rows))}
 
 
 def cmd_simulate(args) -> dict[str, str]:
@@ -402,7 +386,7 @@ def cmd_simulate(args) -> dict[str, str]:
     _check_dir(os.path.dirname(os.path.abspath(args.output)), "-o")
     if args.spec:
         spec = simulate.SimSpec.from_json(
-            _read_text(args.spec, SimulationError))
+            read_text(args.spec, SimulationError))
     else:
         spec = simulate.default_sim_spec()
     result = simulate.simulate_cohort(spec, args.n, seed=args.seed)

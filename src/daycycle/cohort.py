@@ -3,7 +3,10 @@
 This is the common input to the substitution, compositional, and latent
 profile analyses.  Behavior times are minutes/day averaged over a person's
 valid wear days; covariates are numerically coded (dummies for categories);
-missing covariates are NaN until a complete-case filter is applied.
+missing covariates are NaN until a complete-case filter is applied.  The
+CSV framing of the package lives here too: one reader (``csv_reader``) and
+one line writer (``csv_lines``) for every CSV but the cohort's own fast
+paths.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -201,6 +205,45 @@ def csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def csv_lines(header, rows):
+    """CSV lines: the ``header`` line, then one line per row, each cell that
+    is a string quoted by ``csv_field`` and each other cell a number (or
+    None) written by ``format_number``."""
+    yield ",".join(map(csv_field, header)) + "\n"
+    for row in rows:
+        yield ",".join([csv_field(c) if isinstance(c, str) else format_number(c)
+                        for c in row]) + "\n"
+
+
+def read_text(path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file ``path``, its line ends as they are; other
+    bytes raise ``error``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def csv_reader(path, header: tuple[str, ...], what: str,
+               error: type[ValueError]):
+    """A ``csv.reader`` of the UTF-8 file ``path``, past its header line.
+    ``error`` is raised for a header other than ``header`` (naming the file
+    as holding the wrong ``what`` header), for text that is not UTF-8, and,
+    naming its line, for a cell over the csv module's size limit."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if tuple(next(reader, ())) != header:
+                raise error(f"unexpected {what} header in {path}")
+            yield reader
+        except csv.Error as exc:
+            raise error(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _csv_blocks(cohort: CohortTable):
     """The cohort CSV text: the header line, then one string per block of
     ``_CSV_BLOCK_ROWS`` rows, each block formatted a column at a time."""
@@ -242,17 +285,9 @@ def load_cohort_csv(path) -> CohortTable:
     Plain text is parsed by ``np.loadtxt``; the csv module reads the rest
     row by row, and names the first row that does not parse.
     """
-    try:
-        # no name holds the text here, so _parse_plain can free it early
-        parsed = _parse_plain(_read_text(path)) or _parse_rows(path)
-    except UnicodeDecodeError as exc:
-        raise CohortError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    # no name holds the text here, so _parse_plain can free it early
+    parsed = _parse_plain(read_text(path, CohortError)) or _parse_rows(path)
     return _check_and_build(path, *parsed)
-
-
-def _read_text(path) -> str:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return fh.read()
 
 
 _PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
@@ -315,33 +350,25 @@ def _parse_rows(path):
     width = len(CSV_HEADER)
     days_col = CSV_HEADER.index("valid_days")
     ids, valid_days, values, lines = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or tuple(header) != CSV_HEADER:
-                raise CohortError(f"unexpected cohort header in {path}")
-            for row in reader:
-                if len(row) != width:
-                    raise CohortError(
-                        f"{path} line {reader.line_num}: {len(row)} fields, "
-                        f"expected {width}")
-                try:
-                    days = int(row[days_col])
-                    values.append([float(v) if v != "" else math.nan
-                                   for v in row[1:]])
-                except ValueError as exc:
-                    raise CohortError(
-                        f"{path} line {reader.line_num}: {exc}") from None
-                if not _INT64.min <= days <= _INT64.max:
-                    raise CohortError(f"{path} line {reader.line_num}: "
-                                      "valid_days does not fit in int64")
-                valid_days.append(days)
-                ids.append(row[0])
-                lines.append(reader.line_num)
-        except csv.Error as exc:  # a cell over the csv module's size limit
-            raise CohortError(
-                f"{path} line {reader.line_num}: {exc}") from None
+    with csv_reader(path, CSV_HEADER, "cohort", CohortError) as reader:
+        for row in reader:
+            if len(row) != width:
+                raise CohortError(
+                    f"{path} line {reader.line_num}: {len(row)} fields, "
+                    f"expected {width}")
+            try:
+                days = int(row[days_col])
+                values.append([float(v) if v != "" else math.nan
+                               for v in row[1:]])
+            except ValueError as exc:
+                raise CohortError(
+                    f"{path} line {reader.line_num}: {exc}") from None
+            if not _INT64.min <= days <= _INT64.max:
+                raise CohortError(f"{path} line {reader.line_num}: "
+                                  "valid_days does not fit in int64")
+            valid_days.append(days)
+            ids.append(row[0])
+            lines.append(reader.line_num)
     columns = dict(zip(CSV_HEADER[1:],
                        np.array(values).reshape(-1, width - 1).T))
     columns["valid_days"] = np.array(valid_days, dtype=np.int64)

@@ -49,10 +49,6 @@ class Composition:
                 f"parts must sum to 1 within {SUM_TOL}; got {math.fsum(self.parts)!r}"
             )
 
-    @property
-    def D(self) -> int:
-        return len(self.parts)
-
     def array(self) -> np.ndarray:
         return np.asarray(self.parts, dtype=float)
 

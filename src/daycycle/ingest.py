@@ -13,7 +13,6 @@ are ISO-8601.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohort import (BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable,
-                     csv_field, format_number)
+                     csv_lines, csv_reader)
 
 DAY_CSV_HEADER = (
     "person_id", "date", "sit_min", "stand_min", "step_min",
@@ -52,14 +51,6 @@ class DayRecord(NamedTuple):
     out_bed: datetime
     wear_min: float
 
-    @property
-    def sleep_min(self) -> float:
-        return (self.out_bed - self.in_bed).total_seconds() / 60.0
-
-    @property
-    def valid(self) -> bool:
-        return self.wear_min >= MIN_WEAR_MINUTES
-
 
 @dataclass(frozen=True)
 class RowError:
@@ -73,9 +64,9 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     Each row is checked in this order: field count, the four minute cells as
     numbers, none negative, both timestamps as ISO-8601, ``out_bed`` after
     ``in_bed`` (both naive or both with a UTC offset), then the minute cells
-    finite.  The first failed check is the row's error.  A bad header, a
-    cell over the csv module's field size limit, or text that is not UTF-8
-    raises ``IngestError``.
+    finite.  The first failed check is the row's error, naming the line the
+    row ends on.  A bad header, a cell over the csv module's field size
+    limit, or text that is not UTF-8 raises ``IngestError``.
     """
     fromiso, inf = datetime.fromisoformat, math.inf
     # one C call per record; DayRecord(...) runs a Python-level __new__
@@ -83,55 +74,43 @@ def load_day_csv(path) -> tuple[list[DayRecord], list[RowError]]:
     # one str per distinct person id and date, shared by the rows that
     # repeat it: 20k persons x 7 days hold 20k ids, not 140k
     share = {}.setdefault
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or tuple(header) != DAY_CSV_HEADER:
-                raise IngestError(f"bad header in {path}: expected "
-                                  f"{','.join(DAY_CSV_HEADER)}")
-            records: list[DayRecord] = []
-            errors: list[RowError] = []
-            for lineno, row in enumerate(reader, start=2):
+    records: list[DayRecord] = []
+    errors: list[RowError] = []
+    with csv_reader(path, DAY_CSV_HEADER, "day", IngestError) as reader:
+        for row in reader:
+            try:
+                pid, date, sit, stand, step, in_bed, out_bed, wear = row
+            except ValueError:
+                errors.append(RowError(reader.line_num, "wrong field count"))
+                continue
+            try:
+                sit, stand, step, wear = (
+                    float(sit), float(stand), float(step), float(wear))
+                if sit < 0 or stand < 0 or step < 0 or wear < 0:
+                    raise IngestError(
+                        "negative " + _first_minute_column(
+                            lambda v: v < 0, sit, stand, step, wear))
+                in_bed, out_bed = fromiso(in_bed), fromiso(out_bed)
                 try:
-                    pid, date, sit, stand, step, in_bed, out_bed, wear = row
-                except ValueError:
-                    errors.append(RowError(lineno, "wrong field count"))
-                    continue
-                try:
-                    sit, stand, step, wear = (
-                        float(sit), float(stand), float(step), float(wear))
-                    if sit < 0 or stand < 0 or step < 0 or wear < 0:
-                        raise IngestError(
-                            "negative " + _first_minute_column(
-                                lambda v: v < 0, sit, stand, step, wear))
-                    in_bed, out_bed = fromiso(in_bed), fromiso(out_bed)
-                    try:
-                        if out_bed <= in_bed:
-                            raise IngestError("out_bed must follow in_bed")
-                    except TypeError:
-                        raise IngestError(
-                            "in_bed and out_bed mix naive and UTC-offset "
-                            "timestamps") from None
-                    # NaN and +inf pass the checks above; -inf is negative
-                    if not (sit < inf and stand < inf and step < inf
-                            and wear < inf):
-                        raise IngestError(
-                            "non-finite " + _first_minute_column(
-                                lambda v: not math.isfinite(v),
-                                sit, stand, step, wear))
-                except ValueError as exc:  # IngestError is one
-                    errors.append(RowError(lineno, str(exc)))
-                    continue
-                records.append(make((
-                    share(pid, pid), share(date, date),
-                    sit, stand, step, in_bed, out_bed, wear)))
-        except csv.Error as exc:  # a cell over the csv module's size limit
-            raise IngestError(
-                f"{path} line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise IngestError(
-                f"{path} is not UTF-8 text ({exc.reason})") from None
+                    if out_bed <= in_bed:
+                        raise IngestError("out_bed must follow in_bed")
+                except TypeError:
+                    raise IngestError(
+                        "in_bed and out_bed mix naive and UTC-offset "
+                        "timestamps") from None
+                # NaN and +inf pass the checks above; -inf is negative
+                if not (sit < inf and stand < inf and step < inf
+                        and wear < inf):
+                    raise IngestError(
+                        "non-finite " + _first_minute_column(
+                            lambda v: not math.isfinite(v),
+                            sit, stand, step, wear))
+            except ValueError as exc:  # IngestError is one
+                errors.append(RowError(reader.line_num, str(exc)))
+                continue
+            records.append(make((
+                share(pid, pid), share(date, date),
+                sit, stand, step, in_bed, out_bed, wear)))
     return records, errors
 
 
@@ -145,17 +124,11 @@ def _first_minute_column(failed, *values: float) -> str:
 
 def write_day_csv(records: list[DayRecord], path) -> None:
     """Day records as a day CSV that ``load_day_csv`` reads back to equal
-    records; minute cells are written by ``format_number``, the id and date
-    by ``csv_field``, as in the cohort CSV."""
+    records, written line by line by ``csv_lines``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(DAY_CSV_HEADER) + "\n")
-        fh.writelines(",".join((
-            csv_field(r.person_id), csv_field(r.date),
-            format_number(r.sit_min), format_number(r.stand_min),
-            format_number(r.step_min),
-            r.in_bed.isoformat(), r.out_bed.isoformat(),
-            format_number(r.wear_min),
-        )) + "\n" for r in records)
+        fh.writelines(csv_lines(DAY_CSV_HEADER, (
+            (*r[:5], r.in_bed.isoformat(), r.out_bed.isoformat(), r.wear_min)
+            for r in records)))
 
 
 def validate_days(records: list[DayRecord]) -> dict[str, list[DayRecord]]:
@@ -163,7 +136,7 @@ def validate_days(records: list[DayRecord]) -> dict[str, list[DayRecord]]:
     with at least 4 valid days."""
     by_person: dict[str, list[DayRecord]] = {}
     for r in records:
-        if r.valid:
+        if r.wear_min >= MIN_WEAR_MINUTES:
             by_person.setdefault(r.person_id, []).append(r)
     return {pid: days for pid, days in by_person.items()
             if len(days) >= MIN_VALID_DAYS}
@@ -196,7 +169,9 @@ def aggregate_person(
         # to seven of them
         return np.bincount(person, weights=values, minlength=n) / ndays
 
-    sit, stand, step, sleep = (day_column(f"{b}_min") for b in BEHAVIOR_LABELS)
+    sit, stand, step = map(day_column, ("sit_min", "stand_min", "step_min"))
+    sleep = np.fromiter(((d.out_bed - d.in_bed).total_seconds() / 60
+                         for d in days), dtype=float, count=len(days))
     behaviors = np.column_stack(
         [person_mean(col) for col in (sit, stand, step, sleep)])
     total = person_mean(sit + stand + step + sleep)

@@ -51,9 +51,27 @@ def test_describe_formats(tmp_path, cohort_csv):
     assert run(["describe", cohort_csv, "-o", out, "--format", "both"]) == 0
     rep = json.loads((out / "describe.json").read_text())
     assert rep["n"] == 250
-    lines = (out / "describe.csv").read_text().splitlines()
-    assert lines[0] == "field,value"
-    assert any(line.startswith("sit_mean_h,") for line in lines)
+    # every leaf of the JSON report is one CSV row, named by its key, after
+    # the key of the object holding it and "_" below the top level; the
+    # total's [median, q25, q75] list is three rows
+    med, q25, q75 = rep.pop("total_min_median_iqr")
+    want = {"total_min_median": med, "total_min_q25": q25,
+            "total_min_q75": q75}
+
+    def add_leaves(obj, prefix):
+        for key, value in obj.items():
+            if isinstance(value, dict):
+                add_leaves(value, f"{key}_")
+            else:
+                want[prefix + key] = value
+
+    add_leaves(rep, "")
+    with open(out / "describe.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["field", "value"]
+    assert len({name for name, _ in rows}) == len(rows)
+    assert dict(rows) == {name: "" if value is None else str(value)
+                          for name, value in want.items()}
 
 
 def test_ism_outputs(tmp_path, cohort_csv):
@@ -136,10 +154,10 @@ def test_ism_flexible_fits_a_constant_day_length(tmp_path):
 def test_report_csv_quotes_cells_as_the_cohort_csv_does():
     """A report CSV quotes a cell holding a comma, a quote, a CR or an LF,
     as the cohort and day CSVs do, so that every cell reads back."""
-    from daycycle.cli import _csv_text
+    from daycycle.cohort import csv_lines
     cells = ["plain", "a,b", 'say "hi"', "lone\rcr", "lone\nlf", "cr\r\nlf"]
-    text = _csv_text(["label", "value"], [[c, 1.5] for c in cells]
-                     + [["missing", None]])
+    text = "".join(csv_lines(["label", "value"], [[c, 1.5] for c in cells]
+                             + [["missing", None]]))
     rows = list(csv.reader(text.splitlines(keepends=True)))
     assert rows == [["label", "value"], *([c, "1.5"] for c in cells),
                     ["missing", ""]]

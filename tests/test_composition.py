@@ -59,7 +59,7 @@ def test_composition_validation():
     with pytest.raises(CompositionError):
         Composition((0.5, 0.4, 0.2), LAB3)
     x = Composition((0.2, 0.3, 0.5), LAB3)
-    assert x.D == 3
+    assert len(x.parts) == 3
     assert x.part("b") == 0.3
 
 
@@ -136,7 +136,7 @@ def test_compositional_mean_is_closed_geometric_mean():
 
 def _reference_compositional_mean(samples):
     """The per-sample loop the array version replaced."""
-    logs = np.zeros(samples[0].D)
+    logs = np.zeros(len(samples[0].parts))
     for s in samples:
         logs += np.log(s.array())
     logs /= len(samples)

@@ -49,14 +49,25 @@ def make_day(pid="p1", date="2020-01-01", sit=600.0, stand=200.0, step=80.0,
 
 
 def test_day_record_derived_fields():
-    d = make_day()
-    assert d.sleep_min == pytest.approx(480.0)
-    assert d.valid
+    """A day's sleep is its in-bed interval, and its four behaviors make its
+    total; a day worn 880 minutes is valid."""
+    days = [make_day(date=f"2020-01-0{i}") for i in range(1, 5)]
+    valid = validate_days(days)
+    assert valid == {"p1": days}
+    table = {"p1": {c: 0.0 for c in COVARIATE_COLUMNS} | {"casi_irt": 0.0}}
+    cohort = aggregate_person(valid, table)
+    assert cohort.behavior("sleep")[0] == 480.0
+    assert cohort.total[0] == 600.0 + 200.0 + 80.0 + 480.0
 
 
 def test_wear_boundary_is_inclusive():
-    assert make_day(wear=float(MIN_WEAR_MINUTES)).valid
-    assert not make_day(wear=MIN_WEAR_MINUTES - 1e-9).valid
+    def days(pid, wear):
+        return [make_day(pid, f"2020-01-0{i}", wear=wear)
+                for i in range(1, MIN_VALID_DAYS + 1)]
+
+    valid = validate_days(days("at", float(MIN_WEAR_MINUTES))
+                          + days("below", MIN_WEAR_MINUTES - 1e-9))
+    assert set(valid) == {"at"}
 
 
 def test_load_day_csv_round_trip(tmp_path):
@@ -80,7 +91,7 @@ def test_load_day_csv_round_trip(tmp_path):
 def test_load_day_csv_header_and_row_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError, match="^unexpected day header in "):
         load_day_csv(path)
     rows = [
         "person_id,date,sit_min,stand_min,step_min,in_bed,out_bed,wear_min",
@@ -95,6 +106,19 @@ def test_load_day_csv_header_and_row_errors(tmp_path):
     assert len(records) == 1
     assert [e.line for e in errors] == [3, 4, 5, 6]
     assert "negative" in errors[0].message
+
+
+def test_row_errors_name_the_physical_line(tmp_path):
+    """A quoted id that spans two lines makes its row end on line 3, so the
+    next row, whose sit_min is not a number, sits on line 4."""
+    path = tmp_path / "days.csv"
+    path.write_text("\n".join([",".join(DAY_CSV_HEADER),
+                               _day_row(pid='"p\n1"'), _day_row(sit="abc")])
+                    + "\n")
+    records, errors = load_day_csv(path)
+    assert [r.person_id for r in records] == ["p\n1"]
+    assert errors == [
+        RowError(4, "could not convert string to float: 'abc'")]
 
 
 def test_validate_days_requires_four_valid():
@@ -326,13 +350,21 @@ def test_composition_array_rejects_unrepairable_rows(row):
         cohort.composition_array()
 
 
+def _sleep_min(day):
+    return (day.out_bed - day.in_bed).total_seconds() / 60.0
+
+
 def _reference_aggregate(valid):
-    """Per-person np.mean over each day field, as before the column path."""
+    """Per-person np.mean over each day's behavior minutes, sleep taken from
+    the timestamps, as before the column path."""
     ids = sorted(valid)
     behaviors = np.array([[np.mean([getattr(d, f"{b}_min") for d in valid[p]])
-                           for b in BEHAVIOR_LABELS] for p in ids])
+                           for b in BEHAVIOR_LABELS[:3]]
+                          + [np.mean([_sleep_min(d) for d in valid[p]])]
+                          for p in ids])
     total = np.array([np.mean([d.sit_min + d.stand_min + d.step_min
-                               + d.sleep_min for d in valid[p]]) for p in ids])
+                               + _sleep_min(d) for d in valid[p]])
+                      for p in ids])
     return behaviors, total
 
 
@@ -642,7 +674,8 @@ def test_load_day_csv_rejects_mixed_timestamps(tmp_path):
     records, errors = load_day_csv(path)
     message = "in_bed and out_bed mix naive and UTC-offset timestamps"
     assert errors == [RowError(2, message), RowError(3, message)]
-    assert len(records) == 1 and records[0].sleep_min == 420.0
+    assert len(records) == 1
+    assert records[0].out_bed - records[0].in_bed == timedelta(minutes=420)
 
 
 def test_load_day_csv_names_the_line_of_an_oversized_cell(tmp_path):
@@ -684,10 +717,7 @@ def test_day_record_contract():
     assert hash(by_position) == hash(by_keyword) == hash(fields)
     assert len({by_position, by_keyword}) == 1
     assert by_position != by_position._replace(wear_min=599.0)
-    assert by_position.sleep_min == 510.0
-    assert by_position.valid
-    assert not by_position._replace(wear_min=599.0).valid
-    for name in DayRecord._fields + ("sleep_min", "valid"):
+    for name in DayRecord._fields:
         with pytest.raises(AttributeError):
             setattr(by_position, name, 0.0)
     with pytest.raises(TypeError):

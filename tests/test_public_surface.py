@@ -1,6 +1,6 @@
 """Every public top-level name in ``src/daycycle`` is reached by a pipeline,
-every public method is called by one, and every option of a public function
-or method is set by one.
+every public method is called by one, every public property is read by one,
+and every option of a public function or method is set by one.
 
 A name counts as reached when a ``Name``, an ``Attribute`` or an import alias
 refers to it from ``src/`` outside its own definition, from the acceptance
@@ -11,7 +11,13 @@ it alive.  An option, a parameter with a default, counts as set when a call
 from the same places passes it, by keyword or by position; one that only
 tests set becomes the value the pipelines use.  A method (not a property)
 of a public class counts as called when a call from the same places names it
-as ``.method(...)``.
+as ``.method(...)``, and a property of a public class counts as read when an
+attribute there names it as ``.name``.
+
+The method and property scans match by name alone: a call or read of a
+member of the same name on another class counts too (``Composition.D``
+passed while ``SBPartition.D`` was read), and a read through a string, as
+``attrgetter("sleep_min")`` does, does not count.
 """
 
 import ast
@@ -135,44 +141,55 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return len(call.args) > position or bool(starred and starred[0] <= position)
 
 
-def _calls() -> list[tuple]:
-    """``(unit, call)`` for each call from the acceptance criteria, the
-    benchmark and ``src/``; ``unit`` is the top-level statement or method
-    around a call in ``src/``, None elsewhere."""
-    calls = []
+def _nodes(kind: type[ast.AST]) -> list[tuple]:
+    """``(unit, node)`` for each ``kind`` node from the acceptance criteria,
+    the benchmark and ``src/``; ``unit`` is the top-level statement or
+    method around a node in ``src/``, None elsewhere."""
+    nodes = []
     for path in CALLERS:
-        calls += [(None, n) for n in ast.walk(_parse(path))
-                  if isinstance(n, ast.Call)]
+        nodes += [(None, n) for n in ast.walk(_parse(path))
+                  if isinstance(n, kind)]
     for path in SRC:
         units = [item for stmt in _parse(path).body for item in
                  (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
-        calls += [(unit, n) for unit in units for n in ast.walk(unit)
-                  if isinstance(n, ast.Call)]
-    return calls
+        nodes += [(unit, n) for unit in units for n in ast.walk(unit)
+                  if isinstance(n, kind)]
+    return nodes
 
 
-def _uncalled() -> list[str]:
-    """``class.method`` for each public method, not a property, of a public
-    class that no call from the places above, outside the method's own
-    definition, names as ``.method(...)``."""
-    called = [(where, call.func.attr) for where, call in _calls()
-              if isinstance(call.func, ast.Attribute)]
-    methods = [(node.name, item) for path in SRC for node in _parse(path).body
-               if isinstance(node, ast.ClassDef)
-               and not node.name.startswith("_")
-               for item in node.body if isinstance(item, ast.FunctionDef)
-               and not item.name.startswith("_")
-               and not any(getattr(d, "id", None) == "property"
-                           for d in item.decorator_list)]
-    return sorted(f"{cls}.{method.name}" for cls, method in methods
-                  if not any(where is not method and attr == method.name
-                             for where, attr in called))
+def _members(properties: bool) -> list[tuple]:
+    """``(class name, definition)`` for each public property (or each public
+    method that is not one) of a public class of ``src/``."""
+    return [(node.name, item) for path in SRC for node in _parse(path).body
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")
+            and properties == any(getattr(d, "id", None) == "property"
+                                  for d in item.decorator_list)]
+
+
+def _unused(members: list[tuple], used: list[tuple]) -> list[str]:
+    """``class.member`` for each of ``members`` whose name no ``(unit,
+    name)`` of ``used`` outside the member's own definition holds."""
+    return sorted(f"{cls}.{item.name}" for cls, item in members
+                  if not any(where is not item and name == item.name
+                             for where, name in used))
 
 
 def test_every_public_method_is_called_by_a_pipeline():
-    uncalled = _uncalled()
+    called = [(where, call.func.attr) for where, call in _nodes(ast.Call)
+              if isinstance(call.func, ast.Attribute)]
+    uncalled = _unused(_members(properties=False), called)
     assert not uncalled, ("methods called only by tests, if at all: "
                           + ", ".join(uncalled))
+
+
+def test_every_public_property_is_read_by_a_pipeline():
+    read = [(where, node.attr) for where, node in _nodes(ast.Attribute)]
+    unread = _unused(_members(properties=True), read)
+    assert not unread, ("properties read only by tests, if at all: "
+                        + ", ".join(unread))
 
 
 def _unset() -> list[str]:
@@ -181,7 +198,7 @@ def _unset() -> list[str]:
     benchmark sets.  Calls match by the called name alone, so a call of
     another function of the same name also counts."""
     options = [option for path in SRC for option in _options(_parse(path))]
-    calls = _calls()
+    calls = _nodes(ast.Call)
     unset = []
     for node, param, position in options:
         if not any(where is not node
