@@ -328,8 +328,6 @@ def _parse_plain(text: str):
                           comments=None, usecols=range(1, width), ndmin=1)
     except ValueError:
         return None
-    if rows.shape != (len(lines),):
-        return None
     ids = [line.partition(",")[0] for line in lines]
     columns = {name: rows[name] for name in CSV_HEADER[1:]}
     return ids, columns, range(2, len(lines) + 2)

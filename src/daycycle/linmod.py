@@ -122,8 +122,6 @@ def wald_test(fit: FitResult, C: np.ndarray) -> WaldTest:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[1] != fit.p:
         raise LinmodError("contrast width does not match coefficient count")
-    if C.shape[0] > fit.p:
-        raise LinmodError("more contrast rows than coefficients")
     if np.linalg.matrix_rank(C) < C.shape[0]:
         raise LinmodError("contrast matrix is not of full row rank")
     try:

@@ -225,14 +225,15 @@ def _by_start(fn, mats: np.ndarray):
     return fn(mats), failed
 
 
-def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _floor_covs(covs: np.ndarray) -> np.ndarray:
     """Symmetrize per-start covariances (S, ..., d, d) and clamp their
-    eigenvalues at the variance floor; also returns the starts whose
-    eigendecomposition failed.
+    eigenvalues at the variance floor.
 
     One Cholesky factorization of the shifted stack shows when every
     eigenvalue is clear of the floor; only when it fails are the
-    eigenvalues computed and clamped.
+    eigenvalues computed and clamped.  A start whose eigendecomposition
+    fails gets NaN covariances, which its next Cholesky factor or E-step
+    log-likelihood shows: EM marks it degenerate.
     """
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     d = covs.shape[-1]
@@ -240,7 +241,7 @@ def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.trace(covs, axis1=-2, axis2=-1))
     try:
         np.linalg.cholesky(covs - shift[..., None, None] * np.eye(d))
-        return covs, np.zeros(len(covs), dtype=bool)
+        return covs
     except np.linalg.LinAlgError:
         pass
     (vals, vecs), failed = _by_start(np.linalg.eigh, covs)
@@ -249,7 +250,8 @@ def _floor_covs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = vecs[low]
         covs[low] = (v * np.maximum(vals[low], VARIANCE_FLOOR)[..., None, :]
                      ) @ np.swapaxes(v, -1, -2)
-    return covs, failed
+    covs[failed] = np.nan
+    return covs
 
 
 def _n_features(d: int) -> int:
@@ -315,11 +317,10 @@ def _estep(F: np.ndarray, weights: np.ndarray, means: np.ndarray,
 
 
 def _mstep_batch(Q: np.ndarray, n: int, structure: str
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights, means (centred) and floored covariances of S mixtures from
     ``Q`` (S, K, p), the responsibility-weighted sums of the centred data's
-    rows ``[1, x, x_i x_j (i <= j)]`` (see ``_fill_features``); also
-    returns the starts whose covariance floor failed."""
+    rows ``[1, x, x_i x_j (i <= j)]`` (see ``_fill_features``)."""
     equal, diagonal = _structure(structure)
     S, K, p = Q.shape
     d = (math.isqrt(8 * p + 1) - 3) // 2  # p = _n_features(d)
@@ -334,10 +335,10 @@ def _mstep_batch(Q: np.ndarray, n: int, structure: str
     covs = scatter.sum(axis=1) / n if equal else scatter / nk[..., None, None]
     if diagonal:
         covs = np.diagonal(covs, axis1=-2, axis2=-1)[..., None] * np.eye(d)
-    covs, failed = _floor_covs(covs)
+    covs = _floor_covs(covs)
     if equal:
         covs = np.broadcast_to(covs[:, None], (S, K, d, d)).copy()
-    return weights, means, covs, failed
+    return weights, means, covs
 
 
 def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
@@ -348,9 +349,7 @@ def _mstep(X: np.ndarray, resp: np.ndarray, structure: str
     Q = resp.T[None] @ np.swapaxes(F, -1, -2)
     if np.any(Q[..., 0] < 1e-8):
         raise ConvergenceError("component weight collapsed")
-    weights, means, covs, failed = _mstep_batch(Q, len(X), structure)
-    if failed[0]:
-        raise np.linalg.LinAlgError("covariance eigendecomposition failed")
+    weights, means, covs = _mstep_batch(Q, len(X), structure)
     return weights[0], means[0] + centre, covs[0]
 
 
@@ -389,19 +388,21 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     its row count changes, and results must not depend on the block size.)
 
     Returns per start: log-likelihood, weights, means, covariances,
-    iteration count, converged flag, and a degenerate flag.  A start is
-    degenerate when its covariance is not positive definite, its
-    log-likelihood decreases (beyond relative slack 1e-8) or is not finite,
-    or a component weight collapses; the other starts go on.  A start
-    leaves the batch when it converges; at ``max_iter`` the last E-step's
-    log-likelihood and the last M-step's parameters are returned.
+    iteration count, converged flag, and a degenerate flag (a degenerate
+    start has log-likelihood -inf and NaN parameters).  A start is
+    degenerate when its covariance is not positive definite or is NaN (its
+    floor failed, see ``_floor_covs``), its log-likelihood decreases (beyond
+    relative slack 1e-8) or is not finite, or a component weight collapses;
+    the other starts go on.  A start leaves the batch when it converges; at
+    ``max_iter`` the last E-step's log-likelihood and the last M-step's
+    parameters are returned.
     """
     B, n, d = Xs.shape
     S = len(seeds)
     ll_out = np.full(S, -np.inf)
-    w_out = np.empty((S, K))
-    m_out = np.empty((S, K, d))
-    c_out = np.empty((S, K, d, d))
+    w_out = np.full((S, K), np.nan)
+    m_out = np.full((S, K, d), np.nan)
+    c_out = np.full((S, K, d, d), np.nan)
     it_out = np.zeros(S, dtype=int)
     conv_out = np.zeros(S, dtype=bool)
     degenerate = np.ones(S, dtype=bool)
@@ -465,24 +466,17 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
         prev = ll
         if not m:
             break
-        weights, means, covs, bad = _mstep_batch(Q, n, structure)
-        if bad.any():
-            keep = ~bad
-            idx, prev = idx[keep], prev[keep]
-            weights, means, covs = weights[keep], means[keep], covs[keep]
-            m = compact(keep)
-            if not m:
-                break
-    if m:
-        record(idx, prev, weights, means, covs, max_iter, False)
+        weights, means, covs = _mstep_batch(Q, n, structure)
+    if m:  # a start whose last covariance floor failed stays degenerate
+        ok = ~np.isnan(covs).any(axis=(1, 2, 3))
+        record(idx[ok], prev[ok], weights[ok], means[ok], covs[ok], max_iter,
+               False)
     return ll_out, w_out, m_out, c_out, it_out, conv_out, degenerate
 
 
-def _pooled_covs(Xs: np.ndarray, structure: str
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _pooled_covs(Xs: np.ndarray, structure: str) -> np.ndarray:
     """The pooled covariance (B, d, d) of each data set of the stack ``Xs``
-    (B, N, d), diagonal for the zero-covariance structures and floored; also
-    returns the sets whose floor failed."""
+    (B, N, d), diagonal for the zero-covariance structures and floored."""
     pooled = np.stack([np.atleast_2d(np.cov(X, rowvar=False, ddof=0))
                        for X in Xs])
     if _structure(structure)[1]:
@@ -490,19 +484,18 @@ def _pooled_covs(Xs: np.ndarray, structure: str
     return _floor_covs(pooled)
 
 
-def _plan_starts(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray,
-                 K: int, structure: str, starts: int, max_iter: int,
-                 tol: float, seed: int) -> list[tuple]:
-    """``starts`` EM starts on each data set ``Xs[b]``, b in ``sets``
-    (ascending), cut into blocks of at most ``_BLOCK_BYTES`` of work arrays:
+def _plan_starts(Xs: np.ndarray, pooled: np.ndarray, K: int, structure: str,
+                 starts: int, max_iter: int, tol: float, seed: int
+                 ) -> list[tuple]:
+    """``starts`` EM starts on each data set ``Xs[b]`` of the stack ``Xs``
+    (B, N, d), cut into blocks of at most ``_BLOCK_BYTES`` of work arrays:
     one tuple of ``_em_block`` arguments per block, the starts set by set.
     Start s of set b has seed ``seed + b * starts + s``.  A block carries
     only the slice of ``Xs`` and ``pooled`` from its first set to its
     last."""
     B, n, d = Xs.shape
-    rep = np.repeat(sets, starts)
-    seeds = [seed + b * starts + s for b in sets.tolist()
-             for s in range(starts)]
+    rep = np.repeat(np.arange(B), starts)
+    seeds = [seed + b * starts + s for b in range(B) for s in range(starts)]
     # a start's work arrays: its responsibilities, and its own feature rows
     # unless the starts share one data set
     start_bytes = 8 * n * (K + (0 if B == 1 else _n_features(d)))
@@ -663,10 +656,7 @@ def _check_blrt(X: np.ndarray, K: int, structure: str, n_boot: int,
 def _plan_fit(X: np.ndarray, K: int, structure: str, starts: int,
               max_iter: int, tol: float, seed: int) -> list[tuple]:
     """The blocks of ``fit_mixture``'s starts on the checked data ``X``."""
-    pooled, failed = _pooled_covs(X[None], structure)
-    if failed[0]:
-        raise ConvergenceError("all EM starts failed")
-    return _plan_starts(X[None], np.zeros(1, dtype=int), pooled, K,
+    return _plan_starts(X[None], _pooled_covs(X[None], structure), K,
                         structure, starts, max_iter, tol, seed)
 
 
@@ -780,16 +770,13 @@ def classification_error_matrix(posteriors: np.ndarray,
 def _plan_boot(X: np.ndarray, K: int, structure: str,
                null_model: MixtureModel, n_boot: int, starts_boot: int,
                max_iter: int, tol: float, seed: int):
-    """Draw ``blrt``'s replicates and plan their refits.  Returns the
-    replicates whose pooled floor failed (a mask), the others (``sets``)
-    and the blocks of their K-1 refits and of their K refits."""
+    """Draw ``blrt``'s replicates and plan their refits: the blocks of their
+    K-1 refits and of their K refits."""
     rng = np.random.default_rng(seed + 10_000)
     Xs = np.stack([null_model.sample(len(X), rng) for _ in range(n_boot)])
-    pooled, failed = _pooled_covs(Xs, structure)
-    sets = np.flatnonzero(~failed)
-    plans = [_plan_starts(Xs, sets, pooled, k, structure, starts_boot,
-                          max_iter, tol, seed + 20_000) for k in (K - 1, K)]
-    return failed, sets, plans
+    pooled = _pooled_covs(Xs, structure)
+    return [_plan_starts(Xs, pooled, k, structure, starts_boot, max_iter,
+                         tol, seed + 20_000) for k in (K - 1, K)]
 
 
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
@@ -809,16 +796,16 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
     (see ``_run_blocks``); start s of replicate b has seed
     ``seed + 20_000 + b * starts_boot + s`` in both, and each replicate's
     statistic uses the best non-degenerate start of each order.  A replicate
-    fails when the variance floor of its pooled covariance fails, or when
-    all its K-1 starts or all its K starts are degenerate; more than
-    ``MAX_BOOT_FAILURE_FRACTION`` of ``n_boot`` failing raises
+    fails when all its K-1 starts or all its K starts are degenerate (as
+    all are when the variance floor of its pooled covariance fails); more
+    than ``MAX_BOOT_FAILURE_FRACTION`` of ``n_boot`` failing raises
     ``ConvergenceError``.
 
-    ``_fitted`` is ``(null_model, alt_model, (failed, sets, done))``: the
-    K-1 and K models of ``data``, the failed mask and the sets that
-    ``_plan_boot`` returns for these arguments, and the results of its two
-    plans.  ``selection_table`` passes it, having checked the arguments,
-    fit the models and run the refits of all its BLRTs at once.
+    ``_fitted`` is ``(null_model, alt_model, done)``: the K-1 and K models
+    of ``data`` and the results of the two plans that ``_plan_boot``
+    returns for these arguments.  ``selection_table`` passes it, having
+    checked the arguments, fit the models and run the refits of all its
+    BLRTs at once.
     """
     X = _as_matrix(data)
     if _fitted is None:
@@ -827,20 +814,19 @@ def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                                     max_iter=max_iter, tol=tol, seed=seed)
         alt_model, _ = fit_mixture(X, K, structure, starts=starts,
                                    max_iter=max_iter, tol=tol, seed=seed)
-        failed, sets, plans = _plan_boot(X, K, structure, null_model, n_boot,
-                                         starts_boot, max_iter, tol, seed)
-        done = _run_plans(plans)
+        done = _run_plans(_plan_boot(X, K, structure, null_model, n_boot,
+                                     starts_boot, max_iter, tol, seed))
     else:
-        null_model, alt_model, (failed, sets, done) = _fitted
+        null_model, alt_model, done = _fitted
     observed = 2.0 * (alt_model.loglik - null_model.loglik)
     best = np.zeros((2, n_boot))  # best log-likelihood at K-1 and at K
-    if sets.size:
-        for row, results in enumerate(done):
-            ll, *_, degenerate = _stack_starts(results)
-            degenerate = degenerate.reshape(sets.size, starts_boot)
-            best[row, sets] = np.where(degenerate, -np.inf, ll.reshape(
-                degenerate.shape)).max(axis=1)
-            failed[sets] |= degenerate.all(axis=1)
+    failed = np.zeros(n_boot, dtype=bool)
+    for row, results in enumerate(done):
+        ll, *_, degenerate = _stack_starts(results)
+        degenerate = degenerate.reshape(n_boot, starts_boot)
+        best[row] = np.where(degenerate, -np.inf, ll.reshape(
+            degenerate.shape)).max(axis=1)
+        failed |= degenerate.all(axis=1)
     failures = int(failed.sum())
     if failures > MAX_BOOT_FAILURE_FRACTION * n_boot:
         raise ConvergenceError(
@@ -926,11 +912,11 @@ def selection_table(data: np.ndarray, k_range: range | list[int],
               for K, results in zip(fits, done)}
     boots = [_plan_boot(X, K, structure, models[K - 1][0], n_boot,
                         starts_boot, max_iter, EM_TOL, seed) for K in tested]
-    done = iter(_run_plans([plan for *_, plans in boots for plan in plans]))
+    done = iter(_run_plans([plan for plans in boots for plan in plans]))
     tests = {K: blrt(X, K, structure, n_boot=n_boot, starts_boot=starts_boot,
                      _fitted=(models[K - 1][0], models[K][0],
-                              (failed, sets, list(islice(done, 2)))))
-             for K, (failed, sets, _) in zip(tested, boots)}
+                              list(islice(done, 2))))
+             for K in tested}
     rows = []
     for K in ks:
         model, post = models[K]

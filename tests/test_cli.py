@@ -319,6 +319,45 @@ def test_malformed_cohort_row_exits_2_naming_its_line(tmp_path, cohort_csv,
     assert not out.exists()
 
 
+def test_blank_outcome_drops_the_row_as_incomplete(tmp_path, cohort_csv):
+    """``ism`` on a cohort whose row 6 has a blank ``casi_irt`` writes the
+    tables of the cohort without that row."""
+    from daycycle.cohort import CSV_HEADER
+    blank = _edited_cohort(cohort_csv, tmp_path, 7, lambda s: _set_field(
+        s.rstrip("\n"), CSV_HEADER.index("casi_irt"), "") + "\n")
+    lines = cohort_csv.read_text().splitlines(keepends=True)
+    dropped = tmp_path / "dropped.csv"
+    dropped.write_text("".join(lines[:6] + lines[7:]))
+    tables = []
+    for path, out in ((blank, tmp_path / "a"), (dropped, tmp_path / "b")):
+        assert run(["ism", path, "-o", out]) == 0
+        tables.append((out / "ism_table.json").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_header_only_cohort_exits_2(tmp_path, cohort_csv, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text(cohort_csv.read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "out"
+    for cmd in ("describe", "lpa", "ism"):
+        assert run([cmd, path, "-o", out]) == 2
+        assert capsys.readouterr().err == "data error: empty cohort file\n"
+    assert not out.exists()
+
+
+def test_failed_output_rename_leaves_no_temporary_file(tmp_path, cohort_csv,
+                                                       capsys, monkeypatch):
+    def no_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    out = tmp_path / "out"
+    assert run(["describe", cohort_csv, "-o", out]) == 2
+    assert capsys.readouterr().err == (
+        "data error: [Errno 28] No space left on device\n")
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_creates_its_output_directory(tmp_path, cohort_csv):
     target = tmp_path / "new" / "dir" / "cohort.csv"
     assert run(["simulate", "--n", "250", "--seed", "42", "-o", target]) == 0
@@ -892,8 +931,19 @@ def _spec_with(**fields):
     (_spec_with(class_covs=[[[0.01, 0, 0]] * 3] * 3), "class_covs"),
     (_spec_with(class_effects=[0.0, 0.1]), "class_effects"),
     (_spec_with(covariate_effects={"nope": 1.0}), "nope"),
+    (_spec_with(class_means=[[0.3, 0.2, 0.05]] * 3 + [[0.3, 0.2]]),
+     "class_means"),
+    (_spec_with(bmi_mean="27"), "bmi_mean must be a number"),
+    (_spec_with(covariate_effects=[["bmi", 0.1]]),
+     "covariate_effects must be an object"),
+    (_spec_with(covariate_effects={"bmi": "0.1"}),
+     "covariate_effects['bmi'] must be a number"),
+    # every class's mean outside the simplex: no draw is accepted
+    (_spec_with(class_means=[[0.6, 0.6, 0.6]] * 4), "spec infeasible"),
 ], ids=["weights-text", "means-rows-of-2", "covs-2x2", "covs-for-3-classes",
-        "effects-length", "unknown-covariate-effect"])
+        "effects-length", "unknown-covariate-effect", "means-ragged",
+        "scalar-text", "covariate-effects-list", "covariate-effect-text",
+        "infeasible"])
 def test_simulate_spec_with_ill_shaped_values_exits_2(tmp_path, capsys, text,
                                                       problem):
     spec = tmp_path / "spec.json"

@@ -165,6 +165,15 @@ def test_curve_requires_matching_pivot():
         reallocation_curve_proportional(cfit, "sit", np.array([10.0]))
 
 
+def test_contrast_requires_the_fitted_labels():
+    cohort, _ = ilr_truth_cohort(n=300, seed=10)
+    cfit = fit_coda(cohort, "step", COVS)
+    other = closure_values([1, 2, 3, 4], ("sit", "stand", "step", "nap"))
+    for xa, xb in ((other, cfit.baseline), (cfit.baseline, other)):
+        with pytest.raises(CodaError, match="labels do not match"):
+            composition_contrast(cfit, xa, xb)
+
+
 def test_pairwise_reallocation_antisymmetric_in_endpoints():
     cohort, _ = ilr_truth_cohort(n=900, seed=11)
     cfit = fit_coda(cohort, "step", COVS)

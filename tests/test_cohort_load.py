@@ -261,3 +261,20 @@ def test_first_bad_cell_in_file_order_names_the_load_error(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(CohortError, match="line 4: bmi is infinite$"):
         load_cohort_csv(path)
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("covariates", "covariate 'bmi' has wrong length"),
+    ("outcome", "outcome/total length mismatch"),
+    ("total", "outcome/total length mismatch"),
+])
+def test_cohort_table_with_a_column_of_the_wrong_length_is_rejected(
+        field, problem):
+    n = 3
+    columns = dict(ids=["a", "b", "c"], behaviors=np.full((n, 4), 360.0),
+                   total=np.full(n, 1440.0), covariates={"bmi": np.ones(n)},
+                   outcome=np.zeros(n), valid_days=np.full(n, 7))
+    columns[field] = ({"bmi": np.ones(n + 1)} if field == "covariates"
+                      else np.ones(n - 1))
+    with pytest.raises(CohortError, match=problem):
+        CohortTable(**columns)

@@ -61,6 +61,8 @@ def test_composition_validation():
     x = Composition((0.2, 0.3, 0.5), LAB3)
     assert len(x.parts) == 3
     assert x.part("b") == 0.3
+    with pytest.raises(CompositionError, match="unknown label 'd'"):
+        x.part("d")
 
 
 def test_closure_rescales_to_unit_sum():
@@ -191,14 +193,39 @@ def test_pivot_basis_contrast_weights():
 
 
 def test_sbp_validation_rejects_bad_tables():
-    with pytest.raises(CompositionError):
-        SBPartition(((1, 1, 1),), LAB3)  # no denominator group
+    with pytest.raises(CompositionError, match="a - group"):
+        SBPartition(((1, 1, 1), (1, -1, 0)), LAB3)  # no denominator group
+    with pytest.raises(CompositionError, match="entries must be in"):
+        SBPartition(((1, -1, 2), (1, -1, 0)), LAB3)
+    with pytest.raises(CompositionError, match=r"must be \(2, 3\)"):
+        SBPartition(((1, -1, -1),), LAB3)  # one level for three parts
     with pytest.raises(CompositionError):
         SBPartition(((1, -1, 0), (0, 1, -1)), LAB3)  # first level has a zero
     with pytest.raises(CompositionError):
         # second level does not split a previously formed group
         SBPartition(((1, 1, -1, -1), (1, 0, -1, 0), (0, 1, 0, -1)),
                     ("a", "b", "c", "d"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: perturb(comp([1, 2, 3]), comp([1, 2, 3], ("a", "b", "d"))),
+     "label mismatch"),
+    (lambda: closure_values([0.0, 0.0, 0.0], LAB3), "nonpositive total"),
+    (lambda: closure_values([1.0, 0.0, 2.0], LAB3), "zero part"),
+    (lambda: closure_values([2.0, -1.0, 3.0], LAB3), "negative part"),
+    (lambda: pivot_basis("d", LAB3), "unknown label 'd'"),
+    (lambda: ilr(comp([1, 2, 3]), pivot_basis("a", ("a", "b", "d"))),
+     "labels do not match the basis"),
+    (lambda: ilr_inverse(np.zeros(3), pivot_basis("a", LAB3)),
+     "coordinate dimension"),
+    (lambda: ternary_svg(np.full((2, 4), 0.25), ("a", "b", "c", "d"),
+                         np.zeros(2), "a-b-c-d"), "3-part composition"),
+], ids=["perturb-labels", "close-zero-total", "close-zero-part",
+        "close-negative-part", "pivot-label", "ilr-labels",
+        "ilr-inverse-dimension", "ternary-parts"])
+def test_bad_composition_input_is_rejected(call, message):
+    with pytest.raises(CompositionError, match=message):
+        call()
 
 
 def test_ilr_reference_point_one():

@@ -603,14 +603,14 @@ def reference_load_day_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         assert tuple(next(reader)) == DAY_CSV_HEADER
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(DAY_CSV_HEADER):
-                errors.append(RowError(lineno, "wrong field count"))
+                errors.append(RowError(reader.line_num, "wrong field count"))
                 continue
             try:
                 records.append(_reference_parse_row(row))
             except (ValueError, IngestError) as exc:
-                errors.append(RowError(lineno, str(exc)))
+                errors.append(RowError(reader.line_num, str(exc)))
     return records, errors
 
 
@@ -626,6 +626,9 @@ def test_load_day_csv_matches_per_row_parser(tmp_path):
             _day_row(in_bed="2020-01-01T22:00:00+02:00",
                      out_bed="2020-01-02T06:00:00+02:00"),
             _day_row(pid='"p,2"', in_bed="2020-01-01 22:00"),
+            # a quoted id over two lines: later rows' line numbers are not
+            # their row numbers
+            _day_row(pid='"p\n3"'),
             "p1,too,few", _day_row() + ",extra", "",
             _day_row(in_bed="not-a-time"), _day_row(out_bed="2020-13-01"),
             _day_row(in_bed="2020-13-01", out_bed="not-a-time"),
@@ -645,7 +648,8 @@ def test_load_day_csv_matches_per_row_parser(tmp_path):
     want_records, want_errors = reference_load_day_csv(path)
     assert records == want_records
     assert errors == want_errors
-    assert len(records) == 8 and len(errors) == 27
+    assert len(records) == 9 and len(errors) == 27
+    assert errors[0].line == 8
     assert {e.message for e in errors} >= {
         "wrong field count", "out_bed must follow in_bed",
         "negative sit_min", "negative stand_min", "negative step_min",

@@ -37,6 +37,8 @@ def test_ols_matches_normal_equations():
     cov = rss / (fit.n - fit.p) * np.linalg.inv(X.T @ X)
     assert np.allclose(fit.cov_model, cov, atol=1e-12)
     assert fit.index("b") == 2
+    with pytest.raises(LinmodError, match="no coefficient named 'c'"):
+        fit.index("c")
     i = fit.index("a")
     assert math.sqrt(fit.cov_model[i, i]) == pytest.approx(math.sqrt(cov[1, 1]))
 
@@ -96,6 +98,12 @@ def test_wald_validation():
         wald_test(fit, np.ones((1, 5)))
     with pytest.raises(LinmodError):
         wald_test(fit, np.vstack([np.eye(3)[0], np.eye(3)[0]]))
+    with pytest.raises(LinmodError, match="not of full row rank"):
+        wald_test(fit, np.vstack([np.eye(3), np.ones(3)]))
+    # y = 0 fits exactly: the coefficients' covariance is exactly zero
+    zero = fit_ols(X, np.zeros(len(X)))
+    with pytest.raises(LinmodError, match="singular contrast covariance"):
+        wald_test(zero, np.eye(3)[1:])
 
 
 def test_linear_combination_matches_manual():
@@ -114,6 +122,9 @@ def test_linear_combination_matches_manual():
         [est.estimate, -est.estimate, 0.0])
     assert rows.se.tolist() == pytest.approx([se, se, 0.0])
     assert str(rows.ci_low[2]) == "0.0" and str(rows.ci_high[2]) == "0.0"
+    for bad in (w[:2], np.zeros((2, 4)), np.zeros((1, 1, 3))):
+        with pytest.raises(LinmodError, match="weight length"):
+            linear_combination(fit, bad)
 
 
 def test_spline_reproduces_linear_functions():

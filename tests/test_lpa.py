@@ -828,9 +828,9 @@ def test_a_block_stays_within_its_byte_budget(B, n, K, starts):
     numpy's ufunc buffers and the per-start parameter arrays."""
     rng = np.random.default_rng(41)
     Xs = rng.dirichlet(np.full(4, 2.0), size=(B, n))[..., :3]
-    pooled, _ = lpa._pooled_covs(Xs, "free-var-free-cov")
-    unit = lpa._plan_starts(Xs, np.arange(B), pooled, K, "free-var-free-cov",
-                            starts, 30, 1e-8, 0)[0]
+    pooled = lpa._pooled_covs(Xs, "free-var-free-cov")
+    unit = lpa._plan_starts(Xs, pooled, K, "free-var-free-cov", starts, 30,
+                            1e-8, 0)[0]
     S = len(unit[5])
     assert S > 1
     p = lpa._n_features(Xs.shape[-1])
@@ -847,7 +847,8 @@ def test_a_block_stays_within_its_byte_budget(B, n, K, starts):
 
 
 def _ref_floor_covs(covs):
-    """The floor before the Cholesky test: eigenvalues of every start."""
+    """The floor before the Cholesky test: eigenvalues of every start, and
+    NaN covariances for a start whose eigendecomposition failed."""
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     (vals, vecs), failed = _by_start(np.linalg.eigh, covs)
     low = vals[..., 0] < VARIANCE_FLOOR
@@ -855,7 +856,8 @@ def _ref_floor_covs(covs):
         v = vecs[low]
         covs[low] = (v * np.maximum(vals[low], VARIANCE_FLOOR)[..., None, :]
                      ) @ np.swapaxes(v, -1, -2)
-    return covs, failed
+    covs[failed] = np.nan
+    return covs
 
 
 def _random_covs(rng, shape, d, smallest, scale=1.0):
@@ -869,9 +871,10 @@ def _random_covs(rng, shape, d, smallest, scale=1.0):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cholesky_floor_test_matches_the_eigh_floor(monkeypatch, d):
-    """Equal covariances and flags, also where the smallest eigenvalue is
-    within rounding of the floor, where a plain Cholesky test of
-    ``cov - floor * I`` can pass although eigh puts it below the floor."""
+    """Equal covariances, also where the smallest eigenvalue is within
+    rounding of the floor, where a plain Cholesky test of ``cov - floor * I``
+    can pass although eigh puts it below the floor, and for a NaN start,
+    whose eigendecomposition fails at d = 3."""
     rng = np.random.default_rng(30 + d)
     eps = np.finfo(float).eps
     for trial in range(60):
@@ -888,16 +891,103 @@ def test_cholesky_floor_test_matches_the_eigh_floor(monkeypatch, d):
         covs = _random_covs(rng, shape, d, smallest.reshape(shape), scale)
         if trial % 5 == 0:
             covs[rng.integers(shape[0])] = np.nan
-        got, got_failed = lpa._floor_covs(covs.copy())
-        want, want_failed = _ref_floor_covs(covs.copy())
+        got = lpa._floor_covs(covs.copy())
+        want = _ref_floor_covs(covs.copy())
         assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(got_failed, want_failed)
     # a stack clear of the floor takes no eigendecomposition
     covs = _random_covs(rng, (5, 4), d, rng.uniform(1e-3, 1.0, (5, 4)))
     want = _ref_floor_covs(covs.copy())
     monkeypatch.setattr(np.linalg, "eigh", None)
+    assert np.array_equal(lpa._floor_covs(covs.copy()), want)
+
+
+def test_a_start_whose_eigh_fails_gets_nan_covariances(monkeypatch):
+    """The other starts are floored as they would be without it."""
+    rng = np.random.default_rng(34)
+    covs = _random_covs(rng, (4, 2), 3, np.full((4, 2), -0.5))
+    covs[2] = 7.0 * np.eye(3)
+    eigh = np.linalg.eigh
+
+    def eigh_failing_at_7(a):
+        if (a[..., 0, 0] == 7.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_at_7)
     got = lpa._floor_covs(covs.copy())
-    assert np.array_equal(got[0], want[0]) and not got[1].any()
+    assert np.isnan(got[2]).all()
+    others = [0, 1, 3]
+    assert np.array_equal(got[others], lpa._floor_covs(covs[others]))
+    assert not np.isnan(got[others]).any()
+
+
+def test_mstep_with_an_empty_component_raises():
+    X = three_class_data(n=120, seed=19)
+    resp = np.zeros((len(X), 3))
+    resp[:, 0], resp[:, 2] = 0.25, 0.75
+    with pytest.raises(ConvergenceError, match="component weight collapsed"):
+        _mstep(X, resp, "free-var-free-cov")
+
+
+def _nan_floor(mark):
+    """``_floor_covs`` that NaN-marks, as a failed eigendecomposition does,
+    the starts ``mark(covs, call)`` (None for none) of the stack of its
+    ``call``-th call; also returns the list of the marked stacks' lengths."""
+    floor, calls, marked = lpa._floor_covs, [], []
+
+    def nan_floor(covs):
+        out = floor(covs)
+        calls.append(None)
+        starts = mark(out, len(calls))
+        if starts is not None:
+            out[starts] = np.nan
+            marked.append(len(out))
+        return out
+    return nan_floor, marked
+
+
+@pytest.mark.parametrize("structure", ["free-var-free-cov",
+                                       "equal-var-zero-cov"])
+@pytest.mark.parametrize("max_iter, call", [(40, 4), (6, 6)],
+                         ids=["mid-run", "at-max-iter"])
+def test_a_failed_m_step_floor_makes_only_its_start_degenerate(
+        monkeypatch, structure, max_iter, call):
+    """A start whose covariance floor fails at the M-step of iteration
+    ``call`` (the last one at ``max_iter``) is degenerate; every other
+    start's results are those of the run without the failure, bit for
+    bit."""
+    X = three_class_data(n=240, seed=20)
+    [unit] = lpa._plan_fit(X, 3, structure, 8, max_iter, 1e-8, 0)
+    want = lpa._em_block(*unit)
+    nan_floor, marked = _nan_floor(lambda covs, i: -1 if i == call else None)
+    monkeypatch.setattr(lpa, "_floor_covs", nan_floor)
+    got = lpa._em_block(*unit)
+    assert len(marked) == 1 and marked[0] > 1
+    changed = [s for s in range(8)
+               if not all(np.array_equal(g[s], w[s], equal_nan=True)
+                          for g, w in zip(got, want))]
+    assert len(changed) == 1
+    assert got[-1][changed[0]] and not want[-1][changed[0]]
+
+
+def test_a_failed_pooled_floor_fails_every_start_of_its_set(monkeypatch):
+    """NaN pooled covariances make every start degenerate: the fit raises,
+    and a BLRT replicate counts as failed."""
+    X = three_class_data(n=240, seed=21)
+    nan_floor, _ = _nan_floor(lambda covs, i: slice(None) if i == 1 else None)
+    monkeypatch.setattr(lpa, "_floor_covs", nan_floor)
+    with pytest.raises(ConvergenceError, match="all EM starts failed"):
+        fit_mixture(X, 2, starts=3, max_iter=20)
+    monkeypatch.undo()
+    kw = dict(n_boot=19, starts=2, starts_boot=2, max_iter=20)
+    want = blrt(X, 2, **kw)
+    # the replicates' pooled covariances: the one 3-d stack of n_boot
+    nan_floor, marked = _nan_floor(
+        lambda covs, i: 0 if covs.ndim == 3 and len(covs) == 19 else None)
+    monkeypatch.setattr(lpa, "_floor_covs", nan_floor)
+    got = blrt(X, 2, **kw)
+    assert marked == [19] and want["n_boot_failed"] == 0
+    assert got["n_boot_failed"] == 1 and got["n_boot_used"] == 18
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

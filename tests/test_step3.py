@@ -283,6 +283,13 @@ def test_covariate_null_slope_not_significant():
     assert sig <= 4
 
 
+def test_covariate_all_zero_column_has_a_singular_hessian():
+    """An all-zero covariate's slope leaves the likelihood flat."""
+    Z, classes = multinomial_data(n=200, seed=10)
+    with pytest.raises(Step3Error, match="singular Hessian"):
+        step3_covariate(classes, np.eye(2), np.column_stack([Z, 0 * Z]))
+
+
 def test_covariate_singular_error_matrix():
     Z, classes = multinomial_data(n=200, seed=10)
     with pytest.raises(Step3Error):
