@@ -5,8 +5,8 @@ profile analyses.  Behavior times are minutes/day averaged over a person's
 valid wear days; covariates are numerically coded (dummies for categories);
 missing covariates are NaN until a complete-case filter is applied.  The
 CSV framing of the package lives here too: one reader (``csv_reader``) and
-one line writer (``csv_lines``) for every CSV but the cohort's own fast
-paths.
+one line writer (``csv_lines``) for every report CSV; the cohort and day
+CSVs have their own faster writers.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ def format_number(x: float | int | None) -> str:
     """A number as a CSV cell: a boolean as 1 or 0, an integer as is, a float
     as the shortest repr that reads back to the same value, and a missing
     value (NaN or None) as empty."""
+    if type(x) is float:  # the common cell: no type tests
+        return repr(x) if x == x else ""
     if isinstance(x, (bool, np.bool_)):
         return str(int(x))
     if isinstance(x, (int, np.integer)):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohort import (BEHAVIOR_LABELS, COVARIATE_COLUMNS, CohortTable,
-                     csv_lines, csv_reader)
+                     csv_field, csv_reader, format_number)
 
 DAY_CSV_HEADER = (
     "person_id", "date", "sit_min", "stand_min", "step_min",
@@ -124,11 +124,17 @@ def _first_minute_column(failed, *values: float) -> str:
 
 def write_day_csv(records: list[DayRecord], path) -> None:
     """Day records as a day CSV that ``load_day_csv`` reads back to equal
-    records, written line by line by ``csv_lines``."""
+    records: the id and date quoted by ``csv_field``, the minute cells
+    written by ``format_number`` and the timestamps by ``isoformat``, which
+    never need quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(csv_lines(DAY_CSV_HEADER, (
-            (*r[:5], r.in_bed.isoformat(), r.out_bed.isoformat(), r.wear_min)
-            for r in records)))
+        fh.write(",".join(DAY_CSV_HEADER) + "\n")
+        fh.writelines(
+            f"{csv_field(pid)},{csv_field(date)},{format_number(sit)},"
+            f"{format_number(stand)},{format_number(step)},"
+            f"{in_bed.isoformat()},{out_bed.isoformat()},"
+            f"{format_number(wear)}\n"
+            for pid, date, sit, stand, step, in_bed, out_bed, wear in records)
 
 
 def validate_days(records: list[DayRecord]) -> dict[str, list[DayRecord]]:

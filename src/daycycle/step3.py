@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linmod import WaldTest, joint_wald
+from .lpa import classification_error_matrix
+
+# Newton and BHHH steps that ``step3_covariate`` takes at most
+_MAX_STEPS = 200
 
 
 class Step3Error(ValueError):
@@ -133,8 +137,6 @@ def step3_distal(posteriors: np.ndarray, assignments: np.ndarray,
     assignment or ``reference`` outside [0, K), and no more subjects than
     coefficients raise Step3Error before any fit.
     """
-    from .lpa import classification_error_matrix
-
     posteriors = _checked("posteriors", posteriors, (-1, -1))
     n, K = posteriors.shape
     if K < 2:  # no class contrast to report
@@ -210,8 +212,11 @@ def _loglik_hessian(pi: np.ndarray, g: np.ndarray, Z: np.ndarray,
     nf = len(free)
     h = -gf[:, :, None] * (pf + gf)[:, None, :] - pf[:, :, None] * gf[:, None, :]
     h[:, range(nf), range(nf)] += gf
-    H = np.einsum("ikm,ia,ib->kamb", h, Z, Z, optimize=True)
-    return H.reshape(nf * Z.shape[1], nf * Z.shape[1])
+    n, q1 = Z.shape
+    # one product over subjects, indexed ((k, m), (a, b)), then reordered
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, -1)
+    H = (h.reshape(n, nf * nf).T @ ZZ).reshape(nf, nf, q1, q1)
+    return H.transpose(0, 2, 1, 3).reshape(nf * q1, nf * q1)
 
 
 def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
@@ -226,13 +231,19 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     ``reference`` and covariates that ``step3_distal`` rejects, and an error
     matrix that is not square.
 
-    ``converged`` is a score test at the fit: U' (-H)^-1 U <= 1e-6 for the
-    score U and Hessian H of log L, so a Newton step moves no coefficient
-    by more than 1e-3 of its model-based SE.  (BFGS's own flag can be False
-    from rounding at the optimum.)
-    """
-    from scipy import optimize  # only this fit uses it: load it here
+    Fit from zero by BHHH steps (S'S)^-1 U, for the per-subject scores S
+    and their sum U, while U' (S'S)^-1 U > 1 or -H is not positive
+    definite, for the Hessian H of log L; Newton steps (-H)^-1 U after that.
+    Each step is halved until log L does not fall, and the fit stops once
+    U' (-H)^-1 U <= 1e-12, or after ``_MAX_STEPS`` steps.  S'S or -H
+    singular in units of each coefficient's score SD (a flat likelihood,
+    classes the covariates separate, or covariates whose products
+    overflow) raises Step3Error.
 
+    ``converged`` is a score test at the fit: U' (-H)^-1 U <= 1e-6, so a
+    Newton step moves no coefficient by more than 1e-3 of its model-based
+    SE.  The sandwich covariance uses (-H)^-1 as bread and S'S as meat.
+    """
     K = len(np.atleast_1d(error_matrix))  # D must be K x K
     D = _checked("error matrix", error_matrix, (K, K))
     if K < 2:
@@ -248,34 +259,43 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     nf = len(free)
     Dcols = D[:, assignments].T  # n x K: D[k, assigned_i]
 
-    def neg_loglik_grad(theta):
-        _, L, g = _subject_terms(theta, Z, Dcols, free)
-        return -float(np.log(L).sum()), -(g[:, free].T @ Z).ravel()
+    def terms(theta):
+        """log L, the per-subject scores S and -H at ``theta``."""
+        pi, L, g = _subject_terms(theta, Z, Dcols, free)
+        S = (g[:, free, None] * Z[:, None, :]).reshape(n, -1)
+        return float(np.log(L).sum()), S, -_loglik_hessian(pi, g, Z, free)
 
-    theta0 = np.zeros(nf * q1)
-    res = optimize.minimize(neg_loglik_grad, theta0, jac=True, method="BFGS",
-                            options={"maxiter": 500, "gtol": 1e-7})
-    theta = res.x
-    if not np.isfinite(res.fun):
-        raise Step3Error("multinomial likelihood did not converge")
+    theta = np.zeros(nf * q1)
+    loglik, S, info = terms(theta)
+    for steps in range(_MAX_STEPS + 1):
+        score, meat = S.sum(axis=0), S.T @ S
+        # -H and S'S in units of each coefficient's score SD, which a
+        # covariate's scale does not change; a zero SD or an overflow
+        # leaves a cell that is not finite
+        sd = np.sqrt(np.diag(meat))
+        with np.errstate(all="ignore"):
+            scaled = np.array([info, meat]) / sd / sd[:, None]
+        if not np.isfinite(scaled).all() or (
+                np.linalg.matrix_rank(scaled, hermitian=True) < nf * q1).any():
+            raise Step3Error("singular Hessian; possible separation")
+        bread = np.linalg.inv(info)
+        bhhh = np.linalg.solve(meat, score)
+        newton = bread @ score
+        concave = np.linalg.eigvalsh(info)[0] > 0
+        if concave and score @ newton <= 1e-12 or steps == _MAX_STEPS:
+            break
+        step = newton if concave and score @ bhhh <= 1 else bhhh
+        while not (new := terms(theta + step))[0] >= loglik:  # NaN falls
+            step = step / 2
+        theta += step
+        loglik, S, info = new
 
-    # Robust (sandwich) covariance: the inverse Hessian of -log L as bread,
-    # the outer product of the per-subject scores as meat.
-    pi, _, g = _subject_terms(theta, Z, Dcols, free)
-    S = (g[:, free, None] * Z[:, None, :]).reshape(n, -1)
-    meat = S.T @ S
-    try:
-        bread = np.linalg.inv(-_loglik_hessian(pi, g, Z, free))
-    except np.linalg.LinAlgError:
-        raise Step3Error("singular Hessian; possible separation") from None
     cov = bread @ meat @ bread
-    score = S.sum(axis=0)
-    converged = bool(0.0 <= score @ bread @ score <= 1e-6)
+    converged = bool(0.0 <= score @ newton <= 1e-6)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(nf, q1)
     coef = theta.reshape(nf, q1)
 
     # Joint Wald test over all covariate slopes (intercepts excluded).
     slope_idx = [i * q1 + j for i in range(nf) for j in range(q1 - 1)]
     wald = joint_wald(theta[slope_idx], cov[np.ix_(slope_idx, slope_idx)])
-    return CovariateResult(coef, se, reference, wald, converged,
-                           -float(res.fun))
+    return CovariateResult(coef, se, reference, wald, converged, loglik)

@@ -37,10 +37,6 @@ ALLOWED = {
         "for a platform that cannot fork, or a daemonic caller",
     ("lpa.py", "_serve_blocks", None):
         "runs in forked EM workers, which the collector does not follow",
-    ("step3.py", "step3_covariate",
-     'raise Step3Error("multinomial likelihood did not converge")'):
-        "no known input makes BFGS end at a non-finite value "
-        "(ROADMAP direction 3)",
 }
 
 
