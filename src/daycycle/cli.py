@@ -511,7 +511,3 @@ def main(argv: list[str] | None = None) -> int:
     except DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -194,7 +194,8 @@ class FitStats:
 # pass took 0.100 s instead of 0.127 s (medians of 10 runs) and the largest
 # worker's peak RSS (``RUSAGE_CHILDREN``, the benchmark's two `lpa` calls,
 # seeds 0-2) read 30.7 MB instead of 30.5-30.6 MB (2-vCPU VM, one BLAS
-# thread).
+# thread).  A start's initial state, K(d + d^2 + 1) floats, is an input, as
+# the data are, and is not counted.
 _BLOCK_BYTES = 1 << 20
 
 # The Cholesky floor test shifts each covariance by the floor plus this
@@ -371,13 +372,14 @@ def _log_resp(X: np.ndarray, weights: np.ndarray, means: np.ndarray,
         return np.log(resp).T, ll
 
 
-def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
-              structure: str, seeds: list[int], max_iter: int, tol: float):
-    """EM from one random-point start per seed, all starts as one batch.
+def _em_block(Xs: np.ndarray, sets: np.ndarray, weights: np.ndarray,
+              means: np.ndarray, covs: np.ndarray, structure: str,
+              max_iter: int, tol: float):
+    """EM from the given initial states, all starts as one batch.
 
     Start j runs on the data set ``Xs[sets[j]]`` of the stack ``Xs``
-    (B, N, d) from seed ``seeds[j]``, with the pooled covariance
-    ``pooled[sets[j]]`` as its initial covariances.  With B = 1 every start
+    (B, N, d) from its state ``weights[j]`` (K,), ``means[j]`` (K, d) and
+    ``covs[j]`` (K, d, d); see ``_random_starts``.  With B = 1 every start
     reads one copy of the data.  The data are centred at their mean (EM is
     shift-equivariant, and centred raw moments sum without cancellation at
     large offsets).  Each iteration is two matrix products per start with
@@ -398,7 +400,7 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
     parameters are returned.
     """
     B, n, d = Xs.shape
-    S = len(seeds)
+    S, K = weights.shape
     ll_out = np.full(S, -np.inf)
     w_out = np.full((S, K), np.nan)
     m_out = np.full((S, K, d), np.nan)
@@ -432,14 +434,7 @@ def _em_block(Xs: np.ndarray, sets: np.ndarray, pooled: np.ndarray, K: int,
                     F[row] = F[start]
         return len(kept)
 
-    # Random-point start: K distinct observations as means, pooled spread as
-    # the common covariance.  (Random soft responsibilities put every
-    # component at the grand mean, a symmetric saddle EM can stall on.)
-    means = np.stack([Xs[b][np.random.default_rng(s).choice(n, size=K,
-                                                             replace=False)]
-                      for b, s in zip(sets, seeds)]) - shift[:, None]
-    covs = np.repeat(pooled[sets][:, None], K, axis=1)
-    weights = np.full((S, K), 1.0 / K)
+    means = means - shift[:, None]
     resp = np.empty((S, K, n))  # a work array, allocated once
 
     prev = np.full(S, -np.inf)
@@ -484,28 +479,43 @@ def _pooled_covs(Xs: np.ndarray, structure: str) -> np.ndarray:
     return _floor_covs(pooled)
 
 
-def _plan_starts(Xs: np.ndarray, pooled: np.ndarray, K: int, structure: str,
-                 starts: int, max_iter: int, tol: float, seed: int
-                 ) -> list[tuple]:
-    """``starts`` EM starts on each data set ``Xs[b]`` of the stack ``Xs``
-    (B, N, d), cut into blocks of at most ``_BLOCK_BYTES`` of work arrays:
-    one tuple of ``_em_block`` arguments per block, the starts set by set.
-    Start s of set b has seed ``seed + b * starts + s``.  A block carries
-    only the slice of ``Xs`` and ``pooled`` from its first set to its
-    last."""
+def _random_starts(Xs: np.ndarray, pooled: np.ndarray, K: int, starts: int,
+                   seed: int) -> tuple[np.ndarray, ...]:
+    """The data set, weights, means and covariances of ``starts``
+    random-point starts on each data set of the stack ``Xs`` (B, N, d),
+    stacked per start, set by set.  Start s of set b takes K distinct
+    observations of ``Xs[b]`` as its means, drawn by
+    ``default_rng(seed + b * starts + s)``, weights 1/K, and ``pooled[b]``
+    for every covariance.  (Random soft responsibilities put every
+    component at the grand mean, a symmetric saddle EM can stall on.)"""
+    B, n, _ = Xs.shape
+    sets = np.repeat(np.arange(B), starts)
+    means = np.stack([Xs[b][np.random.default_rng(seed + i).choice(
+        n, size=K, replace=False)] for i, b in enumerate(sets)])
+    return (sets, np.full((len(sets), K), 1.0 / K), means,
+            np.repeat(pooled[sets][:, None], K, axis=1))
+
+
+def _plan_starts(Xs: np.ndarray, sets: np.ndarray, weights: np.ndarray,
+                 means: np.ndarray, covs: np.ndarray, structure: str,
+                 max_iter: int, tol: float) -> list[tuple]:
+    """The EM starts from the initial states ``sets``, ``weights``, ``means``
+    and ``covs`` (see ``_random_starts``) on the stack ``Xs`` (B, N, d), cut
+    into blocks of at most ``_BLOCK_BYTES`` of work arrays: one tuple of
+    ``_em_block`` arguments per block, in start order.  A block carries only
+    the slice of ``Xs`` from its first set to its last."""
     B, n, d = Xs.shape
-    rep = np.repeat(np.arange(B), starts)
-    seeds = [seed + b * starts + s for b in range(B) for s in range(starts)]
     # a start's work arrays: its responsibilities, and its own feature rows
     # unless the starts share one data set
-    start_bytes = 8 * n * (K + (0 if B == 1 else _n_features(d)))
+    start_bytes = 8 * n * (weights.shape[1] + (B > 1) * _n_features(d))
     block = max(1, _BLOCK_BYTES // start_bytes)
     units = []
-    for i in range(0, len(seeds), block):
-        part = rep[i:i + block]
+    for i in range(0, len(sets), block):
+        part = sets[i:i + block]
         lo, hi = part[0], part[-1] + 1
-        units.append((Xs[lo:hi], part - lo, pooled[lo:hi], K, structure,
-                      seeds[i:i + block], max_iter, tol))
+        units.append((Xs[lo:hi], part - lo, weights[i:i + block],
+                      means[i:i + block], covs[i:i + block], structure,
+                      max_iter, tol))
     return units
 
 
@@ -568,8 +578,7 @@ def _run_blocks(units: list[tuple]) -> list[tuple]:
     from multiprocessing.connection import wait
     ctx = multiprocessing.get_context("fork")
     order = iter(sorted(range(len(units)), reverse=True,
-                        key=lambda i: units[i][3] * len(units[i][5])
-                        * units[i][0].shape[1]))
+                        key=lambda i: units[i][2].size * units[i][0].shape[1]))
     results = [None] * len(units)
     conns, procs = [], []
     try:
@@ -656,8 +665,9 @@ def _check_blrt(X: np.ndarray, K: int, structure: str, n_boot: int,
 def _plan_fit(X: np.ndarray, K: int, structure: str, starts: int,
               max_iter: int, tol: float, seed: int) -> list[tuple]:
     """The blocks of ``fit_mixture``'s starts on the checked data ``X``."""
-    return _plan_starts(X[None], _pooled_covs(X[None], structure), K,
-                        structure, starts, max_iter, tol, seed)
+    Xs = X[None]
+    states = _random_starts(Xs, _pooled_covs(Xs, structure), K, starts, seed)
+    return _plan_starts(Xs, *states, structure, max_iter, tol)
 
 
 def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
@@ -667,11 +677,10 @@ def fit_mixture(data: np.ndarray, K: int, structure: str = "free-var-free-cov",
                 ) -> tuple[MixtureModel, np.ndarray]:
     """Best-of-``starts`` EM fit; returns the model and its posterior matrix.
 
-    Each start takes K distinct random observations as its means (drawn
-    from seed + start index, so runs are reproducible and starts are
-    independent) and the pooled covariance for every component.  The starts
-    run as batched EM, in blocks of bounded size spread over the CPUs (see
-    ``_run_blocks``); each keeps its own convergence test and
+    Each start runs from a random-point state (``_random_starts``) of its
+    own seed, so runs are reproducible and starts are independent.  The
+    starts run as batched EM, in blocks of bounded size spread over the
+    CPUs (see ``_run_blocks``); each keeps its own convergence test and
     degenerate-start checks.  Components are relabeled in ascending order of
     the first indicator's mean (the model's ``order_indicator``, 0).
 
@@ -775,8 +784,9 @@ def _plan_boot(X: np.ndarray, K: int, structure: str,
     rng = np.random.default_rng(seed + 10_000)
     Xs = np.stack([null_model.sample(len(X), rng) for _ in range(n_boot)])
     pooled = _pooled_covs(Xs, structure)
-    return [_plan_starts(Xs, pooled, k, structure, starts_boot, max_iter,
-                         tol, seed + 20_000) for k in (K - 1, K)]
+    return [_plan_starts(Xs, *_random_starts(Xs, pooled, k, starts_boot,
+                                             seed + 20_000),
+                         structure, max_iter, tol) for k in (K - 1, K)]
 
 
 def blrt(data: np.ndarray, K: int, structure: str = "free-var-free-cov",

@@ -260,20 +260,21 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
     Dcols = D[:, assignments].T  # n x K: D[k, assigned_i]
 
     def terms(theta):
-        """log L, the per-subject scores S and -H at ``theta``."""
+        """log L, the per-subject scores S, and pi and g at ``theta``."""
         pi, L, g = _subject_terms(theta, Z, Dcols, free)
         S = (g[:, free, None] * Z[:, None, :]).reshape(n, -1)
-        return float(np.log(L).sum()), S, -_loglik_hessian(pi, g, Z, free)
+        return float(np.log(L).sum()), S, pi, g
 
     theta = np.zeros(nf * q1)
-    loglik, S, info = terms(theta)
+    loglik, S, pi, g = terms(theta)
     for steps in range(_MAX_STEPS + 1):
-        score, meat = S.sum(axis=0), S.T @ S
+        score = S.sum(axis=0)
         # -H and S'S in units of each coefficient's score SD, which a
-        # covariate's scale does not change; a zero SD or an overflow
-        # leaves a cell that is not finite
-        sd = np.sqrt(np.diag(meat))
+        # covariate's scale does not change; a zero SD or an overflow in
+        # their products leaves a cell that is not finite
         with np.errstate(all="ignore"):
+            info, meat = -_loglik_hessian(pi, g, Z, free), S.T @ S
+            sd = np.sqrt(np.diag(meat))
             scaled = np.array([info, meat]) / sd / sd[:, None]
         if not np.isfinite(scaled).all() or (
                 np.linalg.matrix_rank(scaled, hermitian=True) < nf * q1).any():
@@ -288,7 +289,7 @@ def step3_covariate(assignments: np.ndarray, error_matrix: np.ndarray,
         while not (new := terms(theta + step))[0] >= loglik:  # NaN falls
             step = step / 2
         theta += step
-        loglik, S, info = new
+        loglik, S, pi, g = new
 
     cov = bread @ meat @ bread
     converged = bool(0.0 <= score @ newton <= 1e-6)

@@ -47,17 +47,24 @@ def no_leaked_workers():
     assert leaked == [], f"{len(leaked)} child process(es) outlived the test"
 
 
+def seed_3_means(Xs, K):
+    """The initial means (1, K, d) of the random-point start of seed 3 on
+    the data set ``Xs[0]``."""
+    rng = np.random.default_rng(3)
+    return Xs[0][rng.choice(Xs.shape[1], K, replace=False)][None]
+
+
 @pytest.fixture
 def em_worker_dying_at_seed_3(monkeypatch):
     """EM with one start per block in two worker processes, where the worker
     that runs the start of seed 3 ends with exit code 9."""
     parent, em_block = os.getpid(), lpa._em_block
 
-    def em_block_dying_at_seed_3(Xs, sets, pooled, K, structure, seeds,
-                                 *rest):
-        if seeds == [3] and os.getpid() != parent:
+    def em_block_dying_at_seed_3(Xs, sets, weights, means, *rest):
+        if (np.array_equal(means, seed_3_means(Xs, weights.shape[1]))
+                and os.getpid() != parent):
             os._exit(9)
-        return em_block(Xs, sets, pooled, K, structure, seeds, *rest)
+        return em_block(Xs, sets, weights, means, *rest)
 
     monkeypatch.setattr(lpa, "_cpus", lambda: 2)
     monkeypatch.setattr(lpa, "_BLOCK_BYTES", 1)

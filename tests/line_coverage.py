@@ -29,8 +29,6 @@ PACKAGE = ROOT / "src" / "daycycle"
 ALLOWED = {
     ("__main__.py", "<module>", "sys.exit(main())"):
         "runs only as `python -m daycycle`, in a subprocess",
-    ("cli.py", "<module>", "sys.exit(main())"):
-        "runs only when cli.py is run as a script",
     ("lpa.py", "_cpus", "return 1"):
         "for a platform without os.sched_getaffinity",
     ("lpa.py", "_run_blocks", "workers = 1"):

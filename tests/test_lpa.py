@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from conftest import seed_3_means
 from daycycle import lpa
 from daycycle.lpa import (
     STRUCTURES,
@@ -522,6 +523,31 @@ def test_zero_tolerance_fits_without_warnings():
                     assert (model.n_iter, model.converged) == ref[4:]
 
 
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_em_continues_from_a_fitted_state(structure):
+    """EM started from a converged fit's weights, means and covariances
+    stops at its second E-step, at the fit's optimum: on one data set, and
+    on a stack of two (B = 2, each start with its own feature rows)."""
+    data = [three_class_data(n=300, seed=16), three_class_data(n=300, seed=17)]
+    models = [fit_mixture(X, 3, structure, starts=8, max_iter=500)[0]
+              for X in data]
+    assert all(model.converged for model in models)
+    cases = [(X[None], [0], [model]) for X, model in zip(data, models)]
+    cases.append((np.stack(data), [0, 1], models))
+    for Xs, sets, fitted in cases:
+        ll, _, means, _, n_iter, converged, degenerate = lpa._em_block(
+            Xs, np.array(sets),
+            *(np.stack([getattr(m, name) for m in fitted])
+              for name in ("weights", "means", "covs")),
+            structure, 500, lpa.EM_TOL)
+        assert n_iter.tolist() == [2] * len(sets)
+        assert converged.all() and not degenerate.any()
+        for j, model in enumerate(fitted):
+            assert ll[j] == pytest.approx(model.loglik, rel=1e-9)
+            np.testing.assert_allclose(means[j], model.means, rtol=0,
+                                       atol=1e-8)
+
+
 def _matches(model, ref, rtol):
     try:
         _assert_start_matches(model, ref, rtol)
@@ -580,11 +606,10 @@ def test_a_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
     assert multiprocessing.active_children() == []
     em_block = lpa._em_block
 
-    def em_block_failing_at_seed_3(Xs, sets, pooled, K, structure, seeds,
-                                   *rest):
-        if seeds == [3]:
+    def em_block_failing_at_seed_3(Xs, sets, weights, means, *rest):
+        if np.array_equal(means, seed_3_means(Xs, weights.shape[1])):
             raise np.linalg.LinAlgError(f"seed 3 failed in {os.getpid()}")
-        return em_block(Xs, sets, pooled, K, structure, seeds, *rest)
+        return em_block(Xs, sets, weights, means, *rest)
 
     monkeypatch.setattr(lpa, "_em_block", em_block_failing_at_seed_3)
     with pytest.raises(np.linalg.LinAlgError, match="seed 3 failed") as exc:
@@ -829,9 +854,9 @@ def test_a_block_stays_within_its_byte_budget(B, n, K, starts):
     rng = np.random.default_rng(41)
     Xs = rng.dirichlet(np.full(4, 2.0), size=(B, n))[..., :3]
     pooled = lpa._pooled_covs(Xs, "free-var-free-cov")
-    unit = lpa._plan_starts(Xs, pooled, K, "free-var-free-cov", starts, 30,
-                            1e-8, 0)[0]
-    S = len(unit[5])
+    unit = lpa._plan_starts(Xs, *lpa._random_starts(Xs, pooled, K, starts, 0),
+                            "free-var-free-cov", 30, 1e-8)[0]
+    S = len(unit[1])
     assert S > 1
     p = lpa._n_features(Xs.shape[-1])
     allowed = (lpa._BLOCK_BYTES + unit[0].nbytes + 8 * p * n + 2 * 8 * n * S
